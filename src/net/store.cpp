@@ -4,12 +4,13 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 
 #include "net/repair_scheduler.h"
 #include "obs/trace.h"
-#include "storage/erasure_file.h"
+#include "storage/stream.h"
 #include "util/crc32.h"
 #include "util/thread_pool.h"
 
@@ -566,16 +567,20 @@ std::vector<std::vector<std::uint32_t>> CarouselStore::seed_placement(
   return placement;
 }
 
+std::size_t CarouselStore::stripes_for(std::size_t file_bytes) const {
+  const std::size_t stripe_data = code_->k() * block_bytes_;
+  return std::max<std::size_t>(1, (file_bytes + stripe_data - 1) / stripe_data);
+}
+
 std::size_t CarouselStore::put_file(std::uint32_t file_id,
                                     std::span<const Byte> bytes) {
   obs::ScopedTimer timer(*put_seconds_);
-  storage::ErasureFile ef(*code_, bytes, block_bytes_);
+  const std::size_t stripes = stripes_for(bytes.size());
   // Seed the placement table (the domain-aware rotation; the paper's
   // verbatim rule for default stores); re-homing rewrites individual
   // entries later.  Uploads run on leased connections and the manifest
   // commits last, after every block is stored.
-  std::vector<std::vector<std::uint32_t>> placement =
-      seed_placement(ef.stripes());
+  std::vector<std::vector<std::uint32_t>> placement = seed_placement(stripes);
   // A reused file id is rejected, never overwritten: overwriting the
   // manifest entry would strand the old stripes' blocks on their servers
   // forever.  The inflight set extends the check to two puts racing the
@@ -596,7 +601,7 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
     if (meta_) {
       try {
         meta_->put_intent(file_id, bytes.size(),
-                          static_cast<std::uint32_t>(ef.stripes()), placement);
+                          static_cast<std::uint32_t>(stripes), placement);
       } catch (...) {
         util::MutexLock lock(mu_);
         inflight_puts_.erase(file_id);
@@ -605,16 +610,24 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
     }
   }
   put_bytes_->inc(bytes.size());
+  // The encoder holds one stripe (k input blocks, n encoded blocks) and
+  // hands each finished stripe to the sink, which uploads it before the
+  // next stripe is encoded.
   std::size_t uploaded = 0;
   try {
-    for (std::size_t s = 0; s < ef.stripes(); ++s)
-      for (std::size_t i = 0; i < code_->n(); ++i) {
-        Lease c = lease(placement[s][i]);
-        c->put(key(file_id, static_cast<std::uint32_t>(s),
-                   static_cast<std::uint32_t>(i)),
-               ef.block(s, i));
-        ++uploaded;
-      }
+    storage::StreamingEncoder encoder(
+        *code_, block_bytes_,
+        [&](std::size_t s, std::span<const std::span<const Byte>> blocks) {
+          for (std::size_t i = 0; i < blocks.size(); ++i) {
+            Lease c = lease(placement[s][i]);
+            c->put(key(file_id, static_cast<std::uint32_t>(s),
+                       static_cast<std::uint32_t>(i)),
+                   blocks[i]);
+            ++uploaded;
+          }
+        });
+    encoder.write(bytes);
+    encoder.finish();
   } catch (...) {
     // The put failed mid-upload: best-effort-delete what already landed,
     // then journal the abandonment so nothing stays pending.
@@ -649,10 +662,9 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
     if (meta_) meta_->put_commit(file_id);
     util::MutexLock lock(mu_);
     inflight_puts_.erase(file_id);
-    manifest_[file_id] =
-        FileInfo{bytes.size(), ef.stripes(), std::move(placement)};
+    manifest_[file_id] = FileInfo{bytes.size(), stripes, std::move(placement)};
   }
-  return ef.stripes();
+  return stripes;
 }
 
 std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
@@ -665,8 +677,7 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
   const std::size_t p = code_->p();
   const std::size_t n = code_->n();
   const std::size_t stripe_data = code_->k() * block_bytes_;
-  const std::size_t stripes =
-      std::max<std::size_t>(1, (file_bytes + stripe_data - 1) / stripe_data);
+  const std::size_t stripes = stripes_for(file_bytes);
 
   HedgePolicy hedge;
   {
@@ -742,16 +753,21 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
         cell->complete(std::move(out));
         return;
       }
-      Lease c(*srv, policy_, registry_);
-      const auto start = std::chrono::steady_clock::now();
-      auto resp = c->get_range(bk, 0, len);
-      range_get_seconds_->observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count());
-      if (resp && resp->size() == len) {
-        out.bytes = std::move(*resp);
-        out.ok = true;
+      {
+        // The lease goes back to the pool before the slot resolves, so
+        // counters() read right after read_file returns includes this
+        // connection's retries and timeouts.
+        Lease c(*srv, policy_, registry_);
+        const auto start = std::chrono::steady_clock::now();
+        auto resp = c->get_range(bk, 0, len);
+        range_get_seconds_->observe(
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count());
+        if (resp && resp->size() == len) {
+          out.bytes = std::move(*resp);
+          out.ok = true;
+        }
       }
       cell->complete(std::move(out));
     } catch (const BadRequestError&) {
@@ -940,31 +956,42 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
 
     // Last resort: any-k whole-block MDS decode.
     decode_fallbacks_->inc();
-    std::vector<std::size_t> ids;
-    std::vector<std::vector<Byte>> blocks;
-    for (std::size_t i = 0; i < n && ids.size() < code_->k(); ++i) {
-      check_budget(deadline, budget_exhausted_, "read_file");
-      std::optional<std::vector<Byte>> b;
-      try {
-        Lease c = lease_for(file_id, s32, static_cast<std::uint32_t>(i));
-        b = c->get(key(file_id, s32, static_cast<std::uint32_t>(i)));
-      } catch (const BadRequestError&) {
-        throw;
-      } catch (const Error&) {
-        b = std::nullopt;
-      }
-      if (!b || b->size() != block_bytes_) continue;
-      ids.push_back(i);
-      blocks.push_back(std::move(*b));
-    }
-    if (ids.size() < code_->k())
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    WholeBlocks got = fetch_any_k(file_id, s32, order, deadline, "read_file");
+    if (got.ids.size() < code_->k())
       throw std::runtime_error("stripe unrecoverable: fewer than k blocks");
     std::vector<std::span<const Byte>> views;
-    for (const auto& b : blocks) views.emplace_back(b);
-    code_->decode(ids, views, dst);
+    for (const auto& b : got.blocks) views.emplace_back(b);
+    code_->decode(got.ids, views, dst);
   }
   out.resize(file_bytes);
   return out;
+}
+
+CarouselStore::WholeBlocks CarouselStore::fetch_any_k(
+    std::uint32_t file_id, std::uint32_t stripe,
+    const std::vector<std::size_t>& order,
+    std::chrono::steady_clock::time_point deadline, const char* op) {
+  WholeBlocks got;
+  for (std::size_t h : order) {
+    if (got.ids.size() >= code_->k()) break;
+    check_budget(deadline, budget_exhausted_, op);
+    const auto h32 = static_cast<std::uint32_t>(h);
+    std::optional<std::vector<Byte>> b;
+    try {
+      Lease c = lease_for(file_id, stripe, h32);
+      b = c->get(key(file_id, stripe, h32));
+    } catch (const BadRequestError&) {
+      throw;  // locally composed malformed frame: a bug, not a dead server
+    } catch (const Error&) {
+      continue;
+    }
+    if (!b || b->size() != block_bytes_) continue;
+    got.ids.push_back(h);
+    got.blocks.push_back(std::move(*b));
+  }
+  return got;
 }
 
 bool CarouselStore::drop_block(std::uint32_t file_id, std::uint32_t stripe,
@@ -1189,9 +1216,6 @@ std::uint64_t CarouselStore::repair_block_impl(
     // Whole-block fallback (d == k, fewer than d survivors, or a helper
     // died mid-MSR-repair): any k healthy blocks decode the stripe's view
     // of the failed block.
-    std::vector<codes::UnitRef> sources;
-    std::vector<std::size_t> ids;
-    std::vector<std::vector<Byte>> blocks;
     // Source order: with a helper policy the verified survivors come first
     // in the policy's least-loaded order (so whole-block sources also spread
     // over the fleet), then every other index ascending as a stale-probe
@@ -1212,30 +1236,19 @@ std::uint64_t CarouselStore::repair_block_impl(
       for (std::size_t h = 0; h < code_->n(); ++h)
         if (h != index) order.push_back(h);
     }
-    for (std::size_t h : order) {
-      if (ids.size() >= code_->k()) break;
-      check_budget(deadline, budget_exhausted_, "repair_block");
-      std::optional<std::vector<Byte>> b;
-      try {
-        Lease c = lease_for(file_id, stripe, static_cast<std::uint32_t>(h));
-        b = c->get(key(file_id, stripe, static_cast<std::uint32_t>(h)));
-      } catch (const BadRequestError&) {
-        throw;  // locally composed malformed frame: a bug, not a dead helper
-      } catch (const Error&) {
-        b = std::nullopt;
-      }
-      if (!b || b->size() != block_bytes_) continue;
-      fetched += b->size();
+    WholeBlocks got =
+        fetch_any_k(file_id, stripe, order, deadline, "repair_block");
+    std::vector<codes::UnitRef> sources;
+    for (std::size_t j = 0; j < got.ids.size(); ++j) {
+      const std::size_t h = got.ids[j];
+      fetched += block_bytes_;
       observe_traffic(home_of(file_id, stripe, static_cast<std::uint32_t>(h)),
-                      b->size(), 0);
-      ids.push_back(h);
-      blocks.push_back(std::move(*b));
-    }
-    if (ids.size() < code_->k())
-      throw std::runtime_error("repair impossible: fewer than k blocks");
-    for (std::size_t j = 0; j < ids.size(); ++j)
+                      block_bytes_, 0);
       for (std::size_t t = 0; t < code_->s(); ++t)
-        sources.push_back({ids[j], t, blocks[j].data() + t * ub});
+        sources.push_back({h, t, got.blocks[j].data() + t * ub});
+    }
+    if (got.ids.size() < code_->k())
+      throw std::runtime_error("repair impossible: fewer than k blocks");
     code_->project_units(sources, ub, index, rebuilt);
   }
 

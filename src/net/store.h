@@ -142,13 +142,13 @@ struct StoreOptions {
   /// set it must match ports.size() and be satisfiable: the distinct
   /// domains D must give D*(n-k) >= n, or no placement can honor the
   /// per-domain invariant.
-  std::vector<std::size_t> domains;
+  std::vector<std::size_t> domains{};
   /// When non-empty, every manifest mutation is journaled (write-ahead,
   /// CRC-per-record, fsynced) to this directory before it is published in
   /// memory, and constructing a store over an existing journal replays it
   /// — manifest, placement, spares and hedge policy survive a coordinator
   /// crash.  Empty keeps the pre-existing in-memory-only coordinator.
-  std::filesystem::path meta_dir;
+  std::filesystem::path meta_dir{};
   /// fsync the metadata journal (shape kept, durability traded for test
   /// speed when off — mirrors PersistentBlockStore::Options::fsync).
   bool meta_fsync = true;
@@ -258,9 +258,10 @@ class CarouselStore {
   /// Every block the placement table homes on `server_id`.
   std::vector<BlockRef> blocks_on(std::size_t server_id) const EXCLUDES(mu_);
 
-  /// Encodes and uploads; returns the stripe count and records the file in
+  /// Encodes and uploads one stripe at a time (one stripe of memory, not a
+  /// copy of the file); returns the stripe count and records the file in
   /// the manifest (what the scrubber sweeps) together with its placement
-  /// table.
+  /// table.  A failed upload deletes the blocks that landed and throws.
   std::size_t put_file(std::uint32_t file_id,
                        std::span<const codes::Byte> bytes) EXCLUDES(mu_);
 
@@ -482,6 +483,23 @@ class CarouselStore {
   /// when domains permit and never seeds a domain past the n-k cap.
   std::vector<std::vector<std::uint32_t>> seed_placement(std::size_t stripes)
       const EXCLUDES(mu_);
+  /// Stripes a file of `file_bytes` occupies: ceil(bytes / (k*block_bytes)),
+  /// and one zero-padded stripe for an empty file.
+  std::size_t stripes_for(std::size_t file_bytes) const;
+  /// Blocks fetched by the any-k whole-block fallback: the k (or fewer)
+  /// indices that answered with a full-size block, and those blocks.
+  struct WholeBlocks {
+    std::vector<std::size_t> ids;
+    std::vector<std::vector<codes::Byte>> blocks;
+  };
+  /// GETs whole blocks of (file, stripe) in `order` until k have arrived.
+  /// A dead, unreachable or wrong-sized block is an erasure; a malformed
+  /// frame (BadRequestError) rethrows.  The budget is charged per GET under
+  /// `op`.  Callers check ids.size() against k.
+  WholeBlocks fetch_any_k(std::uint32_t file_id, std::uint32_t stripe,
+                          const std::vector<std::size_t>& order,
+                          std::chrono::steady_clock::time_point deadline,
+                          const char* op) EXCLUDES(mu_);
   /// The repair engine.  Takes mu_ only for lookups and the final placement
   /// update — all probes, projections and uploads run on leased connections
   /// with no store lock held.

@@ -3,24 +3,14 @@
 // ScopedTimer is the one-liner used at every instrumented call site: start
 // on construction, observe the elapsed seconds into a Histogram on scope
 // exit (or explicitly via stop(), which also returns the reading so callers
-// can reuse it for counters or trace records).
-//
-// TraceRing is a bounded per-op record buffer for tests: the newest
-// `capacity` records survive, each carrying the op name, its duration and an
-// optional byte count.  Production paths only pay for it when a ring is
-// actually attached — the common case is histogram-only timing.
+// can reuse it, e.g. for counters).
 
 #ifndef CAROUSEL_OBS_TRACE_H
 #define CAROUSEL_OBS_TRACE_H
 
 #include <chrono>
-#include <cstdint>
-#include <deque>
-#include <string>
-#include <vector>
 
 #include "obs/metrics.h"
-#include "util/sync.h"
 
 namespace carousel::obs {
 
@@ -51,81 +41,6 @@ class ScopedTimer {
 
  private:
   Histogram* h_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
-/// One completed operation, as kept by a TraceRing.
-struct TraceRecord {
-  std::string name;
-  double seconds = 0.0;
-  std::uint64_t bytes = 0;
-  std::uint64_t seq = 0;  // monotonically increasing per ring
-};
-
-/// Bounded ring of the most recent trace records (mutex-guarded; meant for
-/// tests and debugging, not hot paths).
-class TraceRing {
- public:
-  explicit TraceRing(std::size_t capacity) : capacity_(capacity) {}
-
-  void record(std::string name, double seconds, std::uint64_t bytes = 0)
-      EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    records_.push_back({std::move(name), seconds, bytes, next_seq_++});
-    if (records_.size() > capacity_) records_.pop_front();
-  }
-
-  /// Oldest-first copy of the surviving records.  The copy detaches under
-  /// the lock; callers iterate it with no ring lock held.
-  std::vector<TraceRecord> records() const EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return {records_.begin(), records_.end()};
-  }
-
-  /// Records ever seen (>= records().size() once the ring wraps).
-  std::uint64_t total_recorded() const EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return next_seq_;
-  }
-
-  void clear() EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    records_.clear();
-  }
-
- private:
-  std::size_t capacity_;
-  mutable util::Mutex mu_{util::LockRank::kTraceRing};
-  std::deque<TraceRecord> records_ GUARDED_BY(mu_);
-  std::uint64_t next_seq_ GUARDED_BY(mu_) = 0;
-};
-
-/// RAII span that feeds a histogram and/or a trace ring.  Either sink may be
-/// null; bytes can be attached any time before scope exit.
-class TraceSpan {
- public:
-  TraceSpan(std::string name, Histogram* h, TraceRing* ring)
-      : name_(std::move(name)),
-        h_(h),
-        ring_(ring),
-        t0_(std::chrono::steady_clock::now()) {}
-  ~TraceSpan() {
-    double s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0_)
-                   .count();
-    if (h_) h_->observe(s);
-    if (ring_) ring_->record(std::move(name_), s, bytes_);
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  void add_bytes(std::uint64_t n) { bytes_ += n; }
-
- private:
-  std::string name_;
-  Histogram* h_;
-  TraceRing* ring_;
-  std::uint64_t bytes_ = 0;
   std::chrono::steady_clock::time_point t0_;
 };
 

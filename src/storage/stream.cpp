@@ -1,6 +1,6 @@
 #include "storage/stream.h"
 
-#include <cstring>
+#include <algorithm>
 #include <stdexcept>
 
 namespace carousel::storage {
@@ -51,55 +51,6 @@ void StreamingEncoder::emit() {
   sink_(stripe_, views);
   ++stripe_;
   pending_.clear();
-}
-
-StreamingDecoder::StreamingDecoder(const Carousel& code,
-                                   std::size_t block_bytes, BlockSource source)
-    : code_(&code), block_bytes_(block_bytes), source_(std::move(source)) {
-  if (block_bytes == 0 || block_bytes % code.s() != 0)
-    throw std::invalid_argument(
-        "block_bytes must be a positive multiple of the code's "
-        "subpacketization");
-  if (!source_) throw std::invalid_argument("source must be callable");
-}
-
-void StreamingDecoder::read(
-    std::size_t file_bytes,
-    const std::function<void(std::span<const Byte>)>& out) {
-  const std::size_t stripe_data = code_->k() * block_bytes_;
-  const std::size_t stripes =
-      std::max<std::size_t>(1, (file_bytes + stripe_data - 1) / stripe_data);
-  std::vector<Byte> buf(stripe_data);
-  std::size_t delivered = 0;
-  for (std::size_t s = 0; s < stripes; ++s) {
-    // Fetch whatever blocks exist, cheapest first: the p data-carriers,
-    // then parity until the best-effort decoder has enough.
-    std::vector<std::size_t> ids;
-    std::vector<std::vector<Byte>> blocks;
-    for (std::size_t i = 0; i < code_->n(); ++i) {
-      auto b = source_(s, i);
-      if (b.empty()) continue;
-      if (b.size() != block_bytes_)
-        throw std::runtime_error("source returned a block of the wrong size");
-      ids.push_back(i);
-      blocks.push_back(std::move(b));
-      // Early exit: all data-carrying blocks present and contiguous fetch
-      // reached them all — gather path needs nothing else.
-      if (ids.size() == code_->p() &&
-          ids.back() == code_->p() - 1)
-        break;
-      if (ids.size() >= code_->n()) break;
-    }
-    if (ids.size() < code_->k())
-      throw std::runtime_error("stripe " + std::to_string(s) +
-                               " unrecoverable");
-    std::vector<std::span<const Byte>> views;
-    for (const auto& b : blocks) views.emplace_back(b);
-    code_->decode_from_available(ids, views, buf);
-    const std::size_t take = std::min(stripe_data, file_bytes - delivered);
-    out(std::span<const Byte>(buf.data(), take));
-    delivered += take;
-  }
 }
 
 }  // namespace carousel::storage

@@ -1,12 +1,13 @@
-// Streaming (bounded-memory) encode and decode.
+// Streaming (bounded-memory) encode.
 //
 // ErasureFile holds the whole object in memory — fine for blocks and tests,
 // wrong for the paper's 3 GB-and-up files on a datanode with many tenants.
 // StreamingEncoder consumes an arbitrarily long byte stream with one
 // stripe's working set in memory (k blocks of input, n blocks of output),
-// emitting completed stripes through a sink callback; StreamingDecoder
-// reassembles the stream from per-stripe block fetches.  Both preserve the
-// exact on-disk/on-wire block layout of ErasureFile, byte for byte.
+// emitting completed stripes through a sink callback, in the exact
+// on-disk/on-wire block layout of ErasureFile, byte for byte.
+// CarouselStore::put_file uploads through it.  There is no streaming
+// decoder: reads go through CarouselStore::read_file or ErasureFile.
 
 #ifndef CAROUSEL_STORAGE_STREAM_H
 #define CAROUSEL_STORAGE_STREAM_H
@@ -55,29 +56,6 @@ class StreamingEncoder {
   std::size_t stripe_ = 0;
   std::uint64_t consumed_ = 0;
   bool finished_ = false;
-};
-
-/// Supplies block `index` of stripe `stripe`, or an empty vector when that
-/// block is unavailable.
-using BlockSource = std::function<std::vector<Byte>(std::size_t stripe,
-                                                    std::size_t index)>;
-
-class StreamingDecoder {
- public:
-  StreamingDecoder(const Carousel& code, std::size_t block_bytes,
-                   BlockSource source);
-
-  /// Streams the file back: calls `out` with consecutive chunks totalling
-  /// file_bytes.  Per stripe it fetches the cheapest available set (data
-  /// extents first, then stand-ins/whole blocks via the code's decoders).
-  /// Throws std::runtime_error when a stripe is unrecoverable.
-  void read(std::size_t file_bytes,
-            const std::function<void(std::span<const Byte>)>& out);
-
- private:
-  const Carousel* code_;
-  std::size_t block_bytes_;
-  BlockSource source_;
 };
 
 }  // namespace carousel::storage

@@ -121,9 +121,6 @@ enum class LockRank : int {
   // FaultPlan::mu_ — injected-fault state, leaf under the block server.
   kFaultPlan = 80,
 
-  // obs::TraceRing::mu_ — trace record ring, leaf.
-  kTraceRing = 85,
-
   // obs::MetricsRegistry::mu_ — instrument maps; global leaf (instrument
   // creation happens under other subsystems' locks).
   kMetrics = 90,

@@ -511,6 +511,46 @@ TEST_F(MetaStoreTest, CrashMidUploadReconcilesByDeletion) {
   }
 }
 
+TEST_F(MetaStoreTest, PutFailingMidStreamCleansUp) {
+  // Twelve servers, so each one holds exactly one block per stripe.
+  for (int i = 0; i < 6; ++i) {
+    servers_.push_back(std::make_unique<BlockServer>());
+    ports_.push_back(servers_.back()->port());
+  }
+  const std::size_t block = code_.s() * 64;
+  const auto file = random_bytes(3 * code_.k() * block - 100, 61);
+  // Server 4 refuses its third PUT: stripes 0 and 1 have landed and
+  // stripe 2 is part-way up when the put fails.
+  auto plan = std::make_shared<FaultPlan>(1);
+  plan->add({.action = FaultAction::kRefuse,
+             .op = Op::kPut,
+             .skip = 2,
+             .max_hits = 1000});
+  servers_[4]->set_fault_plan(plan);
+  {
+    CarouselStore store(code_, ports_, block, meta_options());
+    EXPECT_THROW(store.put_file(5, file), ServerError);
+    EXPECT_TRUE(store.files().empty());
+  }
+  EXPECT_EQ(plan->injected(), 1u);
+  // Every block that landed was deleted again.
+  for (std::uint16_t port : ports_) {
+    Client c(port);
+    for (std::uint32_t s = 0; s < 3; ++s)
+      for (std::uint32_t idx = 0; idx < code_.n(); ++idx)
+        EXPECT_EQ(c.verify(BlockKey{5, s, idx}), BlockHealth::kMissing)
+            << "port " << port << " stripe " << s << " block " << idx;
+  }
+  // The journal recorded the abort: nothing is left pending.
+  CarouselStore store(code_, ports_, block, meta_options());
+  EXPECT_TRUE(store.files().empty());
+  EXPECT_EQ(store.reconcile().pending_puts, 0u);
+  // The id is free again once the fault clears.
+  servers_[4]->set_fault_plan(nullptr);
+  EXPECT_EQ(store.put_file(5, file), 3u);
+  EXPECT_EQ(store.read_file(5, file.size()), file);
+}
+
 TEST_F(MetaStoreTest, ReplayReportIsExposed) {
   const std::size_t block = code_.s() * 64;
   {

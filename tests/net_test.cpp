@@ -199,13 +199,31 @@ class StoreTest : public ::testing::Test {
 
 TEST_F(StoreTest, PutReadRoundTrip) {
   codes::Carousel code(12, 6, 10, 10);
-  CarouselStore store(code, ports_, code.s() * 256);
-  auto file = random_bytes(3 * code.k() * code.s() * 256 - 777, 21);
-  std::size_t stripes = store.put_file(1, file);
-  EXPECT_EQ(stripes, 3u);
+  const std::size_t block = code.s() * 256;
+  CarouselStore store(code, ports_, block);
+  // A ragged 3-stripe file, and an empty file (one zero-padded stripe).
+  const std::vector<std::vector<Byte>> files{
+      random_bytes(3 * code.k() * block - 777, 21), {}};
+  const std::size_t want_stripes[] = {3, 1};
+  for (std::uint32_t id = 0; id < files.size(); ++id) {
+    const auto& file = files[id];
+    EXPECT_EQ(store.put_file(id, file), want_stripes[id]);
+    // Every stored block is ErasureFile's block, byte for byte.
+    storage::ErasureFile ef(code, file, block);
+    for (std::uint32_t s = 0; s < want_stripes[id]; ++s)
+      for (std::uint32_t i = 0; i < code.n(); ++i) {
+        Client c(ports_[store.placement_of(id, s, i)]);
+        auto got = c.get(BlockKey{id, s, i});
+        ASSERT_TRUE(got.has_value());
+        const auto want = ef.block(s, i);
+        EXPECT_TRUE(
+            std::equal(got->begin(), got->end(), want.begin(), want.end()))
+            << "file " << id << " stripe " << s << " block " << i;
+      }
+    EXPECT_EQ(store.read_file(id, file.size()), file);
+  }
   // Every server holds one block per stripe.
-  for (const auto& s : servers_) EXPECT_EQ(s->block_count(), stripes);
-  EXPECT_EQ(store.read_file(1, file.size()), file);
+  for (const auto& s : servers_) EXPECT_EQ(s->block_count(), 3u + 1u);
 }
 
 TEST_F(StoreTest, DegradedReadUsesPatternTraffic) {

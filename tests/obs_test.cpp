@@ -1,6 +1,6 @@
 // Observability-layer tests: registry semantics under concurrency, histogram
-// bucket boundaries, snapshot isolation, trace spans, and the kMetrics wire
-// op end to end against a live BlockServer.
+// bucket boundaries, snapshot isolation, the scoped timer, and the kMetrics
+// wire op end to end against a live BlockServer.
 
 #include <gtest/gtest.h>
 
@@ -257,39 +257,6 @@ TEST(Trace, ScopedTimerObservesOnceIntoHistogram) {
   EXPECT_EQ(h.count(), 1u);
   { ScopedTimer timer(h); }  // destructor path
   EXPECT_EQ(h.count(), 2u);
-}
-
-TEST(Trace, RingKeepsNewestRecordsOldestFirst) {
-  TraceRing ring(4);
-  for (int i = 0; i < 10; ++i)
-    ring.record("op" + std::to_string(i), 0.001 * i, std::uint64_t(i));
-  EXPECT_EQ(ring.total_recorded(), 10u);
-  auto records = ring.records();
-  ASSERT_EQ(records.size(), 4u);  // only the newest `capacity` survive
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].name, "op" + std::to_string(6 + i));
-    EXPECT_EQ(records[i].seq, 6 + i);
-  }
-  ring.clear();
-  EXPECT_TRUE(ring.records().empty());
-  EXPECT_EQ(ring.total_recorded(), 10u);  // history count survives clear
-}
-
-TEST(Trace, SpanFeedsHistogramAndRingWithBytes) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("span_seconds");
-  TraceRing ring(8);
-  {
-    TraceSpan span("repair", &h, &ring);
-    span.add_bytes(1024);
-    span.add_bytes(512);
-  }
-  EXPECT_EQ(h.count(), 1u);
-  auto records = ring.records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].name, "repair");
-  EXPECT_EQ(records[0].bytes, 1536u);
-  EXPECT_GE(records[0].seconds, 0.0);
 }
 
 // ---- kMetrics wire op against a live server --------------------------------

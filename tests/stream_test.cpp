@@ -83,73 +83,5 @@ TEST(StreamingEncoder, Validation) {
                std::invalid_argument);
 }
 
-TEST(StreamingDecoder, RoundTripInChunks) {
-  Carousel code(12, 6, 10, 12);
-  const std::size_t block = code.s() * 16;
-  auto file = random_bytes(6 * block * 2 + 99, 33);
-  Collector stored;
-  StreamingEncoder enc(code, block, stored.sink());
-  enc.write(file);
-  enc.finish();
-
-  StreamingDecoder dec(code, block,
-                       [&stored](std::size_t s, std::size_t i) {
-                         auto it = stored.blocks.find({s, i});
-                         return it == stored.blocks.end()
-                                    ? std::vector<Byte>()
-                                    : it->second;
-                       });
-  std::vector<Byte> out;
-  dec.read(file.size(), [&out](std::span<const Byte> chunk) {
-    out.insert(out.end(), chunk.begin(), chunk.end());
-  });
-  EXPECT_EQ(out, file);
-}
-
-TEST(StreamingDecoder, SurvivesMissingBlocks) {
-  Carousel code(12, 6, 10, 10);
-  const std::size_t block = code.s() * 8;
-  auto file = random_bytes(6 * block, 35);
-  Collector stored;
-  StreamingEncoder enc(code, block, stored.sink());
-  enc.write(file);
-  enc.finish();
-  // Knock out three data-carriers and one parity block.
-  for (std::size_t i : {1u, 4u, 8u, 11u}) stored.blocks.erase({0, i});
-
-  StreamingDecoder dec(code, block,
-                       [&stored](std::size_t s, std::size_t i) {
-                         auto it = stored.blocks.find({s, i});
-                         return it == stored.blocks.end()
-                                    ? std::vector<Byte>()
-                                    : it->second;
-                       });
-  std::vector<Byte> out;
-  dec.read(file.size(), [&out](std::span<const Byte> chunk) {
-    out.insert(out.end(), chunk.begin(), chunk.end());
-  });
-  EXPECT_EQ(out, file);
-}
-
-TEST(StreamingDecoder, UnrecoverableThrows) {
-  Carousel code(6, 3, 4, 6);
-  const std::size_t block = code.s() * 4;
-  auto file = random_bytes(3 * block, 37);
-  Collector stored;
-  StreamingEncoder enc(code, block, stored.sink());
-  enc.write(file);
-  enc.finish();
-  for (std::size_t i : {0u, 1u, 2u, 3u}) stored.blocks.erase({0, i});
-  StreamingDecoder dec(code, block,
-                       [&stored](std::size_t s, std::size_t i) {
-                         auto it = stored.blocks.find({s, i});
-                         return it == stored.blocks.end()
-                                    ? std::vector<Byte>()
-                                    : it->second;
-                       });
-  EXPECT_THROW(dec.read(file.size(), [](std::span<const Byte>) {}),
-               std::runtime_error);
-}
-
 }  // namespace
 }  // namespace carousel::storage

@@ -11,7 +11,7 @@
 #      malformed frames, torn-write recovery, re-homing races — where
 #      lifetime bugs hide);
 #   4. the net + observability + property tests under ThreadSanitizer
-#      (client counters, registry instruments and trace rings are read while
+#      (client counters and registry instruments are read while
 #      other threads mutate them; the parallel read fan-out, hedge races and
 #      concurrent read_file overlap live here), plus a short chaos schedule
 #      under TSan — the foreground hedged reader races kills, restarts and
