@@ -15,7 +15,7 @@
 // expensive) but it still beats RS and stays ~75% below `fs -get`.
 
 #include <cstdio>
-#include <numeric>
+#include <algorithm>
 #include <vector>
 
 #include "bench_util.h"
@@ -54,7 +54,7 @@ double isal_factor() {
 
 /// Measures the degraded-read decode rate of `code` (bytes of missing data
 /// recovered per second) on a scaled stripe, using the paper's read path:
-/// decode_parallel with one data block replaced by a parity block.
+/// the §VII plan with one data block replaced by a parity block.
 double measured_decode_bps(const codes::Carousel& code) {
   const std::size_t ub = (4 << 20) / code.s();
   const std::size_t block = code.s() * ub;
@@ -63,22 +63,18 @@ double measured_decode_bps(const codes::Carousel& code) {
   code.encode(data, bench::split_spans(blob, code.n()));
   auto views = bench::split_const_spans(blob, code.n());
   // Healthy read: pure copies (the download landing in the file buffer).
-  std::vector<std::size_t> healthy_ids(code.p());
-  std::iota(healthy_ids.begin(), healthy_ids.end(), 0);
-  std::vector<std::span<const std::uint8_t>> healthy_views;
-  for (std::size_t id : healthy_ids) healthy_views.push_back(views[id]);
+  std::vector<std::span<const std::uint8_t>> healthy(code.n());
+  std::copy(views.begin(), views.begin() + code.p(), healthy.begin());
   std::vector<std::uint8_t> out(code.k() * block);
-  double t_healthy = bench::time_best_s(
-      [&] { code.decode_parallel(healthy_ids, healthy_views, out); });
+  double t_healthy =
+      bench::time_best_s([&] { code.decode_stripe(healthy, out); });
 
-  // Degraded read: block 0 lost, a parity block stands in.
-  std::vector<std::size_t> ids;
-  for (std::size_t i = 1; i < code.p(); ++i) ids.push_back(i);
-  ids.push_back(code.p());
-  std::vector<std::span<const std::uint8_t>> chosen;
-  for (std::size_t id : ids) chosen.push_back(views[id]);
+  // Degraded read: block 0 lost, the first parity block stands in.
+  auto degraded = healthy;
+  degraded[0] = {};
+  degraded[code.p()] = views[code.p()];
   double t_degraded =
-      bench::time_best_s([&] { code.decode_parallel(ids, chosen, out); });
+      bench::time_best_s([&] { code.decode_stripe(degraded, out); });
   if (!std::equal(out.begin(), out.end(), data.begin())) std::abort();
 
   // The decode cost is the *increment* over the copy-only path; the copies

@@ -9,7 +9,6 @@
 // traffic instead of RS's 6.
 
 #include <cstdio>
-#include <numeric>
 #include <random>
 #include <vector>
 
@@ -38,11 +37,13 @@ int main() {
               "the data, 2x less than 3-way replication)\n",
               data.size() / 1024, code.n(), block_bytes / 1024);
 
-  // --- Parallel read: every block serves original data -------------------
+  // --- Parallel read: the planner asks every block for k/p of itself ------
   std::vector<std::span<const Byte>> views(blocks.begin(), blocks.end());
+  const auto plan = code.plan_read(std::vector<bool>(code.n(), true));
   std::vector<Byte> out(data.size());
-  code.gather_data(std::span(views).subspan(0, code.p()), out);
-  std::printf("parallel gather from all %zu blocks: %s\n", code.p(),
+  code.decode_stripe(views, out);
+  std::printf("parallel read of %zu units from each of %zu blocks: %s\n",
+              (*plan)[0].size(), code.p(),
               out == data ? "bytes match" : "MISMATCH");
 
   // --- MDS: any k blocks decode ------------------------------------------
@@ -56,19 +57,10 @@ int main() {
 
   // --- Repair at MSR-optimal traffic --------------------------------------
   const std::size_t failed = 4;
-  std::vector<std::size_t> helpers;
-  for (std::size_t h = 0; h < code.n() && helpers.size() < code.d(); ++h)
-    if (h != failed) helpers.push_back(h);
-  const std::size_t ub = block_bytes / code.s();
-  std::vector<std::vector<Byte>> chunk_store;
-  std::vector<std::span<const Byte>> chunks;
-  for (std::size_t h : helpers) {
-    chunk_store.emplace_back(code.helper_chunk_units() * ub);
-    code.helper_compute(h, failed, views[h], chunk_store.back());
-  }
-  for (auto& c : chunk_store) chunks.emplace_back(c);
+  std::vector<std::span<const Byte>> survivors = views;
+  survivors[failed] = {};  // an empty span marks a lost block
   std::vector<Byte> rebuilt(block_bytes);
-  auto stats = code.newcomer_compute(failed, helpers, chunks, rebuilt);
+  auto stats = code.repair_stripe(failed, survivors, rebuilt);
   bool ok = std::equal(rebuilt.begin(), rebuilt.end(), views[failed].begin());
   std::printf("repaired block %zu from %zu helpers: %s, traffic %.2f block "
               "sizes (RS would need %zu)\n",

@@ -82,11 +82,6 @@ Archive load_archive(const fs::path& dir) {
 
 }  // namespace
 
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n,
-                    std::uint32_t seed) {
-  return util::crc32({data, n}, seed);
-}
-
 std::string Manifest::serialize() const {
   std::ostringstream out;
   out << "format=carousel-archive-v1\n";
@@ -139,7 +134,7 @@ void encode_file(const fs::path& input, const fs::path& dir,
   m.file_bytes = file.size();
   m.block_bytes = block_bytes;
   m.stripes = ef.stripes();
-  m.checksum = crc32(file.data(), file.size());
+  m.checksum = util::crc32(file);
   write_binary(dir / "MANIFEST",
                std::span<const Byte>(
                    reinterpret_cast<const Byte*>(m.serialize().data()),
@@ -157,6 +152,21 @@ void encode_file(const fs::path& input, const fs::path& dir,
   }
 }
 
+namespace {
+
+/// Stripe `s` of every block file, an empty span for each missing one.
+std::vector<std::span<const Byte>> stripe_views(const Archive& a,
+                                               std::size_t s) {
+  std::vector<std::span<const Byte>> views(a.blocks.size());
+  for (std::size_t i = 0; i < a.blocks.size(); ++i)
+    if (!a.blocks[i].empty())
+      views[i] = {a.blocks[i].data() + s * a.manifest.block_bytes,
+                  a.manifest.block_bytes};
+  return views;
+}
+
+}  // namespace
+
 std::size_t decode_file(const fs::path& dir, const fs::path& output) {
   Archive a = load_archive(dir);
   const auto& m = a.manifest;
@@ -165,28 +175,16 @@ std::size_t decode_file(const fs::path& dir, const fs::path& output) {
   const std::size_t stripe_data = m.params.k * m.block_bytes;
   std::vector<Byte> file(m.stripes * stripe_data);
   std::size_t used = 0;
-  std::vector<bool> touched(m.params.n, false);
-  for (std::size_t s = 0; s < m.stripes; ++s) {
-    std::vector<std::size_t> ids;
-    std::vector<std::span<const Byte>> views;
-    for (std::size_t i = 0; i < m.params.n; ++i) {
-      if (a.blocks[i].empty()) continue;
-      ids.push_back(i);
-      views.emplace_back(a.blocks[i].data() + s * m.block_bytes,
-                         m.block_bytes);
-      touched[i] = true;
-    }
-    if (ids.size() < m.params.k)
-      throw std::runtime_error("archive unrecoverable: fewer than k blocks");
-    code.decode_from_available(
-        ids, views,
-        std::span<Byte>(file.data() + s * stripe_data, stripe_data));
-  }
+  for (std::size_t s = 0; s < m.stripes; ++s)
+    used = std::max(
+        used, code.decode_stripe(stripe_views(a, s),
+                                 std::span<Byte>(file.data() + s * stripe_data,
+                                                 stripe_data))
+                  .sources);
   file.resize(m.file_bytes);
-  if (crc32(file.data(), file.size()) != m.checksum)
+  if (util::crc32(file) != m.checksum)
     throw std::runtime_error("decoded data fails the manifest checksum");
   write_binary(output, file);
-  for (bool t : touched) used += t;
   return used;
 }
 
@@ -195,44 +193,14 @@ std::uint64_t repair_block_file(const fs::path& dir, std::size_t index) {
   const auto& m = a.manifest;
   if (index >= m.params.n) throw std::invalid_argument("block out of range");
   codes::Carousel code(m.params.n, m.params.k, m.params.d, m.params.p);
-  const std::size_t ub = m.block_bytes / code.s();
-
-  std::vector<std::size_t> survivors;
-  for (std::size_t i = 0; i < m.params.n; ++i)
-    if (i != index && !a.blocks[i].empty()) survivors.push_back(i);
-
   std::vector<Byte> rebuilt(m.block_bytes * m.stripes);
   std::uint64_t traffic = 0;
-  for (std::size_t s = 0; s < m.stripes; ++s) {
-    std::span<Byte> out(rebuilt.data() + s * m.block_bytes, m.block_bytes);
-    if (survivors.size() >= code.d()) {
-      std::vector<std::size_t> helpers(survivors.begin(),
-                                       survivors.begin() + code.d());
-      std::vector<std::vector<Byte>> chunk_store;
-      std::vector<std::span<const Byte>> chunks;
-      for (std::size_t h : helpers) {
-        chunk_store.emplace_back(code.helper_chunk_units() * ub);
-        code.helper_compute(
-            h, index,
-            std::span<const Byte>(a.blocks[h].data() + s * m.block_bytes,
-                                  m.block_bytes),
-            chunk_store.back());
-      }
-      for (auto& c : chunk_store) chunks.emplace_back(c);
-      traffic += code.newcomer_compute(index, helpers, chunks, out).bytes_read;
-    } else if (survivors.size() >= code.k()) {
-      std::vector<codes::UnitRef> sources;
-      for (std::size_t j = 0; j < code.k(); ++j) {
-        std::size_t h = survivors[j];
-        for (std::size_t t = 0; t < code.s(); ++t)
-          sources.push_back(
-              {h, t, a.blocks[h].data() + s * m.block_bytes + t * ub});
-      }
-      traffic += code.project_units(sources, ub, index, out).bytes_read;
-    } else {
-      throw std::runtime_error("archive unrecoverable: fewer than k blocks");
-    }
-  }
+  for (std::size_t s = 0; s < m.stripes; ++s)
+    traffic += code.repair_stripe(index, stripe_views(a, s),
+                                  std::span<Byte>(rebuilt.data() +
+                                                      s * m.block_bytes,
+                                                  m.block_bytes))
+                   .bytes_read;
   write_binary(dir / block_name(index), rebuilt);
   return traffic;
 }

@@ -30,24 +30,22 @@ struct Manifest {
   static Manifest parse(const std::string& text);
 };
 
-/// CRC-32 (IEEE) used for end-to-end integrity of the archive.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n,
-                    std::uint32_t seed = 0);
-
 /// Encodes `input` into `dir` with an (n,k,d,p) Carousel code; block_bytes
 /// is rounded up to a multiple of the code's subpacketization.
 void encode_file(const std::filesystem::path& input,
                  const std::filesystem::path& dir, codes::CodeParams params,
                  std::size_t block_bytes);
 
-/// Decodes the archive in `dir` into `output`.  Missing/corrupt block files
-/// are tolerated up to the code's limits; the CRC is verified.
-/// Returns the number of block files that were used.
+/// Decodes the archive in `dir` into `output` through the code's read
+/// planner.  Missing/corrupt block files are tolerated up to the code's
+/// limits; the CRC is verified.  Returns the number of block files the plan
+/// read from.
 std::size_t decode_file(const std::filesystem::path& dir,
                         const std::filesystem::path& output);
 
-/// Rebuilds block file `index` in-place from the surviving blocks, at
-/// MSR-optimal traffic when >= d survive.  Returns repair traffic in bytes.
+/// Rebuilds block file `index` in-place from the surviving blocks through
+/// the code's repair planner, at MSR-optimal traffic when >= d survive.
+/// Returns repair traffic in bytes.
 std::uint64_t repair_block_file(const std::filesystem::path& dir,
                                 std::size_t index);
 

@@ -171,75 +171,27 @@ std::size_t Carousel::data_extent_bytes(std::size_t block,
   return block_bytes / s() * K_;
 }
 
-void Carousel::gather_data(
-    std::span<const std::span<const Byte>> first_p_blocks,
-    std::span<Byte> data_out) const {
-  if (first_p_blocks.size() != p())
-    throw std::invalid_argument("gather_data needs the first p blocks");
-  const std::size_t block_bytes = first_p_blocks.front().size();
-  const std::size_t ub = block_bytes / s();
-  if (data_out.size() != message_units() * ub)
-    throw std::invalid_argument("output buffer has wrong size");
-  for (std::size_t i = 0; i < p(); ++i) {
-    if (first_p_blocks[i].size() != block_bytes)
-      throw std::invalid_argument("blocks must share one size");
-    std::memcpy(data_out.data() + i * K_ * ub, first_p_blocks[i].data(),
-                K_ * ub);
-  }
-}
-
-IoStats Carousel::decode_parallel(
-    std::span<const std::size_t> ids,
-    std::span<const std::span<const Byte>> blocks,
-    std::span<Byte> data_out) const {
-  if (ids.size() != p() || blocks.size() != p())
-    throw std::invalid_argument("decode_parallel needs exactly p blocks");
-  const std::size_t block_bytes = blocks.front().size();
-  const std::size_t ub = block_bytes / s();
-
-  std::vector<bool> slot_present(p(), false);
-  std::vector<std::size_t> replacements;  // indices into ids/blocks
-  std::vector<std::size_t> slot_block(p(), 0);
-  std::vector<bool> seen(n(), false);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    std::size_t id = ids[i];
-    if (id >= n() || seen[id])
-      throw std::invalid_argument("ids must be distinct blocks");
-    seen[id] = true;
-    if (blocks[i].size() != block_bytes)
-      throw std::invalid_argument("blocks must share one size");
-    if (id < p()) {
-      slot_present[id] = true;
-      slot_block[id] = i;
-    } else {
-      replacements.push_back(i);
-    }
-  }
-
-  std::vector<UnitRef> units;
-  units.reserve(message_units());
-  std::size_t next_replacement = 0;
+std::optional<ReadPlan> Carousel::plan_read(
+    const std::vector<bool>& usable) const {
+  if (usable.size() != n())
+    throw std::invalid_argument("plan_read needs one usable flag per block");
+  ReadPlan plan(n());
+  std::size_t stand_in = p();  // next parity candidate, ascending
   for (std::size_t slot = 0; slot < p(); ++slot) {
-    if (slot_present[slot]) {
+    if (usable[slot]) {
       // The slot's own data units, at the head of the block.
-      std::size_t b = slot_block[slot];
-      for (std::size_t t = 0; t < K_; ++t)
-        units.push_back({ids[b], t, blocks[b].data() + t * ub});
+      plan[slot].resize(K_);
+      std::iota(plan[slot].begin(), plan[slot].end(), std::size_t{0});
       continue;
     }
-    if (next_replacement == replacements.size())
-      throw std::invalid_argument(
-          "decode_parallel: not enough parity blocks to stand in for missing "
-          "data blocks; use decode()");
-    std::size_t b = replacements[next_replacement++];
-    // The standing-in block contributes the missing slot's selection
-    // pattern (paper §VII).
-    for (std::size_t j : selection_[slot]) {
-      std::size_t pos = store_pos(ids[b], j);
-      units.push_back({ids[b], pos, blocks[b].data() + pos * ub});
-    }
+    while (stand_in < n() && !usable[stand_in]) ++stand_in;
+    if (stand_in == n()) return LinearCode::plan_read(usable);
+    // The standing-in block serves the lost slot's selection pattern; its
+    // reorder permutation is the identity, so the indices are positions.
+    plan[stand_in] = selection_[slot];
+    ++stand_in;
   }
-  return decode_units(units, ub, data_out);
+  return plan;
 }
 
 std::span<const std::size_t> Carousel::selection_pattern(
@@ -306,22 +258,14 @@ IoStats Carousel::newcomer_compute(
     if (ch.size() != chunk_bytes)
       throw std::invalid_argument("chunks must share one size");
 
+  // d == k: chunks are whole blocks, rebuilt like any whole-block plan.
+  if (!msr_base_)
+    return rebuild(failed, {{helpers.begin(), helpers.end()}, false}, chunks,
+                   out);
+
   IoStats stats;
   stats.bytes_read = chunks.size() * chunk_bytes;
   stats.sources = helpers.size();
-
-  if (!msr_base_) {
-    // d == k: chunks are whole blocks; rebuild each unit of the lost block
-    // directly from the k matching units (paper §V.C), which keeps the
-    // region work at base-RS repair cost.
-    std::vector<UnitRef> sources;
-    sources.reserve(message_units());
-    for (std::size_t j = 0; j < helpers.size(); ++j)
-      for (std::size_t t = 0; t < s(); ++t)
-        sources.push_back({helpers[j], t, chunks[j].data() + t * ub});
-    project_units(sources, ub, failed, out);  // records the repair metrics
-    return stats;
-  }
 
   const auto& ins = instruments();
   obs::ScopedTimer timer(*ins.repair_seconds);
@@ -345,6 +289,65 @@ IoStats Carousel::newcomer_compute(
     }
   }
   return stats;
+}
+
+std::optional<Carousel::RepairPlan> Carousel::plan_repair(
+    std::size_t failed, std::span<const std::size_t> survivors) const {
+  if (failed >= n()) throw std::invalid_argument("failed block out of range");
+  RepairPlan plan;
+  plan.projected = msr_base_ && survivors.size() >= d();
+  const std::size_t want = plan.projected ? d() : k();
+  if (survivors.size() < want) return std::nullopt;
+  plan.sources.assign(survivors.begin(),
+                      survivors.begin() + static_cast<std::ptrdiff_t>(want));
+  return plan;
+}
+
+IoStats Carousel::rebuild(std::size_t failed, const RepairPlan& plan,
+                          std::span<const std::span<const Byte>> inputs,
+                          std::span<Byte> out) const {
+  if (inputs.size() != plan.sources.size())
+    throw std::invalid_argument("rebuild needs one input per plan source");
+  if (plan.projected)
+    return newcomer_compute(failed, plan.sources, inputs, out);
+  // Whole blocks: project every unit of the lost block straight from the k
+  // sources' units (paper §V.C), never materialising the message; this keeps
+  // the region work at base-RS repair cost.
+  const std::size_t ub = out.size() / s();
+  std::vector<UnitRef> units;
+  units.reserve(message_units());
+  for (std::size_t j = 0; j < inputs.size(); ++j) {
+    if (inputs[j].size() != out.size())
+      throw std::invalid_argument("whole-block inputs must be one block each");
+    for (std::size_t t = 0; t < s(); ++t)
+      units.push_back({plan.sources[j], t, inputs[j].data() + t * ub});
+  }
+  return project_units(units, ub, failed, out);
+}
+
+IoStats Carousel::repair_stripe(std::size_t failed,
+                                std::span<const std::span<const Byte>> blocks,
+                                std::span<Byte> out) const {
+  if (blocks.size() != n())
+    throw std::invalid_argument("repair_stripe needs n block spans");
+  std::vector<std::size_t> survivors;
+  for (std::size_t b = 0; b < n(); ++b)
+    if (b != failed && !blocks[b].empty()) survivors.push_back(b);
+  const auto plan = plan_repair(failed, survivors);
+  if (!plan)
+    throw std::runtime_error("repair_stripe: fewer than k blocks survive");
+  std::vector<std::vector<Byte>> chunks;
+  std::vector<std::span<const Byte>> inputs;
+  for (std::size_t h : plan->sources) {
+    if (!plan->projected) {
+      inputs.push_back(blocks[h]);
+      continue;
+    }
+    chunks.emplace_back(helper_chunk_units() * (out.size() / s()));
+    helper_compute(h, failed, blocks[h], chunks.back());
+  }
+  for (const auto& c : chunks) inputs.emplace_back(c);
+  return rebuild(failed, *plan, inputs, out);
 }
 
 }  // namespace carousel::codes

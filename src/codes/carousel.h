@@ -25,14 +25,21 @@
 //     units [i*K, (i+1)*K) — the property the Hadoop FileInputFormat
 //     analogue in src/storage relies on.
 //
-// Reads:
-//  - gather_data: all first-p blocks present -> plain concatenation.
-//  - decode_parallel: any p blocks; each contributes k/p of a block
-//    (data units, or the standing-in slot's selection pattern) — §VII.
-//  - decode (inherited): any k whole blocks — the MDS guarantee.
+// Reads: one planner, plan_read(usable), names the units a read fetches:
+//  - every usable data slot (< p) serves its own K data units;
+//  - every unusable slot is served by the lowest unused usable parity block,
+//    which reads that slot's selection pattern — k/p of a block (§VII);
+//  - when parity runs out, LinearCode's rule takes over: every verbatim
+//    unit, then the fewest parity units that complete the rank (§VIII-B);
+//  - nullopt when the usable blocks cannot decode.
+// Every plan decodes through decode_units; decode_stripe runs it in memory
+// and net::CarouselStore runs it over the wire.
 //
-// Repair: identical bytes-on-the-wire as the base code, because remapping is
-// a message-basis change and reordering a per-block permutation; helper and
+// Repair: one planner, plan_repair(failed, survivors), picks d helpers
+// shipping repair_projection chunks (d > k and d survivors) or k whole
+// blocks; rebuild turns either input set into the lost block.  The helper
+// path moves the same bytes as the base code, because remapping is a
+// message-basis change and reordering a per-block permutation; helper and
 // newcomer coefficient layouts are permuted accordingly (paper Fig. 4).
 
 #ifndef CAROUSEL_CODES_CAROUSEL_H
@@ -75,26 +82,15 @@ class Carousel : public LinearCode {
   std::size_t data_extent_bytes(std::size_t block,
                                 std::size_t block_bytes) const;
 
-  /// Fast path: reassemble the stripe from the first p blocks (all present),
-  /// no arithmetic — one memcpy of the data extent per block.
-  void gather_data(std::span<const std::span<const Byte>> first_p_blocks,
-                   std::span<Byte> data_out) const;
-
-  /// §VII read path: decode from any p distinct blocks.  Every id < p serves
-  /// its own slot (data units copied); ids >= p stand in for the missing
-  /// slots in ascending order, contributing the standing-in slot's selection
-  /// pattern.  Each block contributes exactly k/p of its size.
-  /// Throws std::invalid_argument if fewer replacements than missing slots
-  /// (fall back to decode() in that case).
-  IoStats decode_parallel(std::span<const std::size_t> ids,
-                          std::span<const std::span<const Byte>> blocks,
-                          std::span<Byte> data_out) const;
+  /// §VII read rule in front of LinearCode's fewest-units rule; see the
+  /// "Reads" summary above.
+  std::optional<ReadPlan> plan_read(
+      const std::vector<bool>& usable) const override;
 
   /// The stored-unit positions a pure-parity stand-in block (id >= p) reads
-  /// to serve `slot`'s selection pattern in decode_parallel (§VII).  For
-  /// such blocks the reorder permutation is the identity, so these are the
-  /// pre-reorder unit indices themselves.  Remote readers (net::CarouselStore)
-  /// use this to fetch exactly k/p of a stand-in block.
+  /// to serve `slot` in a §VII read plan.  For such blocks the reorder
+  /// permutation is the identity, so these are the pre-reorder unit indices
+  /// themselves: exactly k/p of the stand-in block.
   std::span<const std::size_t> selection_pattern(std::size_t slot) const;
 
   /// The helper-side repair computation as explicit linear combinations:
@@ -119,6 +115,35 @@ class Carousel : public LinearCode {
                            std::span<const std::size_t> helpers,
                            std::span<const std::span<const Byte>> chunks,
                            std::span<Byte> out) const;
+
+  /// Which survivors rebuild a lost block, and what each ships.
+  struct RepairPlan {
+    std::vector<std::size_t> sources;
+    /// True: each source ships repair_projection(source, failed), a chunk
+    /// of helper_chunk_units() units.  False: each ships its whole block.
+    bool projected = false;
+  };
+
+  /// The repair planner: the first d survivors as projecting helpers when
+  /// d > k and at least d survive (d/(d-k+1) block sizes of traffic),
+  /// otherwise the first k survivors' whole blocks (k block sizes); nullopt
+  /// when fewer than k survive.
+  std::optional<RepairPlan> plan_repair(
+      std::size_t failed, std::span<const std::size_t> survivors) const;
+
+  /// Turns a repair plan's inputs (parallel to plan.sources: chunks when
+  /// projected, whole blocks otherwise) into the lost block.
+  IoStats rebuild(std::size_t failed, const RepairPlan& plan,
+                  std::span<const std::span<const Byte>> inputs,
+                  std::span<Byte> out) const;
+
+  /// In-memory repair executor: `blocks` holds n spans, an empty span
+  /// marking an unusable block (blocks[failed] is ignored).  Plans, runs the
+  /// helpers locally and rebuilds.  Returns the plan's input bytes and
+  /// sources; throws std::runtime_error when fewer than k blocks survive.
+  IoStats repair_stripe(std::size_t failed,
+                        std::span<const std::span<const Byte>> blocks,
+                        std::span<Byte> out) const;
 
  private:
   struct Construction;

@@ -192,118 +192,64 @@ IoStats LinearCode::decode_units(std::span<const UnitRef> units,
   return stats;
 }
 
-IoStats LinearCode::decode_from_available(
-    std::span<const std::size_t> ids,
+std::optional<ReadPlan> LinearCode::plan_read(
+    const std::vector<bool>& usable) const {
+  if (usable.size() != n())
+    throw std::invalid_argument("plan_read needs one usable flag per block");
+  const std::size_t m = message_units();
+  matrix::EchelonBasis basis(m);
+  ReadPlan plan(n());
+  // Pass 1: every verbatim message unit, once each.
+  std::vector<bool> have(m, false);
+  for (std::size_t b = 0; b < n(); ++b) {
+    if (!usable[b]) continue;
+    for (std::size_t t = 0; t < s_; ++t) {
+      const std::ptrdiff_t col = identity_col_[b * s_ + t];
+      if (col < 0 || have[static_cast<std::size_t>(col)]) continue;
+      have[static_cast<std::size_t>(col)] = true;
+      basis.try_insert(unit_row(b, t));
+      plan[b].push_back(t);
+    }
+  }
+  // Pass 2: complete the rank with the fewest parity units.
+  for (std::size_t b = 0; b < n() && !basis.full(); ++b) {
+    if (!usable[b]) continue;
+    for (std::size_t t = 0; t < s_ && !basis.full(); ++t)
+      if (identity_col_[b * s_ + t] < 0 && basis.try_insert(unit_row(b, t)))
+        plan[b].push_back(t);
+  }
+  if (!basis.full()) return std::nullopt;
+  for (auto& positions : plan) std::sort(positions.begin(), positions.end());
+  return plan;
+}
+
+IoStats LinearCode::decode_stripe(
     std::span<const std::span<const Byte>> blocks,
     std::span<Byte> data_out) const {
-  if (ids.size() != blocks.size() || ids.size() < k())
-    throw std::invalid_argument(
-        "decode_from_available needs at least k blocks");
-  const std::size_t block_bytes = blocks.front().size();
+  if (blocks.size() != n())
+    throw std::invalid_argument("decode_stripe needs n block spans");
+  std::vector<bool> usable(n());
+  std::size_t block_bytes = 0;
+  for (std::size_t b = 0; b < n(); ++b) {
+    usable[b] = !blocks[b].empty();
+    if (!usable[b]) continue;
+    if (block_bytes == 0) block_bytes = blocks[b].size();
+    if (blocks[b].size() != block_bytes)
+      throw std::invalid_argument("blocks must share one size");
+  }
   if (block_bytes % s_ != 0)
     throw std::invalid_argument("block size must be a multiple of s");
-  const std::size_t ub = block_bytes / s_;
-  const std::size_t m = message_units();
-  if (data_out.size() != m * ub)
-    throw std::invalid_argument("output buffer has wrong size");
-  const auto& ins = instruments();
-  obs::ScopedTimer timer(*ins.decode_seconds);
-
-  // Pass 1: copy every verbatim message unit and seed the rank basis with
-  // the corresponding identity rows.
-  matrix::EchelonBasis basis(m);
-  std::vector<bool> have(m, false);
-  std::vector<UnitRef> parity_pool;
-  std::vector<bool> seen(n(), false);
-  IoStats stats;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] >= n() || seen[ids[i]])
-      throw std::invalid_argument("ids must be distinct blocks");
-    seen[ids[i]] = true;
-    if (blocks[i].size() != block_bytes)
-      throw std::invalid_argument("blocks must share one size");
-    for (std::size_t t = 0; t < s_; ++t) {
-      std::ptrdiff_t col = identity_col_[ids[i] * s_ + t];
-      if (col >= 0) {
-        std::memcpy(data_out.data() + static_cast<std::size_t>(col) * ub,
-                    blocks[i].data() + t * ub, ub);
-        if (!have[static_cast<std::size_t>(col)]) {
-          have[static_cast<std::size_t>(col)] = true;
-          basis.try_insert(unit_row(ids[i], t));
-          stats.bytes_read += ub;
-        }
-      } else {
-        parity_pool.push_back({ids[i], t, blocks[i].data() + t * ub});
-      }
-    }
-  }
-
-  // Pass 2: complete the rank with the fewest parity units.
-  std::vector<UnitRef> solver_units;
-  for (const auto& u : parity_pool) {
-    if (basis.full()) break;
-    if (basis.try_insert(unit_row(u.block, u.pos))) {
-      solver_units.push_back(u);
-      stats.bytes_read += ub;
-    }
-  }
-  if (!basis.full())
+  const auto plan = plan_read(usable);
+  if (!plan)
     throw std::runtime_error(
-        "decode_from_available: blocks do not span the message space");
-  stats.sources = ids.size();
-  ins.decode_bytes_read->inc(stats.bytes_read);
-
-  if (solver_units.empty()) return stats;  // fully systematic read
-
-  // Solve only for the missing message units, over the reduced system of
-  // known units + selected parity units.
-  const std::size_t unknowns =
-      static_cast<std::size_t>(std::count(have.begin(), have.end(), false));
-  // System: for each selected parity unit, its value minus the contribution
-  // of known message units equals the combination of unknown units.
-  std::vector<std::size_t> unknown_ids;
-  unknown_ids.reserve(unknowns);
-  std::vector<std::size_t> unknown_pos(m, 0);
-  for (std::size_t j = 0; j < m; ++j)
-    if (!have[j]) {
-      unknown_pos[j] = unknown_ids.size();
-      unknown_ids.push_back(j);
-    }
-  if (solver_units.size() != unknowns)
-    throw std::logic_error("rank completion does not match unknown count");
-
-  Matrix a(unknowns, unknowns);
-  for (std::size_t r = 0; r < solver_units.size(); ++r) {
-    auto row = unit_row(solver_units[r].block, solver_units[r].pos);
-    for (std::size_t j = 0; j < m; ++j)
-      if (!have[j]) a.at(r, unknown_pos[j]) = row[j];
-  }
-  auto inv = a.inverse();
-  if (!inv)
-    throw std::logic_error(
-        "decode_from_available: reduced system singular after rank check");
-
-  // rhs_r = parity_value_r - sum over known units of coeff * value.
-  std::vector<Byte> rhs(unknowns * ub);
-  for (std::size_t r = 0; r < solver_units.size(); ++r) {
-    Byte* dst = rhs.data() + r * ub;
-    std::memcpy(dst, solver_units[r].bytes, ub);
-    const std::size_t row_index =
-        solver_units[r].block * s_ + solver_units[r].pos;
-    for (std::size_t j : support_[row_index])
-      if (have[j])
-        gf::mul_add_region(g_.at(row_index, j), data_out.data() + j * ub, dst,
-                           ub);
-  }
-  for (std::size_t u = 0; u < unknowns; ++u) {
-    Byte* dst = data_out.data() + unknown_ids[u] * ub;
-    gf::zero_region(dst, ub);
-    for (std::size_t r = 0; r < unknowns; ++r) {
-      Byte c = inv->at(u, r);
-      if (c != 0) gf::mul_add_region(c, rhs.data() + r * ub, dst, ub);
-    }
-  }
-  return stats;
+        "decode_stripe: the usable blocks do not span the message");
+  const std::size_t ub = block_bytes / s_;
+  std::vector<UnitRef> units;
+  units.reserve(message_units());
+  for (std::size_t b = 0; b < n(); ++b)
+    for (std::size_t t : (*plan)[b])
+      units.push_back({b, t, blocks[b].data() + t * ub});
+  return decode_units(units, ub, data_out);
 }
 
 IoStats LinearCode::project_units(std::span<const UnitRef> sources,

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -45,6 +46,11 @@ struct IoStats {
   std::size_t bytes_read = 0;   ///< bytes fetched from surviving blocks
   std::size_t sources = 0;      ///< blocks contacted
 };
+
+/// What a stripe read fetches: entry b lists the stored unit positions of
+/// block b to read, ascending (empty when block b is not contacted).  The
+/// entries hold k*s units in total, and those units decode the stripe.
+using ReadPlan = std::vector<std::vector<std::size_t>>;
 
 class LinearCode {
  public:
@@ -98,20 +104,28 @@ class LinearCode {
 
   /// General unit-level decode: given exactly k*s stored units (any mix of
   /// blocks/positions whose generator rows are jointly nonsingular), recovers
-  /// the full message.  This is the engine behind Carousel's
-  /// read-from-any-p-blocks path (paper §VII).
+  /// the full message.  Verbatim message units are copied, only the rest are
+  /// solved; every read plan (plan_read) decodes through it.
   IoStats decode_units(std::span<const UnitRef> units, std::size_t unit_bytes,
                        std::span<Byte> data_out) const;
 
-  /// Best-effort decode from ANY set of at least k distinct blocks (may be
-  /// more than k): every verbatim message unit among them is copied, and the
-  /// fewest parity units that complete the rank are solved for the rest.
-  /// With q > k blocks this computes strictly less than the any-k decode —
+  /// The read planner: which stored units to fetch when exactly the blocks
+  /// with usable[b] set can serve (usable.size() == n).  This base rule
+  /// takes every verbatim message unit of the usable blocks, then the
+  /// fewest parity units (ascending block, then position) that complete the
+  /// rank — with q > k blocks it solves strictly less than the any-k decode,
   /// the "visit more than k blocks" extension the paper leaves as future
-  /// work (§VIII-B).  Throws std::runtime_error if the blocks cannot decode.
-  IoStats decode_from_available(std::span<const std::size_t> ids,
-                                std::span<const std::span<const Byte>> blocks,
-                                std::span<Byte> data_out) const;
+  /// work (§VIII-B).  nullopt when the usable units do not span the message.
+  /// Carousel puts the §VII p-block rule in front of it.
+  virtual std::optional<ReadPlan> plan_read(
+      const std::vector<bool>& usable) const;
+
+  /// In-memory executor of plan_read: `blocks` holds n spans, an empty span
+  /// marking an unusable block; the planned units decode through
+  /// decode_units.  Returns the plan's unit bytes and distinct blocks.
+  /// Throws std::runtime_error when no plan exists.
+  IoStats decode_stripe(std::span<const std::span<const Byte>> blocks,
+                        std::span<Byte> data_out) const;
 
   /// Rebuilds every unit of block `target` directly from exactly k*s source
   /// units, without materialising the message: the combination matrix is

@@ -2,8 +2,9 @@
 //
 // Accepts rows one at a time, keeping only those that extend the span.
 // Used by the Carousel unit-selection step (paper §VI-B: picking a
-// nonsingular Ĝ₀ submatrix) and by the best-effort decoder that completes a
-// partially-systematic read with the fewest parity units.
+// nonsingular Ĝ₀ submatrix) and by the read planner's fewest-units rule
+// (LinearCode::plan_read), which completes a partially-systematic read with
+// the fewest parity units.
 
 #ifndef CAROUSEL_MATRIX_ECHELON_H
 #define CAROUSEL_MATRIX_ECHELON_H

@@ -1,6 +1,7 @@
 #include "net/repair_scheduler.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "net/cluster.h"
@@ -212,14 +213,17 @@ bool RepairScheduler::budget_ok_locked(const std::vector<bool>& dead) {
       options_.server_ingress_budget == 0)
     return true;
   roll_window_locked(std::chrono::steady_clock::now());
-  // Price the next heal from the code: the MSR path fans d chunks of
-  // block/(d-k+1) out of d helpers, the RS fallback k whole blocks out of k;
-  // either way the newcomer swallows one whole block.
-  const auto& params = store_.code().params();
+  // Price the next heal by the repair planner's choice with every other
+  // block alive: the MSR path fans d chunks out of d helpers, the RS path k
+  // whole blocks out of k; either way the newcomer swallows one block.
+  const codes::Carousel& code = store_.code();
   const std::uint64_t block = store_.block_bytes();
-  const bool msr = !params.trivial_repair();
-  const std::uint64_t per_helper = msr ? block / params.alpha() : block;
-  const std::size_t need = msr ? params.d : params.k;
+  std::vector<std::size_t> others(code.n() - 1);
+  std::iota(others.begin(), others.end(), std::size_t{1});
+  const auto plan = code.plan_repair(0, others);
+  const std::uint64_t per_helper =
+      plan->projected ? code.helper_chunk_units() * (block / code.s()) : block;
+  const std::size_t need = plan->sources.size();
   std::size_t with_egress = 0;
   bool ingress_ok = options_.server_ingress_budget == 0;
   for (std::size_t id = 0; id < known_servers_; ++id) {

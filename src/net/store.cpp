@@ -174,7 +174,6 @@ CarouselStore::CarouselStore(const codes::Carousel& code,
   if (!options.meta_dir.empty()) {
     MetaLog::Options mopts;
     mopts.fsync = options.meta_fsync;
-    mopts.snapshot_every = options.meta_snapshot_every;
     mopts.registry = registry_;
     util::MutexLock mlock(meta_mu_);
     meta_ = std::make_unique<MetaLog>(
@@ -183,11 +182,10 @@ CarouselStore::CarouselStore(const codes::Carousel& code,
         mopts);
     adopt_replayed_state();
   }
-  const std::size_t threads =
-      options.read_threads != 0
-          ? options.read_threads
-          : std::max<std::size_t>(8, 2 * code.n());
-  pool_ = std::make_unique<util::ThreadPool>(threads);
+  // Sized so one stripe's fan-out plus a second concurrent reader never
+  // queues behind itself.
+  pool_ = std::make_unique<util::ThreadPool>(
+      std::max<std::size_t>(8, 2 * code.n()));
 }
 
 void CarouselStore::adopt_replayed_state() {
@@ -672,10 +670,8 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
   obs::ScopedTimer timer(*read_seconds_);
   read_bytes_->inc(file_bytes);
   const auto deadline = budget_deadline();
-  const std::size_t ub = block_bytes_ / code_->s();
-  const std::size_t K = code_->data_units_per_block();
-  const std::size_t p = code_->p();
   const std::size_t n = code_->n();
+  const std::size_t ub = block_bytes_ / code_->s();
   const std::size_t stripe_data = code_->k() * block_bytes_;
   const std::size_t stripes = stripes_for(file_bytes);
 
@@ -684,19 +680,16 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
     util::MutexLock lock(mu_);
     hedge = hedge_;
   }
-  // A hedge needs a parity block to stand in for the slot; with p == n
-  // every block carries data and there is no candidate to race.
-  const bool hedging = hedge.enabled && p < n;
   const std::chrono::milliseconds hedge_after =
-      hedging ? hedge_budget(hedge) : std::chrono::milliseconds(0);
+      hedge.enabled ? hedge_budget(hedge) : std::chrono::milliseconds(0);
 
-  // One slot's resolution: the verbatim extent (primary range-GET) or a
-  // §VII parity stand-in (hedge), whichever answered first.
+  // One fetch's resolution: the units of the planned block (primary) or of
+  // its §VII parity stand-in (hedge), whichever answered first.
   struct SlotOutcome {
+    std::size_t block = 0;
+    std::vector<std::size_t> positions;
     std::vector<Byte> bytes;
-    std::size_t stand_in_from = 0;  // parity block index when a stand-in won
     bool ok = false;
-    bool from_hedge = false;
   };
   // First-wins cell shared by a primary and at most one hedge.  A healthy
   // answer resolves immediately; a failed attempt resolves only when it is
@@ -739,32 +732,43 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
     }
   };
 
+  // Fetches `positions` of one block into `cell`: a range-GET when they are
+  // the block's verbatim data extent, else a PROJECT with identity terms.
   // Pool tasks capture everything by value (or reach members of the store,
   // which outlives the pool by destruction order): a hedge loser keeps
   // running after this call took the winner and moved on, so it must not
   // reference this frame's locals.
-  auto fetch_extent = [this, deadline](Server* srv, BlockKey bk,
-                                       std::uint32_t len,
-                                       std::shared_ptr<SlotCell> cell) {
+  auto fetch = [this, deadline, ub](Server* srv, BlockKey bk,
+                                    std::size_t block,
+                                    std::vector<std::size_t> positions,
+                                    bool extent,
+                                    std::shared_ptr<SlotCell> cell) {
     SlotOutcome out;
+    out.block = block;
+    out.positions = std::move(positions);
     try {
       // Deadline pre-check only: the coordinator owns budget reporting.
-      if (std::chrono::steady_clock::now() >= deadline) {
-        cell->complete(std::move(out));
-        return;
-      }
-      {
-        // The lease goes back to the pool before the slot resolves, so
+      if (std::chrono::steady_clock::now() < deadline) {
+        // The lease goes back to the pool before the cell resolves, so
         // counters() read right after read_file returns includes this
         // connection's retries and timeouts.
         Lease c(*srv, policy_, registry_);
-        const auto start = std::chrono::steady_clock::now();
-        auto resp = c->get_range(bk, 0, len);
-        range_get_seconds_->observe(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count());
-        if (resp && resp->size() == len) {
+        const std::size_t want = out.positions.size() * ub;
+        std::optional<std::vector<Byte>> resp;
+        if (extent) {
+          const auto start = std::chrono::steady_clock::now();
+          resp = c->get_range(bk, 0, static_cast<std::uint32_t>(want));
+          range_get_seconds_->observe(
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count());
+        } else {
+          Client::Projection proj;
+          for (std::size_t pos : out.positions)
+            proj.push_back({{static_cast<std::uint32_t>(pos), Byte{1}}});
+          resp = c->project(bk, static_cast<std::uint32_t>(ub), proj);
+        }
+        if (resp && resp->size() == want) {
           out.bytes = std::move(*resp);
           out.ok = true;
         }
@@ -776,194 +780,147 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
       cell->complete(std::move(out));  // an erasure, not an error
     }
   };
-  auto fetch_stand_in = [this, deadline](Server* srv, BlockKey bk,
-                                         std::size_t cand, std::size_t slot,
-                                         std::size_t unit_bytes,
-                                         bool from_hedge) -> SlotOutcome {
-    SlotOutcome out;
-    out.stand_in_from = cand;
-    out.from_hedge = from_hedge;
-    if (std::chrono::steady_clock::now() >= deadline) return out;
-    Client::Projection proj;
-    for (std::size_t pos : code_->selection_pattern(slot))
-      proj.push_back({{static_cast<std::uint32_t>(pos), Byte{1}}});
-    const std::size_t want = proj.size() * unit_bytes;
-    try {
-      Lease c(*srv, policy_, registry_);
-      auto resp = c->project(bk, static_cast<std::uint32_t>(unit_bytes), proj);
-      if (resp && resp->size() == want) {
-        out.bytes = std::move(*resp);
-        out.ok = true;
-      }
-    } catch (const BadRequestError&) {
-      throw;  // a malformed frame is a local bug, not a dead server
-    } catch (const Error&) {
-    }
-    return out;
-  };
 
   std::vector<Byte> out(stripes * stripe_data);
   for (std::size_t s = 0; s < stripes; ++s) {
-    check_budget(deadline, budget_exhausted_, "read_file");
     std::span<Byte> dst(out.data() + s * stripe_data, stripe_data);
     const std::uint32_t s32 = static_cast<std::uint32_t>(s);
 
-    // Snapshot the slots' homes under mu_, then fan out with no lock held.
-    // The snapshot may go stale mid-read (a concurrent re-home): that slot
-    // surfaces as an erasure and fails over like any other.
-    std::vector<Server*> homes(p);
+    // Snapshot the blocks' homes under mu_, then fan out with no lock held.
+    // The snapshot may go stale mid-read (a concurrent re-home): that block
+    // surfaces as an erasure and the stripe re-plans around it.
+    std::vector<Server*> homes(n);
     {
       util::MutexLock lock(mu_);
-      for (std::size_t slot = 0; slot < p; ++slot)
-        homes[slot] = servers_[home_of_locked(
-                                   file_id, s32,
-                                   static_cast<std::uint32_t>(slot))]
-                          .get();
+      for (std::size_t b = 0; b < n; ++b)
+        homes[b] = servers_[home_of_locked(file_id, s32,
+                                           static_cast<std::uint32_t>(b))]
+                       .get();
     }
+    auto launch = [&](std::size_t b, std::vector<std::size_t> positions,
+                      const std::shared_ptr<SlotCell>& cell) {
+      const bool extent =
+          positions.back() + 1 == positions.size() &&
+          positions.size() * ub == code_->data_extent_bytes(b, block_bytes_);
+      if (extent) range_gets_->inc();
+      pool_->submit([fetch, srv = homes[b],
+                     bk = key(file_id, s32, static_cast<std::uint32_t>(b)), b,
+                     positions = std::move(positions), extent, cell] {
+        fetch(srv, bk, b, positions, extent, cell);
+      });
+    };
 
-    // Parallel read: all p range-GETs in flight at once, one original-data
-    // extent per data-carrying block.
-    std::vector<std::shared_ptr<SlotCell>> cells(p);
-    std::vector<std::future<SlotOutcome>> pending(p);
-    for (std::size_t slot = 0; slot < p; ++slot) {
-      cells[slot] = std::make_shared<SlotCell>();
-      pending[slot] = cells[slot]->result.get_future();
-    }
-    for (std::size_t slot = 0; slot < p; ++slot) {
-      range_gets_->inc();
-      pool_->submit([fetch_extent, srv = homes[slot],
-                     bk = key(file_id, s32, static_cast<std::uint32_t>(slot)),
-                     len = static_cast<std::uint32_t>(K * ub),
-                     cell = cells[slot]] { fetch_extent(srv, bk, len, cell); });
-    }
-
-    // Parity candidates for stand-ins, consumed at most once per stripe so
-    // the decode never sees two unit sets from the same block.
-    std::vector<std::size_t> candidates;
-    for (std::size_t c = p; c < n; ++c) candidates.push_back(c);
-
-    // Hedge stage: every primary still unanswered past the budget races a
-    // speculative stand-in; the first answer wins and the loser drains on
-    // its own pooled connection.  One absolute deadline for all slots —
-    // the primaries launched together.
-    if (hedging) {
-      const auto hedge_deadline =
-          std::min(std::chrono::steady_clock::now() + hedge_after, deadline);
-      for (std::size_t slot = 0; slot < p && !candidates.empty(); ++slot) {
-        if (pending[slot].wait_until(hedge_deadline) ==
-            std::future_status::ready)
-          continue;
-        if (!cells[slot]->arm_hedge()) continue;
-        const std::size_t cand = candidates.front();
-        candidates.erase(candidates.begin());
-        hedged_reads_->inc();
-        Server* csrv = &server_at(
-            home_of(file_id, s32, static_cast<std::uint32_t>(cand)));
-        pool_->submit(
-            [fetch_stand_in, csrv,
-             bk = key(file_id, s32, static_cast<std::uint32_t>(cand)), cand,
-             slot, ub, cell = cells[slot]] {
-              try {
-                cell->complete(
-                    fetch_stand_in(csrv, bk, cand, slot, ub, true));
-              } catch (const BadRequestError&) {
-                cell->fail(std::current_exception());
-              }
-            });
+    // The plan loop: plan from what is known to be usable, fetch every
+    // planned unit not yet held, mark the block of each failed fetch
+    // unusable, and re-plan until every planned unit is held.  The first
+    // round of a healthy stripe is the p data extents, all in flight at
+    // once; each failure re-plans onto §VII stand-ins or, past them, the
+    // fewest-units plan — reusing every unit already held.  `usable` also
+    // sets aside a primary whose stand-in won its hedge race, so the slot is
+    // not fetched again; `healthy` drops only blocks whose fetch failed, and
+    // is planned over when the preferred blocks alone cannot decode.
+    std::vector<bool> usable(n, true);
+    std::vector<bool> healthy(n, true);
+    auto lose = [&](std::size_t b) {
+      usable[b] = false;
+      healthy[b] = false;
+    };
+    std::vector<std::vector<const Byte*>> held(
+        n, std::vector<const Byte*>(code_->s(), nullptr));
+    std::vector<std::vector<Byte>> buffers;
+    bool degraded = false;
+    std::optional<codes::ReadPlan> plan;
+    for (bool first_round = true;; first_round = false) {
+      plan = code_->plan_read(usable);
+      if (!plan) plan = code_->plan_read(healthy);
+      codes::ReadPlan missing(n);
+      std::vector<std::size_t> round;  // blocks fetched this round
+      for (std::size_t b = 0; plan && b < n; ++b) {
+        for (std::size_t pos : (*plan)[b])
+          if (!held[b][pos]) missing[b].push_back(pos);
+        if (!missing[b].empty()) round.push_back(b);
       }
-    }
-
-    std::vector<std::optional<std::vector<Byte>>> extents(p);
-    std::vector<std::optional<std::pair<std::size_t, std::vector<Byte>>>>
-        stand_in(p);
-    std::vector<std::size_t> failed;
-    bool any_stand_in = false;
-    for (std::size_t slot = 0; slot < p; ++slot) {
-      SlotOutcome o = pending[slot].get();  // rethrows BadRequestError
-      if (!o.ok) {
-        failed.push_back(slot);
-      } else if (o.from_hedge) {
-        hedge_wins_->inc();
-        any_stand_in = true;
-        stand_in[slot] = {o.stand_in_from, std::move(o.bytes)};
-      } else {
-        extents[slot] = std::move(o.bytes);
-      }
-    }
-
-    if (failed.empty() && !any_stand_in) {
-      for (std::size_t slot = 0; slot < p; ++slot)
-        std::memcpy(dst.data() + slot * K * ub, extents[slot]->data(),
-                    K * ub);
-      continue;
-    }
-
-    // §VII degraded read: parity blocks stand in for unreadable slots, each
-    // serving that slot's selection pattern (k/p of a block over the wire),
-    // all remaining slots dispatched concurrently per round.
-    degraded_reads_->inc();
-    while (!failed.empty() && !candidates.empty()) {
+      if (plan && round.empty()) break;
       check_budget(deadline, budget_exhausted_, "read_file");
-      const std::size_t launch = std::min(failed.size(), candidates.size());
-      std::vector<std::future<SlotOutcome>> round;
-      round.reserve(launch);
-      for (std::size_t j = 0; j < launch; ++j) {
-        const std::size_t slot = failed[j];
-        const std::size_t cand = candidates[j];
-        Server* csrv = &server_at(
-            home_of(file_id, s32, static_cast<std::uint32_t>(cand)));
-        round.push_back(pool_->submit_task(
-            [fetch_stand_in, csrv,
-             bk = key(file_id, s32, static_cast<std::uint32_t>(cand)), cand,
-             slot, ub] {
-              return fetch_stand_in(csrv, bk, cand, slot, ub, false);
-            }));
+      if (!plan)
+        throw std::runtime_error("stripe unrecoverable: fewer than k blocks");
+
+      std::vector<std::shared_ptr<SlotCell>> cells(round.size());
+      std::vector<std::future<SlotOutcome>> pending(round.size());
+      for (std::size_t i = 0; i < round.size(); ++i) {
+        cells[i] = std::make_shared<SlotCell>();
+        pending[i] = cells[i]->result.get_future();
+        launch(round[i], missing[round[i]], cells[i]);
       }
-      candidates.erase(candidates.begin(),
-                       candidates.begin() + static_cast<std::ptrdiff_t>(launch));
-      std::vector<std::size_t> still;
-      for (std::size_t j = 0; j < launch; ++j) {
-        SlotOutcome o = round[j].get();  // rethrows BadRequestError
-        if (o.ok) {
-          any_stand_in = true;
-          stand_in[failed[j]] = {o.stand_in_from, std::move(o.bytes)};
-        } else {
-          still.push_back(failed[j]);
+
+      // Hedge stage: every fetch still unanswered past the budget races the
+      // stand-in the planner names with its block unusable; the first
+      // answer wins and the loser drains on its own pooled connection.  One
+      // absolute deadline for all fetches — they launched together.  When
+      // the planner names no single fresh stand-in, parity has run out.
+      std::vector<std::optional<std::size_t>> hedge_of(round.size());
+      if (first_round && hedge.enabled) {
+        const auto hedge_deadline =
+            std::min(std::chrono::steady_clock::now() + hedge_after, deadline);
+        std::vector<bool> hedge_mask = usable;
+        codes::ReadPlan in_flight = missing;
+        for (std::size_t i = 0; i < round.size(); ++i) {
+          if (pending[i].wait_until(hedge_deadline) ==
+              std::future_status::ready)
+            continue;
+          hedge_mask[round[i]] = false;
+          const auto alt = code_->plan_read(hedge_mask);
+          std::vector<std::size_t> fresh;
+          for (std::size_t b = 0; alt && b < n; ++b)
+            if (!(*alt)[b].empty() && (*alt)[b] != in_flight[b])
+              fresh.push_back(b);
+          if (fresh.size() != 1 || !in_flight[fresh[0]].empty()) break;
+          if (!cells[i]->arm_hedge()) {
+            hedge_mask[round[i]] = true;
+            continue;
+          }
+          hedged_reads_->inc();
+          hedge_of[i] = fresh[0];
+          in_flight[fresh[0]] = (*alt)[fresh[0]];
+          launch(fresh[0], (*alt)[fresh[0]], cells[i]);
         }
       }
-      for (std::size_t j = launch; j < failed.size(); ++j)
-        still.push_back(failed[j]);
-      failed = std::move(still);
-    }
 
-    if (failed.empty()) {
-      std::vector<codes::UnitRef> units;
-      units.reserve(code_->message_units());
-      for (std::size_t slot = 0; slot < p; ++slot) {
-        if (extents[slot]) {
-          for (std::size_t t = 0; t < K; ++t)
-            units.push_back({slot, t, extents[slot]->data() + t * ub});
-        } else {
-          auto& [cand, bytes] = *stand_in[slot];
-          auto pattern = code_->selection_pattern(slot);
-          for (std::size_t j = 0; j < pattern.size(); ++j)
-            units.push_back({cand, pattern[j], bytes.data() + j * ub});
+      for (std::size_t i = 0; i < round.size(); ++i) {
+        SlotOutcome o = pending[i].get();  // rethrows BadRequestError
+        if (!o.ok) {
+          // Every attempt at this slot failed: the primary and its stand-in.
+          lose(round[i]);
+          if (hedge_of[i]) lose(*hedge_of[i]);
+          degraded = true;
+          continue;
         }
+        if (o.block != round[i]) {
+          // The stand-in won: the slot is served by it from now on.
+          hedge_wins_->inc();
+          usable[round[i]] = false;
+          degraded = true;
+        }
+        buffers.push_back(std::move(o.bytes));
+        for (std::size_t j = 0; j < o.positions.size(); ++j)
+          held[o.block][o.positions[j]] = buffers.back().data() + j * ub;
       }
-      code_->decode_units(units, ub, dst);
-      continue;
     }
 
-    // Last resort: any-k whole-block MDS decode.
-    decode_fallbacks_->inc();
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    WholeBlocks got = fetch_any_k(file_id, s32, order, deadline, "read_file");
-    if (got.ids.size() < code_->k())
-      throw std::runtime_error("stripe unrecoverable: fewer than k blocks");
-    std::vector<std::span<const Byte>> views;
-    for (const auto& b : got.blocks) views.emplace_back(b);
-    code_->decode(got.ids, views, dst);
+    // Every planned unit is held: one decode, whatever the plan's shape.
+    std::vector<codes::UnitRef> units;
+    units.reserve(code_->message_units());
+    bool parallel = true;  // each contacted block serves K units (§VII)
+    for (std::size_t b = 0; b < n; ++b) {
+      const auto& positions = (*plan)[b];
+      if (!positions.empty() &&
+          positions.size() != code_->data_units_per_block())
+        parallel = false;
+      for (std::size_t pos : positions) units.push_back({b, pos, held[b][pos]});
+    }
+    if (degraded) degraded_reads_->inc();
+    if (!parallel) decode_fallbacks_->inc();
+    code_->decode_units(units, ub, dst);
   }
   out.resize(file_bytes);
   return out;
@@ -1162,21 +1119,23 @@ std::uint64_t CarouselStore::repair_block_impl(
     }
   }
 
+  // The planner picks the path: d projecting helpers (d/(d-k+1) block sizes
+  // on the wire) or k whole blocks.
   std::vector<Byte> rebuilt(block_bytes_);
   bool have_block = false;
-
-  if (!code_->params().trivial_repair() && survivors.size() >= code_->d()) {
-    // Optimal-traffic repair: helpers project phi server-side.  A helper
-    // dying mid-repair abandons this path (its traffic still counts) and
-    // drops through to the whole-block decode below.  The helper policy
-    // (when a scheduler is attached) spreads this fan-in over the least-
-    // loaded survivors instead of always the first d.
-    std::vector<std::size_t> helpers = choose_helpers(
-        file_id, stripe, survivors, code_->d(),
-        block_bytes_ / code_->params().alpha());
+  auto plan = code_->plan_repair(index, survivors);
+  if (plan && plan->projected) {
+    // Helpers project phi server-side.  A helper dying mid-repair abandons
+    // this path (its traffic still counts) and drops through to the
+    // whole-block fetch below.  The helper policy (when a scheduler is
+    // attached) spreads this fan-in over the least-loaded survivors instead
+    // of always the first d.
+    plan->sources =
+        choose_helpers(file_id, stripe, survivors, plan->sources.size(),
+                       code_->helper_chunk_units() * ub);
     std::vector<std::vector<Byte>> chunk_store;
     bool complete = true;
-    for (std::size_t h : helpers) {
+    for (std::size_t h : plan->sources) {
       check_budget(deadline, budget_exhausted_, "repair_block");
       auto proj = code_->repair_projection(h, index);
       Client::Projection wire;
@@ -1205,51 +1164,36 @@ std::uint64_t CarouselStore::repair_block_impl(
       chunk_store.push_back(std::move(*resp));
     }
     if (complete) {
-      std::vector<std::span<const Byte>> chunks;
-      for (const auto& c : chunk_store) chunks.emplace_back(c);
-      code_->newcomer_compute(index, helpers, chunks, rebuilt);
+      std::vector<std::span<const Byte>> chunks(chunk_store.begin(),
+                                                chunk_store.end());
+      code_->rebuild(index, *plan, chunks, rebuilt);
       have_block = true;
     }
   }
 
   if (!have_block) {
-    // Whole-block fallback (d == k, fewer than d survivors, or a helper
-    // died mid-MSR-repair): any k healthy blocks decode the stripe's view
-    // of the failed block.
-    // Source order: with a helper policy the verified survivors come first
-    // in the policy's least-loaded order (so whole-block sources also spread
-    // over the fleet), then every other index ascending as a stale-probe
-    // hedge.  Without a policy this is the plain 0..n-1 walk.
-    bool policied;
-    {
-      util::MutexLock lock(mu_);
-      policied = static_cast<bool>(helper_policy_);
-    }
-    std::vector<std::size_t> order;
-    if (policied) {
-      order = choose_helpers(file_id, stripe, survivors, code_->k(),
-                             block_bytes_);
-      const std::set<std::size_t> chosen(order.begin(), order.end());
-      for (std::size_t h = 0; h < code_->n(); ++h)
-        if (h != index && !chosen.contains(h)) order.push_back(h);
-    } else {
-      for (std::size_t h = 0; h < code_->n(); ++h)
-        if (h != index) order.push_back(h);
-    }
+    // Whole blocks (the plan's path, or a helper died mid-MSR-repair): any
+    // k healthy blocks rebuild the failed one.  Source order: k verified
+    // survivors (the helper policy's least-loaded pick when one is set, so
+    // whole-block sources also spread over the fleet), then every other
+    // index ascending as a stale-probe hedge.
+    std::vector<std::size_t> order =
+        choose_helpers(file_id, stripe, survivors, code_->k(), block_bytes_);
+    const std::set<std::size_t> chosen(order.begin(), order.end());
+    for (std::size_t h = 0; h < code_->n(); ++h)
+      if (h != index && !chosen.contains(h)) order.push_back(h);
     WholeBlocks got =
         fetch_any_k(file_id, stripe, order, deadline, "repair_block");
-    std::vector<codes::UnitRef> sources;
-    for (std::size_t j = 0; j < got.ids.size(); ++j) {
-      const std::size_t h = got.ids[j];
+    for (std::size_t h : got.ids) {
       fetched += block_bytes_;
       observe_traffic(home_of(file_id, stripe, static_cast<std::uint32_t>(h)),
                       block_bytes_, 0);
-      for (std::size_t t = 0; t < code_->s(); ++t)
-        sources.push_back({h, t, got.blocks[j].data() + t * ub});
     }
     if (got.ids.size() < code_->k())
       throw std::runtime_error("repair impossible: fewer than k blocks");
-    code_->project_units(sources, ub, index, rebuilt);
+    std::vector<std::span<const Byte>> blocks(got.blocks.begin(),
+                                              got.blocks.end());
+    code_->rebuild(index, {std::move(got.ids), false}, blocks, rebuilt);
   }
 
   // Re-upload and audit: PUT carries the block's CRC end to end, and VERIFY

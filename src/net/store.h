@@ -1,16 +1,16 @@
 // CarouselStore: the coordinator of the networked prototype.
 //
 // Stripes files across a fleet of block servers with a Carousel code and
-// implements the paper's three data paths against real sockets:
-//   - parallel read: all p original-data extents of a stripe are fetched
-//     concurrently (one GET_RANGE per data-carrying block, fanned out over a
-//     store-owned thread pool) and the results collected via futures;
-//   - degraded read (§VII): parity stand-ins serve the missing slots'
-//     selection patterns via PROJECT, k/p of a block each, dispatched
-//     concurrently for every failed slot;
-//   - repair: helpers run their phi-projections server-side (PROJECT), only
-//     the chunks travel, the newcomer combines and re-PUTs — so the bytes on
-//     the wire are exactly Fig. 7's d/(d-k+1) block sizes.
+// is the remote executor of the code's stripe plans (codes/carousel.h):
+//   - read: per stripe, plan_read names the units to fetch; every planned
+//     fetch not yet held fans out over a store-owned thread pool — one
+//     GET_RANGE per data extent (all p at once when healthy), a PROJECT with
+//     identity terms for any other unit set (a §VII stand-in serving k/p of
+//     a block) — and a failed fetch marks its block unusable and re-plans;
+//   - repair: plan_repair picks the path; helpers run their phi-projections
+//     server-side (PROJECT), only the chunks travel, the newcomer rebuilds
+//     and re-PUTs — so the bytes on the wire are exactly Fig. 7's d/(d-k+1)
+//     block sizes.
 //
 // Hedged reads: with StoreOptions::hedge enabled, a slot whose range-GET has
 // not answered within a latency budget (a quantile of the store's own
@@ -60,9 +60,9 @@
 // within n-k — the domain, not the box, is the failure unit being priced.
 //
 // Failure model: a block that times out, arrives corrupt, or whose server is
-// down is an *erasure*, not an error.  read_file re-plans the stripe onto
-// the §VII pattern read or the any-k MDS decode and only throws when fewer
-// than k blocks of a stripe are reachable.  repair_block degrades from the
+// down is an *erasure*, not an error.  read_file re-plans the stripe around
+// it (§VII stand-ins, then the fewest-units plan over what remains) and only
+// throws when the reachable blocks of a stripe cannot decode.  repair_block degrades from the
 // d-helper MSR path to the k-block decode when a helper dies mid-repair,
 // audits the rebuilt block (VERIFY + CRC compare) before declaring success,
 // and — when the re-upload target itself is dead — retries onto a
@@ -133,10 +133,6 @@ struct StoreOptions {
   /// Hedged-read policy; see HedgePolicy.  Runtime-adjustable via
   /// set_hedge_policy().
   HedgePolicy hedge{};
-  /// Workers in the store-owned pool the read path fans out over
-  /// (0 = max(8, 2n), sized so one stripe's fan-out plus a second
-  /// concurrent reader never queues behind itself).
-  std::size_t read_threads = 0;
   /// Failure-domain label per construction server (domains[i] labels
   /// ports[i]).  Empty = one domain per server (today's behavior).  When
   /// set it must match ports.size() and be satisfiable: the distinct
@@ -152,8 +148,6 @@ struct StoreOptions {
   /// fsync the metadata journal (shape kept, durability traded for test
   /// speed when off — mirrors PersistentBlockStore::Options::fsync).
   bool meta_fsync = true;
-  /// Journal records between snapshot compactions (0 = never compact).
-  std::size_t meta_snapshot_every = 64;
 };
 
 class CarouselStore {
@@ -266,9 +260,9 @@ class CarouselStore {
                        std::span<const codes::Byte> bytes) EXCLUDES(mu_);
 
   /// Downloads and reassembles the file (size from put_file's input).
-  /// Chooses per stripe: parallel extents, §VII pattern reads, or whole-
-  /// block MDS decode, depending on which blocks are healthy — dead servers,
-  /// timeouts and corrupt blocks all count as erasures.  Thread-safe and
+  /// Each stripe runs the code's read plan over the blocks still usable —
+  /// dead servers, timeouts and corrupt blocks all count as erasures, and
+  /// each one re-plans the stripe, reusing the units already held.  Thread-safe and
   /// genuinely concurrent: two calls overlap on the wire, and within one
   /// call all p extents of a stripe are in flight at once.
   std::vector<codes::Byte> read_file(std::uint32_t file_id,
@@ -486,8 +480,8 @@ class CarouselStore {
   /// Stripes a file of `file_bytes` occupies: ceil(bytes / (k*block_bytes)),
   /// and one zero-padded stripe for an empty file.
   std::size_t stripes_for(std::size_t file_bytes) const;
-  /// Blocks fetched by the any-k whole-block fallback: the k (or fewer)
-  /// indices that answered with a full-size block, and those blocks.
+  /// Blocks fetched by repair's whole-block path: the k (or fewer) indices
+  /// that answered with a full-size block, and those blocks.
   struct WholeBlocks {
     std::vector<std::size_t> ids;
     std::vector<std::vector<codes::Byte>> blocks;

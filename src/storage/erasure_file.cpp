@@ -87,53 +87,14 @@ DataExtent ErasureFile::data_extent(std::size_t stripe,
   return {off, std::min(len, file_bytes_ - off)};
 }
 
-IoStats ErasureFile::read_stripe(std::size_t s, std::span<Byte> dst) const {
-  std::vector<std::size_t> avail;
-  for (std::size_t i = 0; i < code_->n(); ++i)
-    if (block_available(s, i)) avail.push_back(i);
-
-  const std::size_t p = code_->p();
-  bool first_p_ok = std::count_if(avail.begin(), avail.end(),
-                                  [p](std::size_t i) { return i < p; }) ==
-                    static_cast<std::ptrdiff_t>(p);
-  if (first_p_ok) {
-    std::vector<std::span<const Byte>> blocks;
-    for (std::size_t i = 0; i < p; ++i) blocks.push_back(block(s, i));
-    code_->gather_data(blocks, dst);
-    return {code_->k() * block_bytes_, p};
-  }
-  if (avail.size() >= p) {
-    // decode_parallel wants each id < p serving its own slot plus parity
-    // stand-ins; pick survivors-below-p first, then parity blocks.
-    std::vector<std::size_t> ids;
-    for (std::size_t i : avail)
-      if (i < p) ids.push_back(i);
-    for (std::size_t i : avail)
-      if (i >= p && ids.size() < p) ids.push_back(i);
-    if (ids.size() == p) {
-      std::vector<std::span<const Byte>> blocks;
-      for (std::size_t i : ids) blocks.push_back(block(s, i));
-      return code_->decode_parallel(ids, blocks, dst);
-    }
-  }
-  if (avail.size() < code_->k())
-    throw std::runtime_error("stripe " + std::to_string(s) +
-                             " has fewer than k available blocks");
-  // Fewer than p blocks left: best-effort decode over everything that
-  // survives — copies all verbatim units and solves the minimum (the
-  // paper's §VIII-B "visit more than k blocks" extension).
-  std::vector<std::span<const Byte>> blocks;
-  for (std::size_t i : avail) blocks.push_back(block(s, i));
-  return code_->decode_from_available(avail, blocks, dst);
-}
-
 std::vector<Byte> ErasureFile::read_all(IoStats* stats) const {
   const std::size_t stripe_data = code_->k() * block_bytes_;
   std::vector<Byte> out(stripes_ * stripe_data);
   std::vector<IoStats> per_stripe(stripes_);
   for_each_stripe([&](std::size_t s) {
-    per_stripe[s] = read_stripe(
-        s, std::span<Byte>(out.data() + s * stripe_data, stripe_data));
+    per_stripe[s] = code_->decode_stripe(
+        stripe_views(s), std::span<Byte>(out.data() + s * stripe_data,
+                                         stripe_data));
   });
   IoStats total;
   for (const auto& st : per_stripe) {
@@ -198,41 +159,19 @@ std::size_t ErasureFile::write(std::size_t offset,
 IoStats ErasureFile::repair_block(std::size_t stripe, std::size_t index) {
   if (block_available(stripe, index))
     throw std::invalid_argument("block is not missing");
-  std::vector<std::size_t> helpers;
-  for (std::size_t i = 0; i < code_->n() && helpers.size() < code_->d(); ++i)
-    if (i != index && block_available(stripe, i)) helpers.push_back(i);
-  const std::size_t ub = block_bytes_ / code_->s();
-  if (helpers.size() < code_->d()) {
-    // Not enough survivors for the optimal-traffic repair: fall back to the
-    // MDS projection repair from any k whole blocks (k block-sizes of
-    // traffic, like RS) — this is what lets multi-failure stripes heal.
-    if (helpers.size() < code_->k())
-      throw std::runtime_error("fewer than k available helpers");
-    helpers.resize(code_->k());
-    std::vector<codes::UnitRef> sources;
-    sources.reserve(code_->k() * code_->s());
-    for (std::size_t h : helpers)
-      for (std::size_t t = 0; t < code_->s(); ++t)
-        sources.push_back({h, t, block(stripe, h).data() + t * ub});
-    auto stats =
-        code_->project_units(sources, ub, index, block_mut(stripe, index));
-    set_block_available(stripe, index, true);
-    record_checksum(stripe, index);
-    return stats;
-  }
-  std::vector<std::vector<Byte>> chunk_store;
-  std::vector<std::span<const Byte>> chunks;
-  chunk_store.reserve(helpers.size());
-  for (std::size_t h : helpers) {
-    chunk_store.emplace_back(code_->helper_chunk_units() * ub);
-    code_->helper_compute(h, index, block(stripe, h), chunk_store.back());
-  }
-  for (auto& c : chunk_store) chunks.emplace_back(c);
   auto stats =
-      code_->newcomer_compute(index, helpers, chunks, block_mut(stripe, index));
+      code_->repair_stripe(index, stripe_views(stripe), block_mut(stripe, index));
   set_block_available(stripe, index, true);
   record_checksum(stripe, index);
   return stats;
+}
+
+std::vector<std::span<const Byte>> ErasureFile::stripe_views(
+    std::size_t stripe) const {
+  std::vector<std::span<const Byte>> views(code_->n());
+  for (std::size_t i = 0; i < code_->n(); ++i)
+    if (block_available(stripe, i)) views[i] = block(stripe, i);
+  return views;
 }
 
 ErasureFile::ScrubReport ErasureFile::scrub(bool repair) {

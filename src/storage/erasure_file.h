@@ -61,10 +61,10 @@ class ErasureFile {
   /// Original-data extent of a block (empty when the block is pure parity).
   DataExtent data_extent(std::size_t stripe, std::size_t index) const;
 
-  /// Reads the whole file back, choosing per stripe the cheapest available
-  /// path: gather from the first p blocks, decode_parallel with parity
-  /// stand-ins, or the any-k MDS decode.  Throws std::runtime_error when a
-  /// stripe has fewer than k available blocks.
+  /// Reads the whole file back, each stripe through the code's read planner
+  /// over its available blocks (decode_stripe): the p data extents, §VII
+  /// parity stand-ins, or the fewest-units plan.  Throws std::runtime_error
+  /// when a stripe's available blocks cannot decode.
   std::vector<Byte> read_all(IoStats* stats = nullptr) const;
 
   /// In-place partial overwrite of the file: updates the affected data
@@ -75,8 +75,9 @@ class ErasureFile {
   /// Returns the number of stored units touched.
   std::size_t write(std::size_t offset, std::span<const Byte> bytes);
 
-  /// Rebuilds an unavailable block of one stripe from d helpers (or k when
-  /// d == k), restoring its availability.  Returns the repair traffic.
+  /// Rebuilds an unavailable block of one stripe through the code's repair
+  /// planner (repair_stripe: d projecting helpers, else k whole blocks),
+  /// restoring its availability.  Returns the repair traffic.
   IoStats repair_block(std::size_t stripe, std::size_t index);
 
   /// Verifies every available block against a fresh encode (integrity
@@ -99,7 +100,8 @@ class ErasureFile {
 
  private:
   std::span<Byte> block_mut(std::size_t stripe, std::size_t index);
-  IoStats read_stripe(std::size_t s, std::span<Byte> dst) const;
+  /// The stripe's n blocks, an empty span for each unavailable one.
+  std::vector<std::span<const Byte>> stripe_views(std::size_t stripe) const;
   /// Runs fn(stripe) for every stripe, on the pool when one exists.
   void for_each_stripe(const std::function<void(std::size_t)>& fn) const;
   std::size_t slot(std::size_t stripe, std::size_t index) const {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "codes/carousel.h"
@@ -10,6 +11,7 @@
 namespace carousel::codes {
 namespace {
 
+using test::keep_only;
 using test::random_bytes;
 using test::split_const_spans;
 using test::split_spans;
@@ -87,10 +89,10 @@ TEST(Carousel, GatherDataIsIdentity) {
   const std::size_t ub = 5;
   auto [data, blob] = make_stripe(c, ub);
   auto views = split_const_spans(blob, 12);
-  std::vector<std::span<const Byte>> first_p(views.begin(),
-                                             views.begin() + c.p());
+  std::vector<std::size_t> first_p(c.p());
+  std::iota(first_p.begin(), first_p.end(), 0);
   std::vector<Byte> out(data.size());
-  c.gather_data(first_p, out);
+  c.decode_stripe(keep_only(views, first_p), out);
   EXPECT_EQ(out, data);
 }
 
@@ -127,10 +129,8 @@ TEST(Carousel, DecodeParallelNoFailure) {
   auto views = split_const_spans(blob, 12);
   std::vector<std::size_t> ids(c.p());
   std::iota(ids.begin(), ids.end(), 0);
-  std::vector<std::span<const Byte>> chosen;
-  for (std::size_t id : ids) chosen.push_back(views[id]);
   std::vector<Byte> out(c.k() * w);
-  auto stats = c.decode_parallel(ids, chosen, out);
+  auto stats = c.decode_stripe(keep_only(views, ids), out);
   EXPECT_EQ(out, data);
   // Each of the p blocks contributes exactly k/p of a block.
   EXPECT_EQ(stats.bytes_read, c.k() * w);
@@ -155,10 +155,8 @@ TEST(Carousel, DecodeParallelEverySingleFailure) {
         for (std::size_t i = 0; i < p; ++i)
           if (i != lost) ids.push_back(i);
         ids.push_back(sub);
-        std::vector<std::span<const Byte>> chosen;
-        for (std::size_t id : ids) chosen.push_back(views[id]);
         std::vector<Byte> out(c.k() * w);
-        auto stats = c.decode_parallel(ids, chosen, out);
+        auto stats = c.decode_stripe(keep_only(views, ids), out);
         ASSERT_EQ(out, data) << c.params().to_string() << " lost=" << lost
                              << " sub=" << sub;
         EXPECT_EQ(stats.bytes_read, c.k() * w);
@@ -179,23 +177,32 @@ TEST(Carousel, DecodeParallelDoubleFailure) {
     if (i != 2 && i != 5) ids.push_back(i);
   ids.push_back(9);
   ids.push_back(11);
-  std::vector<std::span<const Byte>> chosen;
-  for (std::size_t id : ids) chosen.push_back(views[id]);
   std::vector<Byte> out(c.k() * w);
-  c.decode_parallel(ids, chosen, out);
+  c.decode_stripe(keep_only(views, ids), out);
   EXPECT_EQ(out, data);
 }
 
-TEST(Carousel, DecodeParallelRejectsUnderReplacedSets) {
+TEST(Carousel, DecodeParallelFallsBackOnUnderReplacedSets) {
   Carousel c(6, 3, 3, 6);  // p = n: no pure-parity stand-ins exist
   const std::size_t ub = 2;
   auto [data, blob] = make_stripe(c, ub);
   auto views = split_const_spans(blob, 6);
   std::vector<std::size_t> ids = {0, 1, 2, 3, 4};  // block 5 lost, p-1 blocks
-  std::vector<std::span<const Byte>> chosen;
-  for (std::size_t id : ids) chosen.push_back(views[id]);
+  // No stand-in for slot 5: the plan falls back to every verbatim unit of
+  // the five survivors plus the fewest parity units, and still round-trips.
+  const auto plan = c.plan_read({true, true, true, true, true, false});
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_TRUE((*plan)[5].empty());
+  std::size_t units = 0;
+  for (std::size_t b = 0; b < 5; ++b) {
+    ASSERT_GE((*plan)[b].size(), c.data_units_per_block());
+    units += (*plan)[b].size();
+  }
+  EXPECT_EQ(units, c.message_units());
   std::vector<Byte> out(data.size());
-  EXPECT_THROW(c.decode_parallel(ids, chosen, out), std::invalid_argument);
+  auto stats = c.decode_stripe(keep_only(views, ids), out);
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(stats.bytes_read, data.size());
 }
 
 TEST(Carousel, RepairEveryBlockMsrBase) {
@@ -351,6 +358,137 @@ TEST(Carousel, InvalidParamsRejected) {
   EXPECT_THROW(Carousel(6, 0, 0, 0), std::invalid_argument);
 }
 
+// ---- The stripe planner, exhaustively over small codes --------------------
+
+// p = n, p = k, and k < p < n over both base codes (RS when d == k).
+constexpr std::tuple<std::size_t, std::size_t, std::size_t, std::size_t>
+    kPlannerCodes[] = {{5, 3, 3, 5}, {6, 3, 4, 3}, {6, 3, 3, 4}, {7, 4, 6, 6}};
+
+TEST(StripePlan, ReadPlanOverEveryUsableMask) {
+  for (auto [n, k, d, p] : kPlannerCodes) {
+    Carousel c(n, k, d, p);
+    const std::size_t ub = 3;
+    const std::size_t K = c.data_units_per_block();
+    auto [data, blob] = make_stripe(c, ub);
+    auto views = split_const_spans(blob, n);
+    for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
+      SCOPED_TRACE(c.params().to_string() + " mask " + std::to_string(mask));
+      std::vector<bool> usable(n);
+      std::vector<std::size_t> ids;
+      for (std::size_t b = 0; b < n; ++b) {
+        usable[b] = (mask >> b) & 1;
+        if (usable[b]) ids.push_back(b);
+      }
+      const auto plan = c.plan_read(usable);
+      std::vector<Byte> out(data.size());
+      if (ids.size() < k) {
+        EXPECT_FALSE(plan.has_value());
+        EXPECT_THROW(c.decode_stripe(keep_only(views, ids), out),
+                     std::runtime_error);
+        continue;
+      }
+      ASSERT_TRUE(plan.has_value());
+      ASSERT_EQ(plan->size(), n);
+      // Only usable blocks, each position at most once; k*s units in all.
+      std::size_t units = 0, contacted = 0;
+      for (std::size_t b = 0; b < n; ++b) {
+        const auto& pos = (*plan)[b];
+        EXPECT_TRUE(usable[b] || pos.empty()) << "block " << b;
+        EXPECT_TRUE(std::adjacent_find(pos.begin(), pos.end(),
+                                       std::greater_equal<>()) == pos.end());
+        EXPECT_TRUE(pos.empty() || pos.back() < c.s());
+        units += pos.size();
+        contacted += !pos.empty();
+      }
+      EXPECT_EQ(units, c.message_units());
+      // §VII: with enough usable parity the plan is p fetches of K units —
+      // own data units per usable slot, the lowest usable parity blocks in
+      // ascending order standing in for the rest.
+      std::size_t lost_slots = 0, parity = 0;
+      for (std::size_t b = 0; b < n; ++b) {
+        if (b < p)
+          lost_slots += !usable[b];
+        else
+          parity += usable[b];
+      }
+      if (lost_slots <= parity) {
+        codes::ReadPlan want(n);
+        std::size_t stand_in = p;
+        for (std::size_t slot = 0; slot < p; ++slot) {
+          if (usable[slot]) {
+            want[slot].resize(K);
+            std::iota(want[slot].begin(), want[slot].end(), 0);
+            continue;
+          }
+          while (!usable[stand_in]) ++stand_in;
+          auto pattern = c.selection_pattern(slot);
+          want[stand_in++].assign(pattern.begin(), pattern.end());
+        }
+        EXPECT_EQ(*plan, want);
+        EXPECT_EQ(contacted, p);
+      } else {
+        // Parity ran out: every usable slot still serves all its verbatim
+        // units, and parity units only complete the rank.
+        for (std::size_t slot = 0; slot < p; ++slot)
+          if (usable[slot]) {
+            ASSERT_GE((*plan)[slot].size(), K);
+            EXPECT_EQ((*plan)[slot][K - 1], K - 1) << "slot " << slot;
+          }
+      }
+      const auto stats = c.decode_stripe(keep_only(views, ids), out);
+      EXPECT_EQ(out, data);
+      EXPECT_EQ(stats.bytes_read, data.size());
+      EXPECT_EQ(stats.sources, contacted);
+    }
+  }
+}
+
+TEST(StripePlan, RepairPlanOverEverySurvivorSet) {
+  for (auto [n, k, d, p] : kPlannerCodes) {
+    Carousel c(n, k, d, p);
+    const std::size_t ub = 3;
+    const std::size_t w = c.s() * ub;
+    auto [data, blob] = make_stripe(c, ub);
+    auto views = split_const_spans(blob, n);
+    for (std::size_t failed = 0; failed < n; ++failed) {
+      for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
+        if ((mask >> failed) & 1) continue;
+        SCOPED_TRACE(c.params().to_string() + " failed " +
+                     std::to_string(failed) + " mask " + std::to_string(mask));
+        std::vector<std::size_t> survivors;
+        for (std::size_t b = 0; b < n; ++b)
+          if ((mask >> b) & 1) survivors.push_back(b);
+        const auto plan = c.plan_repair(failed, survivors);
+        std::vector<Byte> rebuilt(w);
+        if (survivors.size() < k) {
+          EXPECT_FALSE(plan.has_value());
+          EXPECT_THROW(c.repair_stripe(failed, keep_only(views, survivors),
+                                       rebuilt),
+                       std::runtime_error);
+          continue;
+        }
+        ASSERT_TRUE(plan.has_value());
+        const bool projected = d > k && survivors.size() >= d;
+        EXPECT_EQ(plan->projected, projected);
+        const std::vector<std::size_t> first(
+            survivors.begin(), survivors.begin() + (projected ? d : k));
+        EXPECT_EQ(plan->sources, first);
+        const auto stats =
+            c.repair_stripe(failed, keep_only(views, survivors), rebuilt);
+        EXPECT_TRUE(
+            std::equal(rebuilt.begin(), rebuilt.end(), views[failed].begin()));
+        // Exactly d/(d-k+1) block sizes on the helper path, k otherwise.
+        if (projected) {
+          EXPECT_EQ(stats.bytes_read * c.alpha(), d * w);
+        } else {
+          EXPECT_EQ(stats.bytes_read, k * w);
+        }
+        EXPECT_EQ(stats.sources, first.size());
+      }
+    }
+  }
+}
+
 // The paper's full Hadoop parameter sweep: (12, 6, 10, p) for p in
 // {6, 8, 10, 12}, plus the Fig. 6 grid with n = 2k, d in {k, 2k-1}, p = n.
 class CarouselGrid : public ::testing::TestWithParam<
@@ -367,11 +505,11 @@ TEST_P(CarouselGrid, EndToEndRoundTrip) {
   auto [data, blob] = make_stripe(c, ub);
   auto views = split_const_spans(blob, n);
 
-  // Parallel gather.
-  std::vector<std::span<const Byte>> first_p(views.begin(),
-                                             views.begin() + c.p());
+  // Parallel read from the first p blocks.
+  std::vector<std::size_t> first_p(c.p());
+  std::iota(first_p.begin(), first_p.end(), 0);
   std::vector<Byte> gathered(data.size());
-  c.gather_data(first_p, gathered);
+  c.decode_stripe(keep_only(views, first_p), gathered);
   EXPECT_EQ(gathered, data);
 
   // MDS from the last k blocks.

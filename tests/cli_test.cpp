@@ -149,13 +149,6 @@ TEST_F(CliTest, ManifestRoundTrip) {
                std::runtime_error);
 }
 
-TEST_F(CliTest, Crc32KnownVector) {
-  // "123456789" -> 0xCBF43926 (IEEE CRC-32 check value).
-  const char* s = "123456789";
-  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(s), 9), 0xCBF43926u);
-  EXPECT_EQ(crc32(nullptr, 0), 0u);
-}
-
 TEST_F(CliTest, InfoDescribesArchive) {
   auto input = write_input(10'000, 19);
   encode_file(input, dir_ / "arc", {12, 6, 10, 10}, 2048);
@@ -241,15 +234,13 @@ TEST_F(CliTest, MetaCommandInspectsCoordinatorJournal) {
 
 TEST_F(CliTest, ClusterCommandRendersAliveAndDeadServers) {
   namespace cnet = carousel::net;
-  // Two live servers (one holding a block) and one freshly-freed port: the
-  // table must show both verdicts and count only reachable inventory.
+  // Two live servers (one holding a block) and one port that refuses every
+  // connection: the table must show both verdicts and count only reachable
+  // inventory.
   cnet::BlockServer alive0;
   cnet::BlockServer alive1;
-  std::uint16_t dead_port;
-  {
-    cnet::BlockServer ephemeral;
-    dead_port = ephemeral.port();
-  }
+  test::ClosedPort dead;
+  const std::uint16_t dead_port = dead.port();
   auto data = test::random_bytes(768, 21);
   cnet::Client writer(alive0.port());
   writer.put(cnet::BlockKey{9, 0, 0}, data);
@@ -289,11 +280,8 @@ TEST_F(CliTest, ClusterCommandRendersRackColumnAndRollup) {
   cnet::BlockServer a;
   cnet::BlockServer b;
   cnet::BlockServer c;
-  std::uint16_t dead_port;
-  {
-    cnet::BlockServer ephemeral;
-    dead_port = ephemeral.port();
-  }
+  test::ClosedPort dead;
+  const std::uint16_t dead_port = dead.port();
   auto data = test::random_bytes(512, 33);
   cnet::Client writer(a.port());
   writer.put(cnet::BlockKey{4, 0, 0}, data);

@@ -15,6 +15,7 @@
 namespace carousel::codes {
 namespace {
 
+using test::keep_only;
 using test::random_bytes;
 using test::split_const_spans;
 using test::split_spans;
@@ -67,16 +68,14 @@ TEST(Fuzz, RandomConfigsEncodeDecodeRepair) {
     code.decode(ids, chosen, out);
     ASSERT_EQ(out, data);
 
-    // Random q-subset best-effort decode, q in [k, n].
+    // Random q-subset planned decode, q in [k, n].
     std::vector<std::size_t> all(params.n);
     std::iota(all.begin(), all.end(), 0);
     std::shuffle(all.begin(), all.end(), rng);
     all.resize(params.k + rng() % (params.n - params.k + 1));
     std::sort(all.begin(), all.end());
-    chosen.clear();
-    for (std::size_t id : all) chosen.push_back(views[id]);
     std::fill(out.begin(), out.end(), 0);
-    code.decode_from_available(all, chosen, out);
+    code.decode_stripe(keep_only(views, all), out);
     ASSERT_EQ(out, data);
 
     // Random repair.
@@ -181,10 +180,8 @@ TEST(Fuzz, RandomDoubleFailureParallelReads) {
       if (i != lost1 && i != lost2) ids.push_back(i);
     ids.push_back(subs[0]);
     ids.push_back(subs[1]);
-    std::vector<std::span<const Byte>> chosen;
-    for (std::size_t id : ids) chosen.push_back(views[id]);
     std::vector<Byte> out(data.size());
-    code.decode_parallel(ids, chosen, out);
+    code.decode_stripe(keep_only(views, ids), out);
     ASSERT_EQ(out, data) << "lost " << lost1 << "," << lost2;
   }
 }

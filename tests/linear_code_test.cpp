@@ -1,5 +1,5 @@
 // Engine-level tests for the generator-matrix codec shared by all codes:
-// unit-level decode, best-effort decode from extra blocks (the paper's
+// unit-level decode, the planned read over extra blocks (the paper's
 // §VIII-B future-work extension), direct projection repair, and the
 // systematic fast paths.
 
@@ -15,6 +15,7 @@
 namespace carousel::codes {
 namespace {
 
+using test::keep_only;
 using test::random_bytes;
 using test::split_const_spans;
 using test::split_spans;
@@ -85,10 +86,8 @@ TEST(LinearCode, DecodeFromAvailableAllSystematic) {
   std::vector<Byte> blob(c.n() * w);
   c.encode(data, split_spans(blob, c.n()));
   auto views = split_const_spans(blob, c.n());
-  std::vector<std::size_t> ids(c.n());
-  std::iota(ids.begin(), ids.end(), 0);
   std::vector<Byte> out(data.size());
-  auto stats = c.decode_from_available(ids, views, out);
+  auto stats = c.decode_stripe(views, out);
   EXPECT_EQ(out, data);
   // With every data unit present, only the file-sized systematic units are
   // consumed — zero parity units, zero arithmetic.
@@ -106,10 +105,8 @@ TEST(LinearCode, DecodeFromAvailableUsesMinimalParity) {
   std::vector<std::size_t> ids;
   for (std::size_t i = 0; i < c.n(); ++i)
     if (i != 2) ids.push_back(i);
-  std::vector<std::span<const Byte>> chosen;
-  for (std::size_t id : ids) chosen.push_back(views[id]);
   std::vector<Byte> out(data.size());
-  auto stats = c.decode_from_available(ids, chosen, out);
+  auto stats = c.decode_stripe(keep_only(views, ids), out);
   EXPECT_EQ(out, data);
   // Reads: all present data units + exactly K parity units for the lost slot.
   const std::size_t K = c.data_units_per_block();
@@ -131,14 +128,10 @@ TEST(LinearCode, DecodeFromAvailableEverySingleLossEveryCode) {
     auto views = split_const_spans(blob, c.n());
     for (std::size_t lost = 0; lost < n; ++lost) {
       std::vector<std::size_t> ids;
-      std::vector<std::span<const Byte>> chosen;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i == lost) continue;
-        ids.push_back(i);
-        chosen.push_back(views[i]);
-      }
+      for (std::size_t i = 0; i < n; ++i)
+        if (i != lost) ids.push_back(i);
       std::vector<Byte> out(data.size());
-      c.decode_from_available(ids, chosen, out);
+      c.decode_stripe(keep_only(views, ids), out);
       ASSERT_EQ(out, data) << c.params().to_string() << " lost=" << lost;
     }
   }
@@ -155,10 +148,8 @@ TEST(LinearCode, DecodeFromAvailableMultiLossDownToK) {
   std::vector<std::size_t> alive(c.n());
   std::iota(alive.begin(), alive.end(), 0);
   while (alive.size() >= c.k()) {
-    std::vector<std::span<const Byte>> chosen;
-    for (std::size_t id : alive) chosen.push_back(views[id]);
     std::vector<Byte> out(data.size());
-    ASSERT_NO_THROW(c.decode_from_available(alive, chosen, out))
+    ASSERT_NO_THROW(c.decode_stripe(keep_only(views, alive), out))
         << alive.size() << " blocks alive";
     ASSERT_EQ(out, data);
     alive.erase(alive.begin());  // kill the lowest-numbered survivor
@@ -176,10 +167,8 @@ TEST(LinearCode, DecodeFromAvailableComputesLessWithMoreBlocks) {
   auto parity_units_used = [&](std::size_t q) {
     std::vector<std::size_t> ids(q);
     std::iota(ids.begin(), ids.end(), 0);
-    std::vector<std::span<const Byte>> chosen;
-    for (std::size_t id : ids) chosen.push_back(views[id]);
     std::vector<Byte> out(data.size());
-    auto stats = c.decode_from_available(ids, chosen, out);
+    auto stats = c.decode_stripe(keep_only(views, ids), out);
     EXPECT_EQ(out, data);
     // bytes beyond the systematic units present = parity consumed.
     const std::size_t K = c.data_units_per_block();
@@ -204,16 +193,13 @@ TEST(LinearCode, DecodeFromAvailableShapeErrors) {
   auto views = split_const_spans(blob, c.n());
   std::vector<Byte> out(data.size());
   {
-    std::vector<std::size_t> ids = {0, 1};  // fewer than k
-    std::vector<std::span<const Byte>> chosen = {views[0], views[1]};
-    EXPECT_THROW(c.decode_from_available(ids, chosen, out),
-                 std::invalid_argument);
+    std::vector<std::span<const Byte>> chosen = {views[0], views[1]};  // not n
+    EXPECT_THROW(c.decode_stripe(chosen, out), std::invalid_argument);
   }
   {
-    std::vector<std::size_t> ids = {0, 1, 1};  // duplicate
-    std::vector<std::span<const Byte>> chosen = {views[0], views[1], views[1]};
-    EXPECT_THROW(c.decode_from_available(ids, chosen, out),
-                 std::invalid_argument);
+    auto chosen = views;  // blocks of two sizes
+    chosen[1] = chosen[1].first(w / 2);
+    EXPECT_THROW(c.decode_stripe(chosen, out), std::invalid_argument);
   }
 }
 

@@ -8,6 +8,7 @@
 namespace carousel::codes {
 namespace {
 
+using test::keep_only;
 using test::random_bytes;
 using test::split_const_spans;
 using test::split_spans;
@@ -98,14 +99,10 @@ TEST(Lrc, DecodeFromAvailableAfterFailures) {
   auto views = split_const_spans(blob, 10);
   // Knock out a data block, a local parity and a global parity.
   std::vector<std::size_t> ids;
-  std::vector<std::span<const Byte>> chosen;
-  for (std::size_t i = 0; i < 10; ++i) {
-    if (i == 1 || i == 7 || i == 9) continue;
-    ids.push_back(i);
-    chosen.push_back(views[i]);
-  }
+  for (std::size_t i = 0; i < 10; ++i)
+    if (i != 1 && i != 7 && i != 9) ids.push_back(i);
   std::vector<Byte> out(data.size());
-  lrc.decode_from_available(ids, chosen, out);
+  lrc.decode_stripe(keep_only(views, ids), out);
   EXPECT_EQ(out, data);
 }
 
@@ -165,14 +162,10 @@ TEST_P(LrcGrid, RoundTripAndLocalRepair) {
   lrc.encode(data, split_spans(blob, lrc.n()));
   auto views = split_const_spans(blob, lrc.n());
   // Decode with one data block missing.
-  std::vector<std::size_t> ids;
-  std::vector<std::span<const Byte>> chosen;
-  for (std::size_t i = 1; i < lrc.n(); ++i) {
-    ids.push_back(i);
-    chosen.push_back(views[i]);
-  }
+  std::vector<std::size_t> ids(lrc.n() - 1);
+  std::iota(ids.begin(), ids.end(), std::size_t{1});
   std::vector<Byte> out(data.size());
-  lrc.decode_from_available(ids, chosen, out);
+  lrc.decode_stripe(keep_only(views, ids), out);
   EXPECT_EQ(out, data);
   // Local repair of block 0.
   auto rs = lrc.repair_set(0);

@@ -1062,6 +1062,44 @@ TEST_F(StoreTest, HedgeRacesNeverDoubleDecode) {
   EXPECT_EQ(store.counters().wire_corruptions, 0u);
 }
 
+TEST_F(StoreTest, HedgeLosersStayReadableWhenTheStripeNeedsThem) {
+  // Data servers 0 and 1 straggle past the hedge budget, so parity blocks 10
+  // and 11 win their slots; blocks 2-6 are gone.  Five erasures are fewer
+  // than n - k = 6: the slow-but-healthy primaries must be read again rather
+  // than the stripe declared unrecoverable.
+  codes::Carousel code(12, 6, 10, 10);
+  const std::size_t block = code.s() * 64;
+  obs::MetricsRegistry reg;
+  StoreOptions o;
+  o.registry = &reg;
+  o.policy = fast_policy();
+  o.policy.io_timeout = std::chrono::milliseconds(2000);
+  o.hedge.enabled = true;
+  o.hedge.floor = std::chrono::milliseconds(5);
+  o.hedge.initial = std::chrono::milliseconds(20);
+  CarouselStore store(code, ports_, block, o);
+  auto file = random_bytes(code.k() * block, 63);
+  store.put_file(45, file);
+  for (std::uint32_t b = 2; b <= 6; ++b)
+    ASSERT_TRUE(store.drop_block(45, 0, b));
+
+  for (std::size_t srv : {0u, 1u}) {
+    auto plan = std::make_shared<FaultPlan>(31 + srv);
+    plan->add({.action = FaultAction::kDelay,
+               .op = Op::kGetRange,
+               .max_hits = 1,
+               .delay_ms = 600});
+    servers_[srv]->set_fault_plan(plan);
+  }
+  EXPECT_EQ(store.read_file(45, file.size()), file);
+  for (auto& s : servers_) s->set_fault_plan(nullptr);
+
+  obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("carousel_store_hedged_reads_total"), 2u);
+  EXPECT_EQ(snap.counters.at("carousel_store_hedge_wins_total"), 2u);
+  EXPECT_EQ(store.counters().wire_corruptions, 0u);
+}
+
 TEST_F(StoreTest, ConcurrentReadsOverlapInWallClock) {
   // The locking-discipline acceptance test: with every range-GET stalled a
   // fixed delay, two files read back-to-back cost two delays; read from two

@@ -226,10 +226,8 @@ TEST(PropertyGrid, ParallelReadServesFromAnyPBlocks) {
     std::shuffle(ids.begin(), ids.end(), rng);
     ids.resize(e.p);
     std::sort(ids.begin(), ids.end());
-    std::vector<std::span<const std::uint8_t>> chosen;
-    for (std::size_t id : ids) chosen.push_back(s.views[id]);
     std::vector<std::uint8_t> out(s.data.size());
-    auto stats = e.code->decode_parallel(ids, chosen, out);
+    auto stats = e.code->decode_stripe(test::keep_only(s.views, ids), out);
     EXPECT_EQ(out, s.data) << "(" << e.n << "," << e.k << "," << e.d << ","
                            << e.p << ")";
     // The p contributors together ship k block sizes: k/p of a block each.
@@ -244,7 +242,9 @@ TEST(PropertyGrid, StoreReadFileMatchesSequentialOracle) {
   // oracle, on live loopback servers: for every grid config and every
   // erasure count 1..n-k (data-carrying slots lost first, forcing §VII
   // stand-ins), read_file — including two calls racing each other — must
-  // be bit-exact with a plain raw-client any-k decode.
+  // be bit-exact with a plain raw-client any-k decode, and so must the
+  // in-memory executor of the same plan (plan vs plan).  With hedging off,
+  // the remote executor must also issue exactly the plan's fetches.
   std::vector<std::unique_ptr<net::BlockServer>> servers;
   std::vector<std::uint16_t> ports;
   for (int i = 0; i < 12; ++i) {
@@ -257,13 +257,22 @@ TEST(PropertyGrid, StoreReadFileMatchesSequentialOracle) {
     ASSERT_LE(e.n, ports.size());
     const std::vector<std::uint16_t> fleet(ports.begin(),
                                            ports.begin() + e.n);
+    obs::MetricsRegistry reg;
     net::StoreOptions o;
+    o.registry = &reg;
     o.hedge.enabled = true;  // hedges may fire; results must not change
     o.hedge.floor = std::chrono::milliseconds(5);
     o.hedge.initial = std::chrono::milliseconds(10);
     net::CarouselStore store(*e.code, fleet, e.block_bytes, o);
     const auto file = random_bytes(e.k * e.block_bytes, seed++);
     store.put_file(file_id, file);
+    std::vector<std::uint8_t> blob(e.n * e.block_bytes);
+    e.code->encode(file, test::split_spans(blob, e.n));
+    const auto views = test::split_const_spans(blob, e.n);
+    auto client_ops = [&reg](const char* op) {
+      return reg.histogram(obs::labeled("carousel_client_op_seconds", "op", op))
+          .count();
+    };
 
     // The oracle never touches the store: raw whole blocks from the first
     // k healthy servers, decoded by the codec on this thread.
@@ -308,6 +317,29 @@ TEST(PropertyGrid, StoreReadFileMatchesSequentialOracle) {
       EXPECT_EQ(got_b, oracle)
           << erasures << " erasures of (" << e.n << "," << e.k << "," << e.d
           << "," << e.p << ")";
+      // The in-memory executor over the same usable mask agrees.
+      std::vector<std::size_t> alive;
+      for (std::size_t i = erasures; i < e.n; ++i) alive.push_back(i);
+      std::vector<std::uint8_t> in_memory(file.size());
+      e.code->decode_stripe(test::keep_only(views, alive), in_memory);
+      EXPECT_EQ(in_memory, oracle)
+          << erasures << " erasures of (" << e.n << "," << e.k << "," << e.d
+          << "," << e.p << ")";
+      if (erasures <= e.n - e.p && erasures <= e.p) {
+        // Unhedged, a stripe with e lost data slots and enough parity costs
+        // p range-GETs (e of them find nothing) and e PROJECT stand-ins.
+        store.set_hedge_policy(net::HedgePolicy{});
+        const auto gets = client_ops("get_range");
+        const auto projects = client_ops("project");
+        EXPECT_EQ(store.read_file(file_id, file.size()), oracle);
+        EXPECT_EQ(client_ops("get_range") - gets, e.p)
+            << erasures << " erasures of (" << e.n << "," << e.k << ","
+            << e.d << "," << e.p << ")";
+        EXPECT_EQ(client_ops("project") - projects, erasures)
+            << erasures << " erasures of (" << e.n << "," << e.k << ","
+            << e.d << "," << e.p << ")";
+        store.set_hedge_policy(o.hedge);
+      }
       // Restore for the next erasure count.  (Re-putting the same id is no
       // longer an option: put_file rejects duplicates with
       // DuplicateFileError.)

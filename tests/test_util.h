@@ -3,9 +3,15 @@
 #ifndef CAROUSEL_TESTS_TEST_UTIL_H
 #define CAROUSEL_TESTS_TEST_UTIL_H
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace carousel::test {
@@ -39,6 +45,16 @@ inline std::vector<std::span<const std::uint8_t>> split_const_spans(
   return out;
 }
 
+/// Copy of `views` (one span per block) keeping only the blocks in `ids`;
+/// every other entry is empty, which decode_stripe reads as unusable.
+inline std::vector<std::span<const std::uint8_t>> keep_only(
+    const std::vector<std::span<const std::uint8_t>>& views,
+    const std::vector<std::size_t>& ids) {
+  std::vector<std::span<const std::uint8_t>> out(views.size());
+  for (std::size_t id : ids) out[id] = views[id];
+  return out;
+}
+
 /// All size-r subsets of {0, ..., n-1}.
 inline std::vector<std::vector<std::size_t>> subsets(std::size_t n,
                                                      std::size_t r) {
@@ -58,6 +74,37 @@ inline std::vector<std::vector<std::size_t>> subsets(std::size_t n,
   rec(rec, 0);
   return out;
 }
+
+/// A loopback port that refuses every connection and that no one else can
+/// take: the socket is bound to 127.0.0.1 with no listen() and no
+/// SO_REUSEADDR, and holds the port until destroyed.  A freshly freed
+/// ephemeral port would not do as a "dead server" — a concurrently running
+/// test may bind it again.
+class ClosedPort {
+ public:
+  ClosedPort() : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    if (fd_ < 0) throw std::runtime_error("ClosedPort: socket() failed");
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ::close(fd_);
+      throw std::runtime_error("ClosedPort: bind() failed");
+    }
+    port_ = ntohs(addr.sin_port);
+  }
+  ~ClosedPort() { ::close(fd_); }
+  ClosedPort(const ClosedPort&) = delete;
+  ClosedPort& operator=(const ClosedPort&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+ private:
+  int fd_;
+  std::uint16_t port_ = 0;
+};
 
 }  // namespace carousel::test
 

@@ -4,10 +4,18 @@
 #include <chrono>
 #include <numeric>
 
+#include "util/crc32.h"
 #include "util/thread_pool.h"
 
 namespace carousel::util {
 namespace {
+
+TEST(Crc32, KnownVector) {
+  // "123456789" -> 0xCBF43926 (IEEE CRC-32 check value).
+  const char* s = "123456789";
+  EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(s), 9}), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
   ThreadPool pool(4);
