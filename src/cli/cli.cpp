@@ -6,7 +6,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -16,6 +15,7 @@
 #include "codes/carousel.h"
 #include "net/block_server.h"
 #include "net/client.h"
+#include "net/durable_file.h"
 #include "net/meta_log.h"
 #include "net/persistence.h"
 #include "storage/erasure_file.h"
@@ -34,22 +34,6 @@ std::string block_name(std::size_t i) {
   return buf;
 }
 
-std::vector<Byte> read_binary(const fs::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + p.string());
-  std::vector<Byte> out((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  return out;
-}
-
-void write_binary(const fs::path& p, std::span<const Byte> bytes) {
-  std::ofstream out(p, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + p.string());
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw std::runtime_error("short write to " + p.string());
-}
-
 /// Loads the archive: manifest plus whichever block files exist and have the
 /// right size.  Returns the per-block byte buffers (empty when missing).
 struct Archive {
@@ -60,11 +44,9 @@ struct Archive {
 
 Archive load_archive(const fs::path& dir) {
   Archive a;
-  std::ifstream mf(dir / "MANIFEST");
-  if (!mf) throw std::runtime_error("no MANIFEST in " + dir.string());
-  std::stringstream ss;
-  ss << mf.rdbuf();
-  a.manifest = Manifest::parse(ss.str());
+  const auto text = net::durable::read_file(dir / "MANIFEST");
+  if (!text) throw std::runtime_error("no MANIFEST in " + dir.string());
+  a.manifest = Manifest::parse(std::string(text->begin(), text->end()));
   const auto& m = a.manifest;
   const std::uint64_t per_block_file = m.block_bytes * m.stripes;
   a.blocks.resize(m.params.n);
@@ -72,9 +54,10 @@ Archive load_archive(const fs::path& dir) {
     const fs::path p = dir / block_name(i);
     std::error_code ec;
     if (!fs::exists(p, ec)) continue;
-    auto bytes = read_binary(p);
-    if (bytes.size() != per_block_file) continue;  // truncated: treat as lost
-    a.blocks[i] = std::move(bytes);
+    auto bytes = net::durable::read_file(p);
+    if (!bytes) throw std::runtime_error("cannot open " + p.string());
+    if (bytes->size() != per_block_file) continue;  // truncated: treat as lost
+    a.blocks[i] = std::move(*bytes);
     ++a.present;
   }
   return a;
@@ -125,20 +108,21 @@ void encode_file(const fs::path& input, const fs::path& dir,
   if (block_bytes == 0) block_bytes = code.s();
   block_bytes = (block_bytes + code.s() - 1) / code.s() * code.s();
 
-  auto file = read_binary(input);
-  storage::ErasureFile ef(code, file, block_bytes);
+  const auto file = net::durable::read_file(input);
+  if (!file) throw std::runtime_error("cannot open " + input.string());
+  storage::ErasureFile ef(code, *file, block_bytes);
 
   fs::create_directories(dir);
   Manifest m;
   m.params = params;
-  m.file_bytes = file.size();
+  m.file_bytes = file->size();
   m.block_bytes = block_bytes;
   m.stripes = ef.stripes();
-  m.checksum = util::crc32(file);
-  write_binary(dir / "MANIFEST",
-               std::span<const Byte>(
-                   reinterpret_cast<const Byte*>(m.serialize().data()),
-                   m.serialize().size()));
+  m.checksum = util::crc32(*file);
+  const std::string text = m.serialize();
+  net::durable::write_file(
+      dir / "MANIFEST",
+      {reinterpret_cast<const Byte*>(text.data()), text.size()});
 
   std::vector<Byte> per_block(m.block_bytes * m.stripes);
   for (std::size_t i = 0; i < params.n; ++i) {
@@ -148,7 +132,7 @@ void encode_file(const fs::path& input, const fs::path& dir,
                 per_block.begin() +
                     static_cast<std::ptrdiff_t>(s * m.block_bytes));
     }
-    write_binary(dir / block_name(i), per_block);
+    net::durable::write_file(dir / block_name(i), per_block);
   }
 }
 
@@ -184,7 +168,7 @@ std::size_t decode_file(const fs::path& dir, const fs::path& output) {
   file.resize(m.file_bytes);
   if (util::crc32(file) != m.checksum)
     throw std::runtime_error("decoded data fails the manifest checksum");
-  write_binary(output, file);
+  net::durable::write_file(output, file);
   return used;
 }
 
@@ -201,7 +185,7 @@ std::uint64_t repair_block_file(const fs::path& dir, std::size_t index) {
                                                       s * m.block_bytes,
                                                   m.block_bytes))
                    .bytes_read;
-  write_binary(dir / block_name(index), rebuilt);
+  net::durable::write_file(dir / block_name(index), rebuilt);
   return traffic;
 }
 
@@ -328,54 +312,46 @@ std::string cluster_status(const std::vector<std::uint16_t>& ports,
   return render_cluster(ports, racks, /*rollup=*/true);
 }
 
-std::string repairs_status(std::uint16_t port) {
-  // Read-side prefix filter only; the names are minted inside the
-  // scheduler's repair_metric() helper (check_invariants rule 6).
-  static constexpr const char kPrefix[] = "carousel_repair_";
+namespace {
+
+/// The `name value` lines of the port's metrics dump whose name starts with
+/// `prefix`, as a titled table; `empty_note` when there are none.  Reads
+/// only: every name is minted by its owner's helper (check_invariants.py
+/// rules 6 and 7).
+std::string render_prefixed(std::uint16_t port, const std::string& prefix,
+                            const std::string& title,
+                            const std::string& empty_note) {
   const std::string text = fetch_metrics(port);
   std::ostringstream out;
-  out << "repair scheduler on port " << port << ":\n";
+  out << title << " on port " << port << ":\n";
   std::size_t found = 0;
   std::istringstream lines(text);
   std::string line;
   while (std::getline(lines, line)) {
     if (line.empty() || line[0] == '#') continue;
-    if (line.compare(0, sizeof kPrefix - 1, kPrefix) != 0) continue;
+    if (line.compare(0, prefix.size(), prefix) != 0) continue;
     const std::size_t space = line.find(' ');
     if (space == std::string::npos) continue;
     out << "  " << std::left << std::setw(44) << line.substr(0, space)
         << ' ' << line.substr(space + 1) << '\n';
     ++found;
   }
-  if (found == 0)
-    out << "  (no carousel_repair_* series exported; "
-           "no RepairScheduler has run in this process)\n";
+  if (found == 0) out << "  (" << empty_note << ")\n";
   return out.str();
 }
 
+}  // namespace
+
+std::string repairs_status(std::uint16_t port) {
+  return render_prefixed(port, "carousel_repair_", "repair scheduler",
+                         "no carousel_repair_* series exported; no "
+                         "RepairScheduler has run in this process");
+}
+
 std::string reads_status(std::uint16_t port) {
-  // Read-side prefix filter only; the hedge counter pair is minted inside
-  // the store's hedge_metric() helper (check_invariants rule 7).
-  static constexpr const char kPrefix[] = "carousel_store_";
-  const std::string text = fetch_metrics(port);
-  std::ostringstream out;
-  out << "store read path on port " << port << ":\n";
-  std::size_t found = 0;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    if (line.compare(0, sizeof kPrefix - 1, kPrefix) != 0) continue;
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos) continue;
-    out << "  " << std::left << std::setw(44) << line.substr(0, space)
-        << ' ' << line.substr(space + 1) << '\n';
-    ++found;
-  }
-  if (found == 0)
-    out << "  (no carousel_store_* series exported; "
-           "no CarouselStore has run in this process)\n";
-  return out.str();
+  return render_prefixed(port, "carousel_store_", "store read path",
+                         "no carousel_store_* series exported; no "
+                         "CarouselStore has run in this process");
 }
 
 std::string meta_status(const fs::path& dir) {
@@ -395,6 +371,14 @@ namespace {
 volatile std::sig_atomic_t g_serve_stop = 0;
 
 void request_serve_stop(int) { g_serve_stop = 1; }
+
+/// A server port operand of `metrics`, `cluster`, `repairs` or `reads`.
+std::uint16_t parse_port(const std::string& arg) {
+  const unsigned long port = std::stoul(arg);
+  if (port == 0 || port > 65535)
+    throw std::invalid_argument("port must be in [1, 65535]");
+  return static_cast<std::uint16_t>(port);
+}
 
 }  // namespace
 
@@ -476,11 +460,7 @@ int run(const std::vector<std::string>& args) {
     }
     if (cmd == "metrics") {
       if (args.size() != 2) return usage();
-      unsigned long port = std::stoul(args[1]);
-      if (port == 0 || port > 65535)
-        throw std::invalid_argument("port must be in [1, 65535]");
-      std::fputs(fetch_metrics(static_cast<std::uint16_t>(port)).c_str(),
-                 stdout);
+      std::fputs(fetch_metrics(parse_port(args[1])).c_str(), stdout);
       return 0;
     }
     if (cmd == "cluster") {
@@ -500,10 +480,7 @@ int run(const std::vector<std::string>& args) {
           spec.resize(colon);
           labeled = true;
         }
-        unsigned long port = std::stoul(spec);
-        if (port == 0 || port > 65535)
-          throw std::invalid_argument("port must be in [1, 65535]");
-        ports.push_back(static_cast<std::uint16_t>(port));
+        ports.push_back(parse_port(spec));
         racks.push_back(rack);
       }
       std::fputs((labeled ? cluster_status(ports, racks)
@@ -514,20 +491,12 @@ int run(const std::vector<std::string>& args) {
     }
     if (cmd == "repairs") {
       if (args.size() != 2) return usage();
-      unsigned long port = std::stoul(args[1]);
-      if (port == 0 || port > 65535)
-        throw std::invalid_argument("port must be in [1, 65535]");
-      std::fputs(repairs_status(static_cast<std::uint16_t>(port)).c_str(),
-                 stdout);
+      std::fputs(repairs_status(parse_port(args[1])).c_str(), stdout);
       return 0;
     }
     if (cmd == "reads") {
       if (args.size() != 2) return usage();
-      unsigned long port = std::stoul(args[1]);
-      if (port == 0 || port > 65535)
-        throw std::invalid_argument("port must be in [1, 65535]");
-      std::fputs(reads_status(static_cast<std::uint16_t>(port)).c_str(),
-                 stdout);
+      std::fputs(reads_status(parse_port(args[1])).c_str(), stdout);
       return 0;
     }
     if (cmd == "recover") {

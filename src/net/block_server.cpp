@@ -11,10 +11,6 @@ namespace carousel::net {
 
 namespace {
 
-std::uint32_t crc_of(std::span<const std::uint8_t> bytes) {
-  return util::crc32(bytes);
-}
-
 const char* fault_name(FaultAction a) {
   switch (a) {
     case FaultAction::kDropBeforeResponse: return "drop_before_response";
@@ -93,10 +89,19 @@ BlockServer::BlockServer(std::uint16_t port,
 
 BlockServer::~BlockServer() { stop(); }
 
-void BlockServer::stop() {
+void BlockServer::stop() { shut_down(/*graceful=*/false); }
+
+void BlockServer::drain() {
+  // Final durability barrier: every acknowledged PUT is now on disk.
+  if (shut_down(/*graceful=*/true) && persist_) persist_->flush();
+}
+
+bool BlockServer::shut_down(bool graceful) {
+  // stop() and drain() claim the same flag, so the two are mutually
+  // idempotent: whichever runs first wins, the other no-ops.
   bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) return;
-  listener_.close();  // wakes the blocked accept()
+  if (!stopping_.compare_exchange_strong(expected, true)) return false;
+  listener_.close();  // no new connections; wakes the blocked accept()
   if (acceptor_.joinable()) acceptor_.join();
   // Collect the sessions under the lock (std::list: stable addresses), then
   // join without it — workers may still need mu_ to finish their last
@@ -105,7 +110,13 @@ void BlockServer::stop() {
   {
     util::MutexLock lock(mu_);
     for (auto& s : sessions_) {
-      s.conn.shutdown_both();  // wake blocked workers
+      // A drain half-closes the receive side only: a worker blocked waiting
+      // for the *next* request wakes with EOF, but a response being sent
+      // still flushes.  A stop wakes every blocked worker.
+      if (graceful)
+        s.conn.shutdown_read();
+      else
+        s.conn.shutdown_both();
       to_join.push_back(&s);
     }
   }
@@ -113,33 +124,7 @@ void BlockServer::stop() {
     if (s->worker.joinable()) s->worker.join();
   util::MutexLock lock(mu_);
   sessions_.clear();
-}
-
-void BlockServer::drain() {
-  // Claims the same stopping_ flag as stop(), so the two are mutually
-  // idempotent: whichever runs first wins, the other no-ops.
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) return;
-  listener_.close();  // no new connections; wakes the blocked accept()
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<Session*> to_join;
-  {
-    util::MutexLock lock(mu_);
-    // Half-close receive only: a worker blocked waiting for the *next*
-    // request wakes with EOF, but a response being sent still flushes.
-    for (auto& s : sessions_) {
-      s.conn.shutdown_read();
-      to_join.push_back(&s);
-    }
-  }
-  for (Session* s : to_join)
-    if (s->worker.joinable()) s->worker.join();
-  {
-    util::MutexLock lock(mu_);
-    sessions_.clear();
-  }
-  // Final durability barrier: every acknowledged PUT is now on disk.
-  if (persist_) persist_->flush();
+  return true;
 }
 
 void BlockServer::set_fault_plan(std::shared_ptr<FaultPlan> plan) {
@@ -335,6 +320,31 @@ void BlockServer::serve(Session& session) {
   }
 }
 
+const BlockServer::StoredBlock* BlockServer::servable_locked(
+    const BlockKey& key, Writer& resp, Status& status,
+    const std::function<void(std::size_t)>& check) {
+  if (quarantined_.contains(key)) {
+    // Recovery moved this block's files aside: the block is known but its
+    // payload is gone.  kCorrupt (no CRC known) tells the client and
+    // scrubber to repair it, not to treat it as never written.
+    status = Status::kCorrupt;
+    return nullptr;
+  }
+  auto it = blocks_.find(key);
+  if (it == blocks_.end()) {
+    status = Status::kNotFound;
+    return nullptr;
+  }
+  if (check) check(it->second.bytes.size());
+  const std::uint32_t actual = util::crc32(it->second.bytes);
+  if (actual != it->second.crc) {
+    status = Status::kCorrupt;
+    resp.u32(actual);
+    return nullptr;
+  }
+  return &it->second;
+}
+
 void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
                          CrashPoint crash) {
   switch (op) {
@@ -344,7 +354,7 @@ void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
       BlockKey key = req.key();
       std::uint32_t declared = req.u32();
       auto bytes = req.rest();
-      std::uint32_t actual = crc_of(bytes);
+      std::uint32_t actual = util::crc32(bytes);
       if (actual != declared) {
         // The request payload was mangled in flight; refuse to store it.
         status = Status::kCorrupt;
@@ -369,55 +379,26 @@ void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
                                old_bytes);
       return;
     }
-    case Op::kGet: {
-      BlockKey key = req.key();
-      util::MutexLock lock(mu_);
-      if (quarantined_.contains(key)) {
-        // Recovery moved this block's files aside: the block is known but
-        // its payload is gone.  kCorrupt (no CRC known) tells the client
-        // and scrubber to repair it, not to treat it as never written.
-        status = Status::kCorrupt;
-        return;
-      }
-      auto it = blocks_.find(key);
-      if (it == blocks_.end()) {
-        status = Status::kNotFound;
-        return;
-      }
-      std::uint32_t actual = crc_of(it->second.bytes);
-      if (actual != it->second.crc) {
-        status = Status::kCorrupt;
-        resp.u32(actual);
-        return;
-      }
-      resp.u32(it->second.crc);
-      resp.bytes(it->second.bytes);
-      return;
-    }
+    case Op::kGet:
     case Op::kGetRange: {
-      BlockKey key = req.key();
-      std::uint32_t off = req.u32();
-      std::uint32_t len = req.u32();
+      // GET is GET_RANGE's whole-block case.
+      const BlockKey key = req.key();
+      const bool whole = op == Op::kGet;
+      const std::uint32_t off = whole ? 0 : req.u32();
+      const std::uint32_t len = whole ? 0 : req.u32();
       util::MutexLock lock(mu_);
-      if (quarantined_.contains(key)) {
-        status = Status::kCorrupt;
-        return;
-      }
-      auto it = blocks_.find(key);
-      if (it == blocks_.end()) {
-        status = Status::kNotFound;
-        return;
-      }
-      if (std::size_t(off) + len > it->second.bytes.size())
-        throw std::runtime_error("range out of bounds");
-      std::uint32_t actual = crc_of(it->second.bytes);
-      if (actual != it->second.crc) {
-        status = Status::kCorrupt;
-        resp.u32(actual);
-        return;
-      }
-      std::span<const std::uint8_t> range{it->second.bytes.data() + off, len};
-      resp.u32(crc_of(range));
+      const StoredBlock* block = servable_locked(
+          key, resp, status, [whole, off, len](std::size_t size) {
+            if (!whole && std::size_t(off) + len > size)
+              throw std::runtime_error("range out of bounds");
+          });
+      if (!block) return;
+      const std::span<const std::uint8_t> range =
+          whole ? std::span(block->bytes)
+                : std::span(block->bytes).subspan(off, len);
+      // A whole-block range was just checked against the stored CRC.
+      resp.u32(range.size() == block->bytes.size() ? block->crc
+                                                   : util::crc32(range));
       resp.bytes(range);
       return;
     }
@@ -426,24 +407,13 @@ void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
       std::uint32_t unit_bytes = req.u32();
       std::uint16_t outputs = req.u16();
       util::MutexLock lock(mu_);
-      if (quarantined_.contains(key)) {
-        status = Status::kCorrupt;
-        return;
-      }
-      auto it = blocks_.find(key);
-      if (it == blocks_.end()) {
-        status = Status::kNotFound;
-        return;
-      }
-      const auto& block = it->second.bytes;
-      if (unit_bytes == 0 || block.size() % unit_bytes != 0)
-        throw std::runtime_error("unit size does not divide the block");
-      std::uint32_t actual = crc_of(block);
-      if (actual != it->second.crc) {
-        status = Status::kCorrupt;
-        resp.u32(actual);
-        return;
-      }
+      const StoredBlock* stored = servable_locked(
+          key, resp, status, [unit_bytes](std::size_t size) {
+            if (unit_bytes == 0 || size % unit_bytes != 0)
+              throw std::runtime_error("unit size does not divide the block");
+          });
+      if (!stored) return;
+      const auto& block = stored->bytes;
       const std::size_t units = block.size() / unit_bytes;
       std::vector<std::uint8_t> out(unit_bytes);
       std::vector<std::uint8_t> body;
@@ -460,7 +430,7 @@ void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
         }
         body.insert(body.end(), out.begin(), out.end());
       }
-      resp.u32(crc_of(body));
+      resp.u32(util::crc32(body));
       resp.bytes(body);
       return;
     }
@@ -492,18 +462,9 @@ void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
     case Op::kVerify: {
       BlockKey key = req.key();
       util::MutexLock lock(mu_);
-      if (quarantined_.contains(key)) {
-        status = Status::kCorrupt;  // payload lost to quarantine: no CRC
-        return;
-      }
-      auto it = blocks_.find(key);
-      if (it == blocks_.end()) {
-        status = Status::kNotFound;
-        return;
-      }
-      std::uint32_t actual = crc_of(it->second.bytes);
-      if (actual != it->second.crc) status = Status::kCorrupt;
-      resp.u32(actual);
+      // A servable block's actual CRC is its stored one.
+      if (const StoredBlock* block = servable_locked(key, resp, status))
+        resp.u32(block->crc);
       return;
     }
     case Op::kMetrics: {

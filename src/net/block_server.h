@@ -29,6 +29,7 @@
 #include <array>
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -119,6 +120,10 @@ class BlockServer {
   };
 
   void init_instruments();
+  /// The shutdown stop() and drain() share: claims stopping_, closes the
+  /// listener, shuts every session down (receive side only when
+  /// `graceful`) and joins its worker.  False when already shut down.
+  bool shut_down(bool graceful) EXCLUDES(mu_);
   void accept_loop() EXCLUDES(mu_);
   void reap_finished_locked() REQUIRES(mu_);
   void serve(Session& session) EXCLUDES(mu_);
@@ -127,6 +132,15 @@ class BlockServer {
   /// skips the in-memory update (a real crash loses RAM too).
   void handle(Op op, Reader& req, Writer& resp, Status& status,
               CrashPoint crash) EXCLUDES(mu_);
+  /// The one servability rule behind GET, GET_RANGE, PROJECT and VERIFY: a
+  /// quarantined key answers kCorrupt with no body, an absent one
+  /// kNotFound; otherwise `check` (when set) vets the request against the
+  /// block's size and throws on one the block cannot serve, and a block
+  /// whose bytes no longer match the CRC stored with them answers kCorrupt
+  /// carrying the actual CRC.  Returns the block only when it is servable.
+  const StoredBlock* servable_locked(
+      const BlockKey& key, Writer& resp, Status& status,
+      const std::function<void(std::size_t)>& check = {}) REQUIRES(mu_);
   /// Interruptible stall for FaultAction::kDelay (wakes early on stop()).
   void injected_sleep(std::uint32_t ms);
 

@@ -81,12 +81,11 @@ void Client::backoff(int attempt,
                      std::chrono::steady_clock::time_point deadline) {
   using namespace std::chrono;
   double ms = static_cast<double>(policy_.base_backoff.count());
-  for (int i = 0; i < attempt; ++i) ms *= policy_.backoff_multiplier;
+  for (int i = 0; i < attempt; ++i) ms *= 2.0;
   ms = std::min(ms, static_cast<double>(policy_.max_backoff.count()));
-  if (policy_.jitter > 0.0) {
-    double u = std::uniform_real_distribution<double>(-1.0, 1.0)(jitter_rng_);
-    ms *= 1.0 + policy_.jitter * u;
-  }
+  const double u =
+      std::uniform_real_distribution<double>(-1.0, 1.0)(jitter_rng_);
+  ms *= 1.0 + 0.5 * u;  // +/-50% jitter
   auto wait = milliseconds(static_cast<milliseconds::rep>(std::max(ms, 0.0)));
   if (steady_clock::now() + wait > deadline)
     throw DeadlineError("op deadline exhausted while backing off");

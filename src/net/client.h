@@ -46,12 +46,10 @@ struct RetryPolicy {
   int max_attempts = 4;
   /// Socket-level send/recv timeout per attempt (zero = block forever).
   std::chrono::milliseconds io_timeout{1000};
-  /// Backoff before retry r is base_backoff * multiplier^r, capped at
-  /// max_backoff, then jittered by +/- jitter (fraction).
+  /// Backoff before retry r is base_backoff * 2^r, capped at max_backoff,
+  /// then jittered by +/-50%.
   std::chrono::milliseconds base_backoff{5};
-  double backoff_multiplier = 2.0;
   std::chrono::milliseconds max_backoff{200};
-  double jitter = 0.5;
   /// Wall-clock budget for the operation across every attempt and backoff
   /// (zero = unbounded).  Exceeding it throws DeadlineError.
   std::chrono::milliseconds op_deadline{5000};

@@ -65,47 +65,6 @@ const char* kind_name(std::uint8_t kind) {
   }
 }
 
-[[noreturn]] void throw_errno(const char* what, const fs::path& p) {
-  throw std::system_error(errno, std::generic_category(),
-                          std::string(what) + " " + p.string());
-}
-
-/// Whole-file read; nullopt when the file cannot be opened.
-std::optional<std::vector<std::uint8_t>> read_file(const fs::path& p) {
-  int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (fd < 0) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r < 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    if (r == 0) break;
-    out.insert(out.end(), buf, buf + r);
-  }
-  ::close(fd);
-  return out;
-}
-
-void write_whole_file(const fs::path& path,
-                      std::span<const std::uint8_t> bytes) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,  // NOLINT(cppcoreguidelines-pro-type-vararg)
-                  0644);
-  if (fd < 0) throw_errno("open", path);
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (w < 0) {
-      ::close(fd);
-      throw_errno("write", path);
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  if (::close(fd) != 0) throw_errno("close", path);
-}
-
 std::vector<std::uint8_t> serialize_record(std::uint8_t kind,
                                            std::uint64_t lsn,
                                            std::span<const std::uint8_t> pay) {
@@ -298,12 +257,14 @@ obs::Counter& MetaLog::metric(const char* suffix) {
 }
 
 MetaLog::MetaLog(fs::path dir, std::uint32_t config_crc, Options options)
-    : dir_(std::move(dir)), options_(options), config_crc_(config_crc) {
+    : dir_(std::move(dir)),
+      options_(options),
+      config_crc_(config_crc),
+      registry_(options.registry ? options.registry
+                                 : &obs::MetricsRegistry::global()),
+      sync_(options.fsync, metric("fsyncs_total")) {
   fs::create_directories(dir_);
-  registry_ =
-      options_.registry ? options_.registry : &obs::MetricsRegistry::global();
   appends_ = &metric("appends_total");
-  fsyncs_ = &metric("fsyncs_total");
   snapshots_ = &metric("snapshots_total");
   replay_records_ = &metric("replay_records_total");
   torn_tails_ = &metric("torn_tails_total");
@@ -333,54 +294,22 @@ void MetaLog::open_journal(bool truncate) {
   const int flags =
       O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC | (truncate ? O_TRUNC : 0);
   journal_fd_ = ::open(p.c_str(), flags, 0644);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (journal_fd_ < 0) throw_errno("open journal", p);
-}
-
-void MetaLog::flush_journal() {
-  if (!options_.fsync) return;
-  if (::fsync(journal_fd_) != 0) throw_errno("fsync journal", dir_ / "journal");
-  fsyncs_->inc();
-}
-
-void MetaLog::quarantine_bytes(const std::string& name,
-                               const std::vector<std::uint8_t>& bytes) {
-  fs::create_directories(quarantine_dir());
-  fs::path dst = quarantine_dir() / name;
-  for (int i = 1; fs::exists(dst); ++i)
-    dst = quarantine_dir() / (name + "." + std::to_string(i));
-  write_whole_file(dst, bytes);
-}
-
-void MetaLog::quarantine_file(const fs::path& path) {
-  fs::create_directories(quarantine_dir());
-  fs::path dst = quarantine_dir() / path.filename();
-  for (int i = 1; fs::exists(dst); ++i)
-    dst = quarantine_dir() / (path.filename().string() + "." +
-                              std::to_string(i));
-  // Moved, never deleted: a corrupt snapshot is evidence.  The bytes are on
-  // stable storage already (we only move what a previous open published),
-  // so a plain fsync-then-rename keeps rule 4's order.
-  if (options_.fsync) {
-    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-    if (fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-      fsyncs_->inc();
-    }
-  }
-  std::error_code ec;
-  fs::rename(path, dst, ec);
-  if (ec) throw fs::filesystem_error("rename", path, dst, ec);
+  if (journal_fd_ < 0)
+    throw std::system_error(errno, std::generic_category(),
+                            "open journal " + p.string());
 }
 
 void MetaLog::load_snapshot(std::uint32_t config_crc) {
   const fs::path snap_p = dir_ / "snapshot";
   if (!fs::exists(snap_p)) return;
-  auto bytes = read_file(snap_p);
+  auto bytes = durable::read_file(snap_p);
   const std::optional<ParsedSnapshot> snap =
       bytes ? parse_snapshot(*bytes) : std::nullopt;
   if (!snap) {
-    quarantine_file(snap_p);
+    // The bytes are on stable storage already (only what a previous open
+    // published is moved), so a failed fsync here is not fatal.
+    sync_.quarantine(snap_p, quarantine_dir(),
+                     durable::OnSyncFailure::kIgnore);
     throw MetaReplayError(
         "meta snapshot is corrupt (quarantined): " + snap_p.string() +
         " — the journal tail alone cannot rebuild the manifest");
@@ -401,7 +330,7 @@ void MetaLog::replay(std::uint32_t config_crc) {
   load_snapshot(config_crc);
 
   const fs::path journal_p = dir_ / "journal";
-  auto bytes = read_file(journal_p);
+  auto bytes = durable::read_file(journal_p);
   if (bytes) {
     std::size_t pos = 0;
     while (pos < bytes->size()) {
@@ -412,11 +341,11 @@ void MetaLog::replay(std::uint32_t config_crc) {
         // fragment, truncate the journal at the last intact boundary.
         replay_.torn_tail = true;
         replay_.torn_bytes = bytes->size() - pos;
-        quarantine_bytes("journal.tail",
-                         {bytes->begin() + static_cast<std::ptrdiff_t>(pos),
-                          bytes->end()});
+        durable::quarantine_bytes(quarantine_dir(), "journal.tail",
+                                  std::span(*bytes).subspan(pos));
         if (::truncate(journal_p.c_str(), static_cast<off_t>(pos)) != 0)
-          throw_errno("truncate journal", journal_p);
+          throw std::system_error(errno, std::generic_category(),
+                                  "truncate journal " + journal_p.string());
         torn_tails_->inc();
         break;
       }
@@ -564,28 +493,18 @@ void MetaLog::append_record(std::uint8_t kind,
     throw MetaCrashError(std::string("meta crash before fsync of ") +
                          kind_name(kind));
   }
+  const fs::path journal_p = dir_ / "journal";
   if (crash == MetaCrashPoint::kTornRecord) {
     // Power died mid-append: half the record's bytes are durable.
-    const std::span<const std::uint8_t> half =
-        std::span(bytes).first(bytes.size() / 2);
-    std::size_t off = 0;
-    while (off < half.size()) {
-      ssize_t w = ::write(journal_fd_, half.data() + off, half.size() - off);
-      if (w < 0) throw_errno("write journal", dir_ / "journal");
-      off += static_cast<std::size_t>(w);
-    }
-    flush_journal();
+    durable::write_all(journal_fd_, std::span(bytes).first(bytes.size() / 2),
+                       journal_p);
+    sync_.sync_fd(journal_fd_, journal_p);
     throw MetaCrashError(std::string("meta crash mid-append of ") +
                          kind_name(kind));
   }
 
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t w = ::write(journal_fd_, bytes.data() + off, bytes.size() - off);
-    if (w < 0) throw_errno("write journal", dir_ / "journal");
-    off += static_cast<std::size_t>(w);
-  }
-  flush_journal();
+  durable::write_all(journal_fd_, bytes, journal_p);
+  sync_.sync_fd(journal_fd_, journal_p);
 
   if (crash == MetaCrashPoint::kAfterAppend) {
     // The record is durable but the process dies before publishing the
@@ -610,32 +529,11 @@ void MetaLog::write_snapshot() {
   since_snapshot_ = 0;
   const fs::path snap_p = dir_ / "snapshot";
   const fs::path tmp_p = dir_ / "snapshot.tmp";
-  write_whole_file(tmp_p, serialize_state(state_, config_crc_, lsn_));
-  // The snapshot bytes must be on stable storage before the rename makes
-  // them the snapshot — otherwise a crash could publish a snapshot whose
-  // content never hit the platter (check_invariants.py rule 4 pins this
-  // fsync-before-rename order).
-  if (options_.fsync) {
-    int fd = ::open(tmp_p.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-    if (fd < 0) throw_errno("open for fsync", tmp_p);
-    if (::fsync(fd) != 0) {
-      ::close(fd);
-      throw_errno("fsync", tmp_p);
-    }
-    ::close(fd);
-    fsyncs_->inc();
-  }
-  std::error_code ec;
-  fs::rename(tmp_p, snap_p, ec);
-  if (ec) throw fs::filesystem_error("rename", tmp_p, snap_p, ec);
-  if (options_.fsync) {
-    int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-    if (fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-      fsyncs_->inc();
-    }
-  }
+  durable::write_file(tmp_p, serialize_state(state_, config_crc_, lsn_));
+  sync_.publish(tmp_p, snap_p);
+  // Best effort, unlike the block store: a failed directory fsync is not
+  // reported.
+  sync_.sync_dir(dir_, durable::OnSyncFailure::kIgnore);
   snapshots_->inc();
 
   // Reset the journal: everything up to lsn_ is folded into the snapshot.
@@ -738,7 +636,7 @@ std::string MetaLog::inspect(const fs::path& dir) {
 
   const fs::path snap_p = dir / "snapshot";
   if (fs::exists(snap_p)) {
-    auto bytes = read_file(snap_p);
+    auto bytes = durable::read_file(snap_p);
     const std::optional<ParsedSnapshot> snap =
         bytes ? parse_snapshot(*bytes) : std::nullopt;
     if (snap) {
@@ -757,7 +655,7 @@ std::string MetaLog::inspect(const fs::path& dir) {
   }
 
   const fs::path journal_p = dir / "journal";
-  auto bytes = read_file(journal_p);
+  auto bytes = durable::read_file(journal_p);
   if (!bytes) {
     out << "journal: none\n";
     return out.str();

@@ -7,10 +7,10 @@
 //               record), fsynced before the mutation it describes is
 //               published in memory
 //   snapshot    a compacted copy of the whole state at some LSN, written
-//               tmp -> fsync -> rename (the persistence.{h,cpp} discipline;
-//               check_invariants.py rule 4 pins the order here too)
+//               tmp -> fsync -> rename (net/durable_file.h, the block
+//               store's discipline)
 //   quarantine/ torn journal tails and corrupt snapshots, moved — never
-//               deleted — exactly like PR 4's block quarantine
+//               deleted — exactly like the block quarantine
 //
 // Mutations are journaled as *intents* and *commits*: a put_file writes a
 // kPutIntent (with the full placement) before the first block byte leaves
@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "net/durable_file.h"
 #include "obs/metrics.h"
 
 namespace carousel::net {
@@ -205,10 +206,6 @@ class MetaLog {
                     const std::vector<std::uint8_t>& payload);
   void write_snapshot();
   void open_journal(bool truncate);
-  void flush_journal();
-  void quarantine_bytes(const std::string& name,
-                        const std::vector<std::uint8_t>& bytes);
-  void quarantine_file(const std::filesystem::path& path);
   std::string metric_name(const char* suffix) const;
 
   std::filesystem::path dir_;
@@ -225,8 +222,10 @@ class MetaLog {
   std::uint64_t crash_countdown_ = 0;
 
   obs::MetricsRegistry* registry_ = nullptr;
+  // Journal, snapshot and quarantine fsyncs, charged to
+  // carousel_meta_fsyncs_total.
+  durable::Syncer sync_;
   obs::Counter* appends_ = nullptr;
-  obs::Counter* fsyncs_ = nullptr;
   obs::Counter* snapshots_ = nullptr;
   obs::Counter* replay_records_ = nullptr;
   obs::Counter* torn_tails_ = nullptr;

@@ -3,13 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <set>
 #include <sstream>
-#include <system_error>
 #include <utility>
 
 #include "util/crc32.h"
@@ -58,28 +56,8 @@ std::optional<MetaRecord> parse_meta(std::span<const std::uint8_t> bytes) {
   return rec;
 }
 
-[[noreturn]] void throw_errno(const char* what, const fs::path& p) {
-  throw std::system_error(errno, std::generic_category(),
-                          std::string(what) + " " + p.string());
-}
-
-/// Whole-file read; nullopt when the file cannot be opened.
-std::optional<std::vector<std::uint8_t>> read_file(const fs::path& p) {
-  int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (fd < 0) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r < 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    if (r == 0) break;
-    out.insert(out.end(), buf, buf + r);
-  }
-  ::close(fd);
-  return out;
+obs::MetricsRegistry& registry_or_global(obs::MetricsRegistry* registry) {
+  return registry ? *registry : obs::MetricsRegistry::global();
 }
 
 }  // namespace
@@ -126,70 +104,16 @@ PersistentBlockStore::PersistentBlockStore(fs::path dir)
     : PersistentBlockStore(std::move(dir), Options{}) {}
 
 PersistentBlockStore::PersistentBlockStore(fs::path dir, Options options)
-    : dir_(std::move(dir)), options_(options) {
+    : dir_(std::move(dir)),
+      sync_(options.fsync, registry_or_global(options.registry)
+                               .counter("carousel_persist_fsyncs_total")) {
   fs::create_directories(dir_);
-  auto& reg =
-      options_.registry ? *options_.registry : obs::MetricsRegistry::global();
-  fsyncs_ = &reg.counter("carousel_persist_fsyncs_total");
+  auto& reg = registry_or_global(options.registry);
   commits_ = &reg.counter("carousel_persist_commits_total");
   bytes_written_ = &reg.counter("carousel_persist_bytes_written_total");
   recovered_total_ = &reg.counter("carousel_persist_recovered_blocks_total");
   quarantined_total_ = &reg.counter("carousel_persist_quarantined_files_total");
   recovery_seconds_ = &reg.histogram("carousel_persist_recovery_seconds");
-}
-
-void PersistentBlockStore::write_file(
-    const fs::path& path, std::span<const std::uint8_t> bytes) const {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,  // NOLINT(cppcoreguidelines-pro-type-vararg)
-                  0644);
-  if (fd < 0) throw_errno("open", path);
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (w < 0) {
-      ::close(fd);
-      throw_errno("write", path);
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  if (::close(fd) != 0) throw_errno("close", path);
-}
-
-void PersistentBlockStore::flush_file(const fs::path& path) const {
-  if (!options_.fsync) return;
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (fd < 0) throw_errno("open for fsync", path);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_errno("fsync", path);
-  }
-  ::close(fd);
-  fsyncs_->inc();
-}
-
-void PersistentBlockStore::flush_dir(const fs::path& path) const {
-  if (!options_.fsync) return;
-  int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (fd < 0) throw_errno("open dir for fsync", path);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_errno("fsync dir", path);
-  }
-  ::close(fd);
-  fsyncs_->inc();
-}
-
-void PersistentBlockStore::publish(const fs::path& from,
-                                   const fs::path& to) const {
-  // The bytes must be on stable storage before the rename makes them
-  // reachable under their final name — otherwise a crash could publish a
-  // file whose content never hit the platter.  check_invariants.py rule 4
-  // lints that this fsync-before-rename order holds for every rename here.
-  flush_file(from);
-  std::error_code ec;
-  fs::rename(from, to, ec);
-  if (ec)
-    throw fs::filesystem_error("rename", from, to, ec);
 }
 
 bool PersistentBlockStore::put(const BlockKey& key,
@@ -204,36 +128,30 @@ bool PersistentBlockStore::put(const BlockKey& key,
   if (crash == CrashPoint::kBeforeFsync) {
     // Power died mid-write: half the payload reached the page cache, no
     // flush, no publication.  Only a stale temp file survives.
-    write_file(blk_tmp, bytes.first(bytes.size() / 2));
+    durable::write_file(blk_tmp, bytes.first(bytes.size() / 2));
     return false;
   }
   if (crash == CrashPoint::kBeforeRename) {
     // The payload is durable in the temp file but was never published; the
     // block as named never changed.  Recovery discards the temp.
-    write_file(blk_tmp, bytes);
-    flush_file(blk_tmp);
-    return false;
-  }
-  if (crash == CrashPoint::kTornWrite) {
-    // A truncated payload gets published together with a full-length commit
-    // record — what a disk that acknowledged unwritten sectors leaves
-    // behind.  Recovery must catch the length mismatch and quarantine.
-    write_file(blk_tmp, bytes.first(bytes.size() / 2));
-    publish(blk_tmp, blk);
-    write_file(meta_tmp, serialize_meta(key, bytes.size(), crc));
-    publish(meta_tmp, meta);
-    flush_dir(dir_);
+    durable::write_file(blk_tmp, bytes);
+    sync_.sync_file(blk_tmp);
     return false;
   }
 
   // Payload first, commit record second: a crash between the two leaves an
   // orphaned payload (quarantined, not trusted), never a record that
-  // promises bytes which were lost.
-  write_file(blk_tmp, bytes);
-  publish(blk_tmp, blk);
-  write_file(meta_tmp, serialize_meta(key, bytes.size(), crc));
-  publish(meta_tmp, meta);
-  flush_dir(dir_);
+  // promises bytes which were lost.  A torn write publishes a truncated
+  // payload together with a full-length commit record — what a disk that
+  // acknowledged unwritten sectors leaves behind.  Recovery must catch the
+  // length mismatch and quarantine.
+  const bool torn = crash == CrashPoint::kTornWrite;
+  durable::write_file(blk_tmp, torn ? bytes.first(bytes.size() / 2) : bytes);
+  sync_.publish(blk_tmp, blk);
+  durable::write_file(meta_tmp, serialize_meta(key, bytes.size(), crc));
+  sync_.publish(meta_tmp, meta);
+  sync_.sync_dir(dir_);
+  if (torn) return false;
   commits_->inc();
   bytes_written_->inc(bytes.size());
   return true;
@@ -247,7 +165,7 @@ bool PersistentBlockStore::erase(const BlockKey& key) {
   // record claiming a block that is half-deleted.
   const bool had_meta = fs::remove(dir_ / (stem + ".meta"), ec);
   const bool had_blk = fs::remove(dir_ / (stem + ".blk"), ec);
-  if (had_meta || had_blk) flush_dir(dir_);
+  if (had_meta || had_blk) sync_.sync_dir(dir_);
   return had_meta || had_blk;
 }
 
@@ -273,14 +191,7 @@ bool PersistentBlockStore::corrupt_at_rest(const BlockKey& key,
 
 void PersistentBlockStore::quarantine(const fs::path& path,
                                       RecoveryReport& report) {
-  fs::create_directories(quarantine_dir());
-  fs::path dst = quarantine_dir() / path.filename();
-  for (int i = 1; fs::exists(dst); ++i)
-    dst = quarantine_dir() / (path.filename().string() + "." +
-                              std::to_string(i));
-  // Moved, never deleted: a damaged file is evidence.  publish() flushes
-  // before the move, which is harmless here and keeps one rename path.
-  publish(path, dst);
+  sync_.quarantine(path, quarantine_dir());
   ++report.quarantined_files;
   quarantined_total_->inc();
 }
@@ -326,7 +237,7 @@ RecoveryReport PersistentBlockStore::recover(std::vector<RecoveredBlock>* out) {
     const fs::path blk_p = dir_ / (stem + ".blk");
     const bool have_blk = blk_stems.erase(stem) > 0;
 
-    auto meta_bytes = read_file(meta_p);
+    auto meta_bytes = durable::read_file(meta_p);
     const std::optional<MetaRecord> rec =
         meta_bytes ? parse_meta(*meta_bytes) : std::nullopt;
     if (!rec) {
@@ -346,7 +257,7 @@ RecoveryReport PersistentBlockStore::recover(std::vector<RecoveredBlock>* out) {
       quarantine(meta_p, report);
       continue;
     }
-    auto payload = read_file(blk_p);
+    auto payload = durable::read_file(blk_p);
     const bool intact = payload && payload->size() == rec->payload_len &&
                         util::crc32(*payload) == rec->payload_crc;
     if (!intact) {
@@ -379,7 +290,7 @@ RecoveryReport PersistentBlockStore::recover(std::vector<RecoveredBlock>* out) {
     quarantine(dir_ / (stem + ".blk"), report);
   }
 
-  if (report.quarantined_files > 0) flush_dir(dir_);
+  if (report.quarantined_files > 0) sync_.sync_dir(dir_);
 
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

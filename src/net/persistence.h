@@ -7,12 +7,13 @@
 //   <stem>.meta   a fixed-size commit record: magic, key, payload length,
 //                 payload CRC-32, and a CRC-32 of the record itself
 //
-// Every write is published crash-atomically: bytes go to a `.tmp` file,
-// which is fsynced and then renamed over the final name, and the directory
-// entry is fsynced last.  The `.meta` record is written after its payload,
-// so a block only counts as committed once an intact record names an intact
-// payload — every prefix of the write sequence is a state the recovery scan
-// classifies deterministically (DESIGN.md "Durability & crash consistency").
+// Every write is published crash-atomically through net/durable_file.h:
+// bytes go to a `.tmp` file, which is fsynced and then renamed over the
+// final name, and the directory entry is fsynced last.  The `.meta` record
+// is written after its payload, so a block only counts as committed once an
+// intact record names an intact payload — every prefix of the write
+// sequence is a state the recovery scan classifies deterministically
+// (DESIGN.md "Durability & crash consistency").
 //
 // recover() replays that classification over a directory as found after a
 // crash: intact pairs load, everything else (stale temps, torn or
@@ -37,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "net/durable_file.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 
@@ -128,7 +130,7 @@ class PersistentBlockStore {
   /// its own files before publishing, so this is the final barrier a
   /// graceful drain needs: after it returns, everything acknowledged is on
   /// stable storage.  No-op when Options::fsync is off.
-  void flush() const { flush_dir(dir_); }
+  void flush() const { sync_.sync_dir(dir_); }
 
   const std::filesystem::path& dir() const { return dir_; }
   std::filesystem::path quarantine_dir() const { return dir_ / "quarantine"; }
@@ -139,21 +141,10 @@ class PersistentBlockStore {
   static std::optional<BlockKey> parse_stem(const std::string& stem);
 
  private:
-  void write_file(const std::filesystem::path& path,
-                  std::span<const std::uint8_t> bytes) const;
-  /// fsync of the file's bytes (no-op when options_.fsync is off, but the
-  /// call stays so the write path keeps its shape).
-  void flush_file(const std::filesystem::path& path) const;
-  void flush_dir(const std::filesystem::path& path) const;
-  /// Flush-then-rename: the one way anything moves in this layer
-  /// (check_invariants.py rule 4 pins the fsync-before-rename order).
-  void publish(const std::filesystem::path& from,
-               const std::filesystem::path& to) const;
   void quarantine(const std::filesystem::path& path, RecoveryReport& report);
 
   std::filesystem::path dir_;
-  Options options_;
-  obs::Counter* fsyncs_ = nullptr;
+  durable::Syncer sync_;
   obs::Counter* commits_ = nullptr;
   obs::Counter* bytes_written_ = nullptr;
   obs::Counter* recovered_total_ = nullptr;

@@ -363,7 +363,7 @@ void RepairScheduler::poll_admission() {
   util::MutexLock lock(mu_);
   double p99_s = 0.0;
   bool breach = false;
-  auto it = snap.histograms.find(options_.foreground_metric);
+  auto it = snap.histograms.find("carousel_store_read_seconds");
   if (it != snap.histograms.end()) {
     const auto& h = it->second;
     // Windowed p99: only observations since the last poll count, so a past

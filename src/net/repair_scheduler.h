@@ -29,7 +29,7 @@
 //   actual wire bytes, not estimates.
 //
 //   Admission control.  When the foreground p99 (windowed, from the
-//   existing obs histogram named by Options::foreground_metric) exceeds
+//   store's carousel_store_read_seconds histogram) exceeds
 //   Options::p99_budget, the allowed concurrency halves (AIMD); every
 //   healthy window ramps it back by one.  Stripes at criticality >= n-k
 //   bypass admission and budget gates — at the erasure limit durability
@@ -61,7 +61,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -100,8 +99,6 @@ class RepairScheduler {
     std::chrono::milliseconds budget_window{1000};
     /// Foreground p99 latency budget (0 = admission control off).
     std::chrono::milliseconds p99_budget{0};
-    /// Histogram whose windowed p99 the admission control watches.
-    std::string foreground_metric = "carousel_store_read_seconds";
     /// How often the background dispatcher re-evaluates admission.
     std::chrono::milliseconds admission_interval{200};
     /// Dispatcher poll cadence while deferred or idle.

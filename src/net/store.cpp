@@ -10,7 +10,6 @@
 
 #include "net/repair_scheduler.h"
 #include "obs/trace.h"
-#include "storage/stream.h"
 #include "util/crc32.h"
 #include "util/thread_pool.h"
 
@@ -608,24 +607,37 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
     }
   }
   put_bytes_->inc(bytes.size());
-  // The encoder holds one stripe (k input blocks, n encoded blocks) and
-  // hands each finished stripe to the sink, which uploads it before the
-  // next stripe is encoded.
+  // One stripe at a time: each is encoded straight from `bytes` into one
+  // n-block scratch buffer and uploaded before the next is encoded.  Only a
+  // short last stripe is copied, zero-padded.
+  const std::size_t n = code_->n();
+  const std::size_t stripe_data = code_->k() * block_bytes_;
   std::size_t uploaded = 0;
   try {
-    storage::StreamingEncoder encoder(
-        *code_, block_bytes_,
-        [&](std::size_t s, std::span<const std::span<const Byte>> blocks) {
-          for (std::size_t i = 0; i < blocks.size(); ++i) {
-            Lease c = lease(placement[s][i]);
-            c->put(key(file_id, static_cast<std::uint32_t>(s),
-                       static_cast<std::uint32_t>(i)),
-                   blocks[i]);
-            ++uploaded;
-          }
-        });
-    encoder.write(bytes);
-    encoder.finish();
+    std::vector<Byte> scratch(n * block_bytes_);
+    std::vector<std::span<Byte>> blocks;
+    for (std::size_t i = 0; i < n; ++i)
+      blocks.emplace_back(scratch.data() + i * block_bytes_, block_bytes_);
+    std::vector<Byte> padded;
+    for (std::size_t s = 0; s < stripes; ++s) {
+      std::span<const Byte> data =
+          bytes.subspan(std::min(bytes.size(), s * stripe_data));
+      if (data.size() >= stripe_data) {
+        data = data.first(stripe_data);
+      } else {
+        padded.assign(stripe_data, 0);
+        std::copy(data.begin(), data.end(), padded.begin());
+        data = padded;
+      }
+      code_->encode(data, blocks);
+      for (std::size_t i = 0; i < n; ++i) {
+        Lease c = lease(placement[s][i]);
+        c->put(key(file_id, static_cast<std::uint32_t>(s),
+                   static_cast<std::uint32_t>(i)),
+               blocks[i]);
+        ++uploaded;
+      }
+    }
   } catch (...) {
     // The put failed mid-upload: best-effort-delete what already landed,
     // then journal the abandonment so nothing stays pending.

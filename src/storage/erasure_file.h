@@ -11,13 +11,9 @@
 #ifndef CAROUSEL_STORAGE_ERASURE_FILE_H
 #define CAROUSEL_STORAGE_ERASURE_FILE_H
 
-#include <functional>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "codes/carousel.h"
-#include "util/thread_pool.h"
 
 namespace carousel::storage {
 
@@ -36,11 +32,9 @@ class ErasureFile {
  public:
   /// Encodes `file` with `code` into ceil(size / (k*block_bytes)) stripes of
   /// n blocks each.  block_bytes must be a positive multiple of code.s().
-  /// With threads > 1, stripes are encoded (and later decoded by read_all)
-  /// on a worker pool — stripes are independent, so results are identical.
   /// The code must outlive this object.
   ErasureFile(const Carousel& code, std::span<const Byte> file,
-              std::size_t block_bytes, std::size_t threads = 1);
+              std::size_t block_bytes);
 
   const Carousel& code() const { return *code_; }
   std::size_t file_bytes() const { return file_bytes_; }
@@ -102,8 +96,6 @@ class ErasureFile {
   std::span<Byte> block_mut(std::size_t stripe, std::size_t index);
   /// The stripe's n blocks, an empty span for each unavailable one.
   std::vector<std::span<const Byte>> stripe_views(std::size_t stripe) const;
-  /// Runs fn(stripe) for every stripe, on the pool when one exists.
-  void for_each_stripe(const std::function<void(std::size_t)>& fn) const;
   std::size_t slot(std::size_t stripe, std::size_t index) const {
     return stripe * code_->n() + index;
   }
@@ -118,7 +110,6 @@ class ErasureFile {
   std::vector<bool> available_;    // per block
   std::vector<std::uint32_t> checksum_;  // per block, CRC-32
   std::vector<Byte> padded_file_;  // original data, zero-padded per stripe
-  mutable std::unique_ptr<util::ThreadPool> pool_;  // null when threads == 1
 };
 
 }  // namespace carousel::storage

@@ -1,8 +1,5 @@
-// Fixed-size worker pool used to parallelise per-stripe coding work.
-//
-// The paper's coding microbenchmarks run on 16-core machines; stripes are
-// independent, so file-level encode/decode parallelises across them with no
-// shared state (storage::ErasureFile drives this).
+// Fixed-size worker pool: CarouselStore fans a stripe's fetches out on one,
+// and RepairScheduler drains dispatched repairs on another.
 
 #ifndef CAROUSEL_UTIL_THREAD_POOL_H
 #define CAROUSEL_UTIL_THREAD_POOL_H

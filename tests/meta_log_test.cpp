@@ -277,6 +277,36 @@ TEST_F(MetaLogTest, CrashPointsLeaveExactlyTheStateARealCrashWould) {
   }
 }
 
+TEST_F(MetaLogTest, SecondTornTailQuarantinesBesideTheFirst) {
+  // Two torn appends, each found by the next open: the second fragment
+  // must not overwrite the first one's evidence.
+  const auto rec = sample_file();
+  {
+    MetaLog log(dir_, kConfig, opts());
+    log.arm_crash(MetaCrashPoint::kTornRecord);
+    EXPECT_THROW(
+        log.put_intent(5, rec.file_bytes, rec.stripes, rec.placement),
+        MetaCrashError);
+  }
+  std::uint64_t first = 0;
+  {
+    MetaLog log(dir_, kConfig, opts());
+    ASSERT_TRUE(log.replay_report().torn_tail);
+    first = log.replay_report().torn_bytes;
+    log.put_intent(5, rec.file_bytes, rec.stripes, rec.placement);
+    log.arm_crash(MetaCrashPoint::kTornRecord);
+    EXPECT_THROW(log.put_commit(5), MetaCrashError);
+  }
+  MetaLog log(dir_, kConfig, opts());
+  ASSERT_TRUE(log.replay_report().torn_tail);
+  const std::uint64_t second = log.replay_report().torn_bytes;
+  ASSERT_NE(first, second);
+  EXPECT_EQ(quarantined(dir_), 2u);
+  EXPECT_EQ(fs::file_size(dir_ / "quarantine" / "journal.tail"), first);
+  EXPECT_EQ(fs::file_size(dir_ / "quarantine" / "journal.tail.1"), second);
+  EXPECT_EQ(log.state().pending_puts.size(), 1u);
+}
+
 TEST_F(MetaLogTest, CountdownArmsALaterAppend) {
   const auto rec = sample_file();
   {

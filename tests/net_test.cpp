@@ -200,11 +200,17 @@ class StoreTest : public ::testing::Test {
 TEST_F(StoreTest, PutReadRoundTrip) {
   codes::Carousel code(12, 6, 10, 10);
   const std::size_t block = code.s() * 256;
+  // Block sizes the stripe layout cannot hold are refused up front.
+  EXPECT_THROW(CarouselStore(code, ports_, 0), std::invalid_argument);
+  EXPECT_THROW(CarouselStore(code, ports_, code.s() * 4 + 1),
+               std::invalid_argument);
   CarouselStore store(code, ports_, block);
-  // A ragged 3-stripe file, and an empty file (one zero-padded stripe).
+  // A ragged 3-stripe file, an exact 2-stripe multiple (no padding stripe),
+  // and an empty file (one zero-padded stripe).
   const std::vector<std::vector<Byte>> files{
-      random_bytes(3 * code.k() * block - 777, 21), {}};
-  const std::size_t want_stripes[] = {3, 1};
+      random_bytes(3 * code.k() * block - 777, 21),
+      random_bytes(2 * code.k() * block, 24), {}};
+  const std::size_t want_stripes[] = {3, 2, 1};
   for (std::uint32_t id = 0; id < files.size(); ++id) {
     const auto& file = files[id];
     EXPECT_EQ(store.put_file(id, file), want_stripes[id]);
@@ -223,7 +229,7 @@ TEST_F(StoreTest, PutReadRoundTrip) {
     EXPECT_EQ(store.read_file(id, file.size()), file);
   }
   // Every server holds one block per stripe.
-  for (const auto& s : servers_) EXPECT_EQ(s->block_count(), 3u + 1u);
+  for (const auto& s : servers_) EXPECT_EQ(s->block_count(), 3u + 2u + 1u);
 }
 
 TEST_F(StoreTest, DegradedReadUsesPatternTraffic) {

@@ -201,6 +201,28 @@ TEST_F(PersistenceTest, RecoveryQuarantinesCrcMismatch) {
   EXPECT_EQ(entries(again.quarantine_dir()), 2u);
 }
 
+TEST_F(PersistenceTest, RecorruptedBlockQuarantinesBesideTheFirstCopy) {
+  // The same key rots, is re-put, and rots again: the second recovery must
+  // keep the first recovery's evidence and file the new pair under `.1`.
+  const BlockKey key{5, 0, 2};
+  const std::string stem = PersistentBlockStore::stem_of(key);
+  for (std::size_t size : {512u, 256u}) {
+    auto bytes = random_bytes(size, 15);
+    PersistentBlockStore store(dir_);
+    ASSERT_TRUE(store.put(key, bytes, util::crc32(bytes)));
+    ASSERT_TRUE(store.corrupt_at_rest(key, 100));
+    RecoveryReport rec = PersistentBlockStore(dir_).recover();
+    EXPECT_EQ(rec.crc_mismatches, 1u);
+    EXPECT_EQ(rec.quarantined_files, 2u);
+  }
+  const fs::path q = dir_ / "quarantine";
+  EXPECT_EQ(entries(q), 4u);
+  EXPECT_EQ(fs::file_size(q / (stem + ".blk")), 512u);
+  EXPECT_EQ(fs::file_size(q / (stem + ".blk.1")), 256u);
+  EXPECT_TRUE(fs::exists(q / (stem + ".meta")));
+  EXPECT_TRUE(fs::exists(q / (stem + ".meta.1")));
+}
+
 TEST_F(PersistenceTest, RecoveryQuarantinesOrphanedCommitRecord) {
   // The "manifest points at a deleted file" case: the record survives, the
   // payload is gone.
@@ -280,9 +302,12 @@ TEST_F(PersistenceTest, QuarantinedKeyAnswersCorruptUntilRePut) {
   BlockServer server(0, dir_);
   ASSERT_EQ(server.recovery_report().damaged.size(), 1u);
   Client client(server.port(), fast_policy());
-  // kCorrupt — not kNotFound — so the scrubber repairs instead of ignoring.
+  // kCorrupt — not kNotFound — so the scrubber repairs instead of ignoring,
+  // and on every op that serves the block's bytes.
   EXPECT_EQ(client.verify(key), BlockHealth::kCorrupt);
   EXPECT_THROW(client.get(key), CorruptBlockError);
+  EXPECT_THROW(client.get_range(key, 0, 16), CorruptBlockError);
+  EXPECT_THROW(client.project(key, 16, {{{0, 1}}}), CorruptBlockError);
   // A fresh PUT (what repair_block issues) clears the quarantine mark...
   client.put(key, bytes);
   EXPECT_EQ(client.verify(key), BlockHealth::kOk);

@@ -293,26 +293,6 @@ TEST(ErasureFile, ScrubAfterWriteAndRepairStaysClean) {
   EXPECT_EQ(ef.scrub().corrupt_found, 0u);
 }
 
-TEST(ErasureFile, ThreadedEncodeMatchesSequential) {
-  Carousel code(12, 6, 10, 10);
-  const std::size_t block = code.s() * 16;
-  auto file = random_bytes(6 * block * 7 + 123);  // 8 stripes, ragged tail
-  ErasureFile seq(code, file, block, 1);
-  ErasureFile par(code, file, block, 4);
-  EXPECT_EQ(par.stripes(), seq.stripes());
-  for (std::size_t s = 0; s < seq.stripes(); ++s)
-    for (std::size_t i = 0; i < code.n(); ++i) {
-      auto a = seq.block(s, i);
-      auto b = par.block(s, i);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
-          << "stripe " << s << " block " << i;
-    }
-  // Threaded read path too, including a degraded stripe.
-  par.fail_block_index(2);
-  EXPECT_EQ(par.read_all(), file);
-  EXPECT_THROW(ErasureFile(code, file, block, 0), std::invalid_argument);
-}
-
 TEST(ErasureFile, VerifyDetectsCorruption) {
   Carousel code(4, 2, 2, 4);
   const std::size_t block = code.s() * 4;

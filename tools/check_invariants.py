@@ -22,9 +22,12 @@ Rules (see DESIGN.md "Correctness tooling"):
      CMakeLists.txt is documented in README.md, so no build knob ships
      undocumented.
 
-  4. fsync-before-rename — every rename in the durability layers
-     (src/net/persistence.*, src/net/meta_log.*) must be preceded, within
-     a few lines, by a flush of the file being renamed.  A rename without
+  4. one durable-file layer, fsync before rename — every rename and fsync
+     in src/ lives in the durable-file module (src/net/durable_file.*): a
+     `rename(` or `::fsync(` anywhere else in src/ is an error, so the
+     block store, the metadata journal and carouselctl all publish through
+     it.  Inside the module, every rename must be preceded, within a few
+     lines, by a sync_file() of the file being renamed.  A rename without
      the flush can publish a block file or metadata snapshot whose bytes
      never reached stable storage — the exact torn-write window the
      crash-recovery tests exist to close.
@@ -209,29 +212,39 @@ def check_cmake_options(problems: list[str]) -> None:
 
 
 def check_fsync_before_rename(problems: list[str]) -> None:
-    """Rule 4: renames in the durability layers flush the source first."""
+    """Rule 4: renames and fsyncs live in the durable module, flush first."""
     rename = re.compile(r"\brename\s*\(")
-    flush = re.compile(r"\b(flush_file|fsync)\b")
+    fsync = re.compile(r"::fsync\s*\(")
+    flush = re.compile(r"\bsync_file\s*\(")
+    string = re.compile(r'"(?:\\.|[^"\\])*"')
     window = 8  # lines above the rename that must contain the flush
+    module = REPO / "src" / "net"
     for path in src_files(".h", ".cpp"):
-        if path.stem not in {"persistence", "meta_log"}:
-            continue
-        lines = path.read_text().splitlines()
-        for i, line in enumerate(lines):
-            # Comments mentioning the discipline are not renames.
+        in_module = path.parent == module and path.stem == "durable_file"
+        # Only code counts: comments and string literals neither rename nor
+        # flush anything.
+        code = []
+        for line in path.read_text().splitlines():
             if line.lstrip().startswith(("//", "*", "/*")):
+                code.append("")
+            else:
+                code.append(string.sub('""', line).split("//")[0])
+        for i, line in enumerate(code):
+            where = f"{path.relative_to(REPO)}:{i + 1}"
+            if not in_module:
+                if rename.search(line) or fsync.search(line):
+                    problems.append(
+                        f"{where}: rename/fsync outside "
+                        f"src/net/durable_file.* — publish and sync through "
+                        f"the durable-file module")
                 continue
             if not rename.search(line):
                 continue
-            preceding = lines[max(0, i - window):i]
-            # Comments don't flush anything: only code lines count.
-            code = [l for l in preceding
-                    if not l.lstrip().startswith(("//", "*", "/*"))]
-            if not any(flush.search(l) for l in code):
+            if not any(flush.search(l) for l in code[max(0, i - window):i]):
                 problems.append(
-                    f"{path.relative_to(REPO)}:{i + 1}: rename without an "
-                    f"fsync of the source within {window} lines — a crash "
-                    f"could publish unflushed bytes")
+                    f"{where}: rename without a sync_file() of the source "
+                    f"within {window} lines — a crash could publish "
+                    f"unflushed bytes")
 
 
 def check_repair_metric_provenance(problems: list[str]) -> None:
