@@ -74,28 +74,6 @@ void BM_XorRegion(benchmark::State& state) {
 }
 BENCHMARK(BM_XorRegion)->Arg(4 << 10)->Arg(4 << 20);
 
-void BM_DotProd(benchmark::State& state) {
-  const std::size_t n = 1 << 20;
-  const std::size_t srcs = static_cast<std::size_t>(state.range(0));
-  std::vector<std::vector<Byte>> bufs;
-  std::vector<const Byte*> ptrs;
-  std::vector<Byte> coeffs;
-  for (std::size_t i = 0; i < srcs; ++i) {
-    bufs.push_back(carousel::bench::random_bytes(n, i + 1));
-    ptrs.push_back(bufs.back().data());
-    coeffs.push_back(static_cast<Byte>(3 * i + 1));
-  }
-  std::vector<Byte> dst(n);
-  for (auto _ : state) {
-    carousel::gf::dot_prod_region(coeffs, ptrs, dst.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  // Throughput in source bytes consumed, the ISA-L convention.
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n *
-                          static_cast<std::int64_t>(srcs));
-}
-BENCHMARK(BM_DotProd)->Arg(4)->Arg(6)->Arg(10)->Arg(20);
-
 void BM_MatrixInverse(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   auto bytes = carousel::bench::random_bytes(n * n, 11);

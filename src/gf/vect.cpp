@@ -1,7 +1,6 @@
 #include "gf/vect.h"
 
 #include <atomic>
-#include <cassert>
 #include <cstring>
 #include <memory>
 
@@ -170,14 +169,5 @@ void xor_region(const Byte* src, Byte* dst, std::size_t n) {
 }
 
 void zero_region(Byte* dst, std::size_t n) { std::memset(dst, 0, n); }
-
-void dot_prod_region(std::span<const Byte> coeffs,
-                     std::span<const Byte* const> srcs, Byte* dst,
-                     std::size_t n) {
-  assert(coeffs.size() == srcs.size());
-  zero_region(dst, n);
-  for (std::size_t s = 0; s < srcs.size(); ++s)
-    mul_add_region(coeffs[s], srcs[s], dst, n);
-}
 
 }  // namespace carousel::gf

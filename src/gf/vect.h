@@ -2,20 +2,19 @@
 // and repair operation in this repository.
 //
 // Like ISA-L's gf_vect_* family, these operate on large byte regions with a
-// single field coefficient (or one coefficient per source region for the
-// dot-product form).  The implementation is table-driven: a process-wide
-// 64 KiB full multiplication table keeps the per-byte cost at one load, which
-// is the portable analogue of ISA-L's SIMD shuffle kernels.  Absolute
-// throughput differs from hand-tuned AVX code, but the *relative* costs
-// between codes — which is what the paper's Figures 6–8 compare — depend only
-// on how many multiply-accumulate passes each code performs per output byte,
-// and that structure is preserved exactly.
+// single field coefficient; a dot product over several sources is one
+// mul_add_region pass per source.  The implementation is table-driven: a
+// process-wide 64 KiB full multiplication table keeps the per-byte cost at
+// one load, which is the portable analogue of ISA-L's SIMD shuffle kernels.
+// Absolute throughput differs from hand-tuned AVX code, but the *relative*
+// costs between codes — which is what the paper's Figures 6–8 compare —
+// depend only on how many multiply-accumulate passes each code performs per
+// output byte, and that structure is preserved exactly.
 
 #ifndef CAROUSEL_GF_VECT_H
 #define CAROUSEL_GF_VECT_H
 
 #include <cstddef>
-#include <span>
 
 #include "gf/gf256.h"
 
@@ -38,13 +37,6 @@ void xor_region(const Byte* src, Byte* dst, std::size_t n);
 
 /// Zero-fill helper kept next to the kernels for symmetry.
 void zero_region(Byte* dst, std::size_t n);
-
-/// dst = sum_i coeffs[i] * srcs[i] over n bytes — the gf_vect_dot_prod
-/// analogue.  coeffs.size() must equal srcs.size(); zero coefficients are
-/// skipped, unit coefficients take the XOR fast path.
-void dot_prod_region(std::span<const Byte> coeffs,
-                     std::span<const Byte* const> srcs, Byte* dst,
-                     std::size_t n);
 
 }  // namespace carousel::gf
 

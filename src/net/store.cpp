@@ -55,6 +55,15 @@ std::uint32_t meta_config_fingerprint(const codes::Carousel& code,
   return util::crc32(w.data());
 }
 
+/// Adds one client's failure telemetry into a running total.
+void add_counters(Client::Counters& into, const Client::Counters& cc) {
+  into.retries += cc.retries;
+  into.reconnects += cc.reconnects;
+  into.timeouts += cc.timeouts;
+  into.wire_corruptions += cc.wire_corruptions;
+  into.corrupt_blocks += cc.corrupt_blocks;
+}
+
 MetaLog::HedgeRecord to_hedge_record(const HedgePolicy& policy) {
   MetaLog::HedgeRecord rec;
   rec.enabled = policy.enabled;
@@ -92,12 +101,7 @@ CarouselStore::Lease::~Lease() {
     if (server_->idle.size() < kMaxIdleClients) {
       server_->idle.push_back(std::move(client_));
     } else {
-      const auto cc = client_->counters();
-      server_->retired.retries += cc.retries;
-      server_->retired.reconnects += cc.reconnects;
-      server_->retired.timeouts += cc.timeouts;
-      server_->retired.wire_corruptions += cc.wire_corruptions;
-      server_->retired.corrupt_blocks += cc.corrupt_blocks;
+      add_counters(server_->retired, client_->counters());
       server_->retired_bytes += client_->bytes_received();
       discard = std::move(client_);  // socket closes outside the lock
     }
@@ -357,16 +361,11 @@ std::size_t CarouselStore::home_of_locked(std::uint32_t file_id,
   return server_of(index);
 }
 
-std::size_t CarouselStore::home_of(std::uint32_t file_id, std::uint32_t stripe,
-                                   std::uint32_t index) const {
-  util::MutexLock lock(mu_);
-  return home_of_locked(file_id, stripe, index);
-}
-
 std::size_t CarouselStore::placement_of(std::uint32_t file_id,
                                         std::uint32_t stripe,
                                         std::uint32_t index) const {
-  return home_of(file_id, stripe, index);
+  util::MutexLock lock(mu_);
+  return home_of_locked(file_id, stripe, index);
 }
 
 std::vector<CarouselStore::BlockRef> CarouselStore::blocks_on(
@@ -677,6 +676,190 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
   return stripes;
 }
 
+// One per-block request of an executor round.
+struct CarouselStore::Request {
+  enum Kind {
+    kUnits,    // stored unit positions: a GET_RANGE when they are the
+               // block's data extent, else a PROJECT with identity terms
+    kProject,  // repair coefficients, one term list per output unit
+    kBlock,    // the whole block (GET)
+    kVerify,   // a health probe; no block bytes move
+  };
+  Kind kind = kUnits;
+  std::size_t block = 0;
+  std::vector<std::size_t> positions{};  // kUnits
+  Client::Projection terms{};            // kProject
+};
+
+// A slot's result: `block` (a hedge's stand-in may win) answered it from
+// `server`, its home in the round's snapshot; not `ok` means an erasure.
+struct CarouselStore::Outcome {
+  std::size_t block = 0;
+  std::size_t server = 0;
+  std::vector<std::size_t> positions;  // kUnits: the units `bytes` holds
+  std::vector<Byte> bytes;
+  bool ok = false;
+};
+
+// The remote executor (DESIGN.md §10): one round of a stripe op's
+// per-block requests, all in flight at once on the store pool against one
+// placement snapshot, each resolving its own first-wins slot cell.
+class CarouselStore::Round {
+ public:
+  // The snapshot may go stale mid-round (a concurrent re-home): that block
+  // surfaces as an erasure and the caller re-plans around it.
+  Round(CarouselStore& store, std::uint32_t file, std::uint32_t stripe,
+        std::chrono::steady_clock::time_point deadline)
+      : st_(&store), file_(file), stripe_(stripe), deadline_(deadline) {
+    util::MutexLock lock(store.mu_);
+    for (std::uint32_t b = 0; b < store.code_->n(); ++b)
+      ids_.push_back(store.home_of_locked(file, stripe, b));
+  }
+
+  // Launches `req` into a fresh slot (its index in collect()'s result).
+  void launch(Request req) {
+    cells_.push_back(std::make_shared<SlotCell>());
+    pending_.push_back(cells_.back()->result.get_future());
+    submit(std::move(req), cells_.back());
+  }
+
+  // Races `req` against `slot`'s request; false when the slot resolved.
+  bool hedge(std::size_t slot, Request req) {
+    if (!cells_[slot]->arm_hedge()) return false;
+    submit(std::move(req), cells_[slot]);
+    return true;
+  }
+
+  bool resolved_by(std::size_t slot,
+                   std::chrono::steady_clock::time_point t) const {
+    return pending_[slot].wait_until(t) == std::future_status::ready;
+  }
+
+  // Waits for every slot; rethrows a BadRequestError.
+  std::vector<Outcome> collect() {
+    std::vector<Outcome> out;
+    for (auto& p : pending_) out.push_back(p.get());
+    return out;
+  }
+
+ private:
+  // A healthy answer resolves the cell at once, a failed one only as the
+  // last attempt out, so a quick failure never pre-empts a slow-but-healthy
+  // sibling.  BadRequestError (a frame *this* store malformed: a local bug
+  // that must not hide behind the race) resolves at once.  A loser lands on
+  // a resolved cell and is dropped: drained, never double-decoded.
+  struct SlotCell {
+    util::Mutex mu{util::LockRank::kSlotCell};  // a leaf lock
+    std::promise<Outcome> result;  // get_future() runs before sharing
+    int outstanding GUARDED_BY(mu) = 1;
+    bool resolved GUARDED_BY(mu) = false;
+
+    bool arm_hedge() EXCLUDES(mu) {
+      util::MutexLock lock(mu);
+      if (!resolved) ++outstanding;
+      return !resolved;
+    }
+    void resolve(Outcome out, std::exception_ptr error) EXCLUDES(mu) {
+      util::MutexLock lock(mu);
+      --outstanding;
+      if (resolved || (!error && !out.ok && outstanding > 0)) return;
+      resolved = true;
+      if (error)
+        result.set_exception(std::move(error));
+      else
+        result.set_value(std::move(out));
+    }
+  };
+
+  // The task captures by value and reaches only the store, which outlives
+  // its pool: a hedge loser keeps running after its round returned.
+  void submit(Request req, std::shared_ptr<SlotCell> cell) {
+    const std::size_t ub = st_->block_bytes_ / st_->code_->s();
+    const bool extent =
+        req.kind == Request::kUnits &&
+        req.positions.back() + 1 == req.positions.size() &&
+        req.positions.size() * ub ==
+            st_->code_->data_extent_bytes(req.block, st_->block_bytes_);
+    if (extent) st_->range_gets_->inc();
+    if (req.kind == Request::kUnits && !extent)
+      for (std::size_t pos : req.positions)  // identity terms
+        req.terms.push_back({{static_cast<std::uint32_t>(pos), Byte{1}}});
+    const std::size_t id = ids_[req.block];
+    Outcome out{req.block, id, req.positions, {}, false};
+    const BlockKey bk{file_, stripe_, static_cast<std::uint32_t>(req.block)};
+    st_->pool_->submit([st = st_, srv = &st_->server_at(id), bk, extent, cell,
+                        deadline = deadline_, out = std::move(out),
+                        req = std::move(req)]() mutable {
+      try {
+        // Deadline pre-check only: the coordinator owns budget reporting.
+        out.ok = std::chrono::steady_clock::now() < deadline &&
+                 run(*st, *srv, bk, req, extent, out.bytes);
+        cell->resolve(std::move(out), nullptr);
+      } catch (const BadRequestError&) {
+        cell->resolve({}, std::current_exception());
+      } catch (const Error&) {
+        cell->resolve(std::move(out), nullptr);  // an erasure, not an error
+      }
+    });
+  }
+
+  // The one place a stripe op reaches the wire (check_invariants rule 11).
+  // False for an erasure: the block is missing, unhealthy or wrong-sized.
+  static bool run(const CarouselStore& st, Server& srv, const BlockKey& bk,
+                  const Request& req, bool extent, std::vector<Byte>& bytes) {
+    if (req.kind == Request::kVerify)
+      return st.probe(srv, bk) == BlockState::kOk;
+    // The lease returns to the pool before the cell resolves, so counters()
+    // read right after the op includes this connection's retries.
+    Lease c(srv, st.policy_, st.registry_);
+    const std::size_t ub = st.block_bytes_ / st.code_->s();
+    std::size_t want = st.block_bytes_;
+    std::optional<std::vector<Byte>> resp;
+    if (req.kind == Request::kBlock) {
+      resp = c->get(bk);
+    } else if (extent) {
+      want = req.positions.size() * ub;
+      const auto start = std::chrono::steady_clock::now();
+      resp = c->get_range(bk, 0, static_cast<std::uint32_t>(want));
+      st.range_get_seconds_->observe(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        start)
+              .count());
+    } else {
+      want = req.terms.size() * ub;
+      resp = c->project(bk, static_cast<std::uint32_t>(ub), req.terms);
+    }
+    if (!resp || resp->size() != want) return false;
+    bytes = std::move(*resp);
+    return true;
+  }
+
+  CarouselStore* st_;
+  std::uint32_t file_;
+  std::uint32_t stripe_;
+  std::chrono::steady_clock::time_point deadline_;
+  std::vector<std::size_t> ids_;  // the placement snapshot, by block
+  std::vector<std::shared_ptr<SlotCell>> cells_;
+  std::vector<std::future<Outcome>> pending_;
+};
+
+BlockState CarouselStore::probe(Server& server,
+                                const BlockKey& block_key) const {
+  try {
+    Lease c(server, policy_, registry_);
+    switch (c->verify(block_key)) {
+      case BlockHealth::kOk:
+        return BlockState::kOk;
+      case BlockHealth::kMissing:
+        return BlockState::kMissing;
+      case BlockHealth::kCorrupt:
+        return BlockState::kCorrupt;
+    }
+  } catch (const Error&) {
+  }
+  return BlockState::kUnreachable;
+}
+
 std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
                                            std::size_t file_bytes) {
   obs::ScopedTimer timer(*read_seconds_);
@@ -695,132 +878,9 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
   const std::chrono::milliseconds hedge_after =
       hedge.enabled ? hedge_budget(hedge) : std::chrono::milliseconds(0);
 
-  // One fetch's resolution: the units of the planned block (primary) or of
-  // its §VII parity stand-in (hedge), whichever answered first.
-  struct SlotOutcome {
-    std::size_t block = 0;
-    std::vector<std::size_t> positions;
-    std::vector<Byte> bytes;
-    bool ok = false;
-  };
-  // First-wins cell shared by a primary and at most one hedge.  A healthy
-  // answer resolves immediately; a failed attempt resolves only when it is
-  // the last one still out, so a slow-but-healthy sibling is never
-  // pre-empted by a quick failure.  BadRequestError resolves immediately:
-  // it means *this* store composed a malformed frame — a local bug that
-  // must not hide behind the race.  The loser's complete()/fail() lands on
-  // a resolved cell and is dropped: drained, never double-decoded.
-  struct SlotCell {
-    // A leaf lock (LockRank::kSlotCell): pool tasks resolve cells with no
-    // other store-side mutex held.
-    util::Mutex mu{util::LockRank::kSlotCell};
-    // get_future() runs once, before the cell is shared; set_value/
-    // set_exception are serialized by mu via complete()/fail().
-    std::promise<SlotOutcome> result;
-    int outstanding GUARDED_BY(mu) = 1;
-    bool resolved GUARDED_BY(mu) = false;
-
-    bool arm_hedge() EXCLUDES(mu) {
-      util::MutexLock lock(mu);
-      if (resolved) return false;
-      ++outstanding;
-      return true;
-    }
-    void complete(SlotOutcome out) EXCLUDES(mu) {
-      util::MutexLock lock(mu);
-      --outstanding;
-      if (resolved) return;
-      if (out.ok || outstanding == 0) {
-        resolved = true;
-        result.set_value(std::move(out));
-      }
-    }
-    void fail(std::exception_ptr e) EXCLUDES(mu) {
-      util::MutexLock lock(mu);
-      --outstanding;
-      if (resolved) return;
-      resolved = true;
-      result.set_exception(std::move(e));
-    }
-  };
-
-  // Fetches `positions` of one block into `cell`: a range-GET when they are
-  // the block's verbatim data extent, else a PROJECT with identity terms.
-  // Pool tasks capture everything by value (or reach members of the store,
-  // which outlives the pool by destruction order): a hedge loser keeps
-  // running after this call took the winner and moved on, so it must not
-  // reference this frame's locals.
-  auto fetch = [this, deadline, ub](Server* srv, BlockKey bk,
-                                    std::size_t block,
-                                    std::vector<std::size_t> positions,
-                                    bool extent,
-                                    std::shared_ptr<SlotCell> cell) {
-    SlotOutcome out;
-    out.block = block;
-    out.positions = std::move(positions);
-    try {
-      // Deadline pre-check only: the coordinator owns budget reporting.
-      if (std::chrono::steady_clock::now() < deadline) {
-        // The lease goes back to the pool before the cell resolves, so
-        // counters() read right after read_file returns includes this
-        // connection's retries and timeouts.
-        Lease c(*srv, policy_, registry_);
-        const std::size_t want = out.positions.size() * ub;
-        std::optional<std::vector<Byte>> resp;
-        if (extent) {
-          const auto start = std::chrono::steady_clock::now();
-          resp = c->get_range(bk, 0, static_cast<std::uint32_t>(want));
-          range_get_seconds_->observe(
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count());
-        } else {
-          Client::Projection proj;
-          for (std::size_t pos : out.positions)
-            proj.push_back({{static_cast<std::uint32_t>(pos), Byte{1}}});
-          resp = c->project(bk, static_cast<std::uint32_t>(ub), proj);
-        }
-        if (resp && resp->size() == want) {
-          out.bytes = std::move(*resp);
-          out.ok = true;
-        }
-      }
-      cell->complete(std::move(out));
-    } catch (const BadRequestError&) {
-      cell->fail(std::current_exception());
-    } catch (const Error&) {
-      cell->complete(std::move(out));  // an erasure, not an error
-    }
-  };
-
   std::vector<Byte> out(stripes * stripe_data);
   for (std::size_t s = 0; s < stripes; ++s) {
     std::span<Byte> dst(out.data() + s * stripe_data, stripe_data);
-    const std::uint32_t s32 = static_cast<std::uint32_t>(s);
-
-    // Snapshot the blocks' homes under mu_, then fan out with no lock held.
-    // The snapshot may go stale mid-read (a concurrent re-home): that block
-    // surfaces as an erasure and the stripe re-plans around it.
-    std::vector<Server*> homes(n);
-    {
-      util::MutexLock lock(mu_);
-      for (std::size_t b = 0; b < n; ++b)
-        homes[b] = servers_[home_of_locked(file_id, s32,
-                                           static_cast<std::uint32_t>(b))]
-                       .get();
-    }
-    auto launch = [&](std::size_t b, std::vector<std::size_t> positions,
-                      const std::shared_ptr<SlotCell>& cell) {
-      const bool extent =
-          positions.back() + 1 == positions.size() &&
-          positions.size() * ub == code_->data_extent_bytes(b, block_bytes_);
-      if (extent) range_gets_->inc();
-      pool_->submit([fetch, srv = homes[b],
-                     bk = key(file_id, s32, static_cast<std::uint32_t>(b)), b,
-                     positions = std::move(positions), extent, cell] {
-        fetch(srv, bk, b, positions, extent, cell);
-      });
-    };
 
     // The plan loop: plan from what is known to be usable, fetch every
     // planned unit not yet held, mark the block of each failed fetch
@@ -846,71 +906,65 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
       plan = code_->plan_read(usable);
       if (!plan) plan = code_->plan_read(healthy);
       codes::ReadPlan missing(n);
-      std::vector<std::size_t> round;  // blocks fetched this round
+      std::vector<std::size_t> blocks;  // fetched this round, one per slot
       for (std::size_t b = 0; plan && b < n; ++b) {
         for (std::size_t pos : (*plan)[b])
           if (!held[b][pos]) missing[b].push_back(pos);
-        if (!missing[b].empty()) round.push_back(b);
+        if (!missing[b].empty()) blocks.push_back(b);
       }
-      if (plan && round.empty()) break;
+      if (plan && blocks.empty()) break;
       check_budget(deadline, budget_exhausted_, "read_file");
       if (!plan)
         throw std::runtime_error("stripe unrecoverable: fewer than k blocks");
 
-      std::vector<std::shared_ptr<SlotCell>> cells(round.size());
-      std::vector<std::future<SlotOutcome>> pending(round.size());
-      for (std::size_t i = 0; i < round.size(); ++i) {
-        cells[i] = std::make_shared<SlotCell>();
-        pending[i] = cells[i]->result.get_future();
-        launch(round[i], missing[round[i]], cells[i]);
-      }
+      Round round(*this, file_id, static_cast<std::uint32_t>(s), deadline);
+      for (std::size_t b : blocks)
+        round.launch({Request::kUnits, b, missing[b]});
 
       // Hedge stage: every fetch still unanswered past the budget races the
       // stand-in the planner names with its block unusable; the first
       // answer wins and the loser drains on its own pooled connection.  One
       // absolute deadline for all fetches — they launched together.  When
       // the planner names no single fresh stand-in, parity has run out.
-      std::vector<std::optional<std::size_t>> hedge_of(round.size());
+      std::vector<std::optional<std::size_t>> hedge_of(blocks.size());
       if (first_round && hedge.enabled) {
         const auto hedge_deadline =
             std::min(std::chrono::steady_clock::now() + hedge_after, deadline);
         std::vector<bool> hedge_mask = usable;
         codes::ReadPlan in_flight = missing;
-        for (std::size_t i = 0; i < round.size(); ++i) {
-          if (pending[i].wait_until(hedge_deadline) ==
-              std::future_status::ready)
-            continue;
-          hedge_mask[round[i]] = false;
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+          if (round.resolved_by(i, hedge_deadline)) continue;
+          hedge_mask[blocks[i]] = false;
           const auto alt = code_->plan_read(hedge_mask);
           std::vector<std::size_t> fresh;
           for (std::size_t b = 0; alt && b < n; ++b)
             if (!(*alt)[b].empty() && (*alt)[b] != in_flight[b])
               fresh.push_back(b);
           if (fresh.size() != 1 || !in_flight[fresh[0]].empty()) break;
-          if (!cells[i]->arm_hedge()) {
-            hedge_mask[round[i]] = true;
+          if (!round.hedge(i, {Request::kUnits, fresh[0], (*alt)[fresh[0]]})) {
+            hedge_mask[blocks[i]] = true;
             continue;
           }
           hedged_reads_->inc();
           hedge_of[i] = fresh[0];
           in_flight[fresh[0]] = (*alt)[fresh[0]];
-          launch(fresh[0], (*alt)[fresh[0]], cells[i]);
         }
       }
 
-      for (std::size_t i = 0; i < round.size(); ++i) {
-        SlotOutcome o = pending[i].get();  // rethrows BadRequestError
+      std::vector<Outcome> outcomes = round.collect();
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        Outcome& o = outcomes[i];
         if (!o.ok) {
           // Every attempt at this slot failed: the primary and its stand-in.
-          lose(round[i]);
+          lose(blocks[i]);
           if (hedge_of[i]) lose(*hedge_of[i]);
           degraded = true;
           continue;
         }
-        if (o.block != round[i]) {
+        if (o.block != blocks[i]) {
           // The stand-in won: the slot is served by it from now on.
           hedge_wins_->inc();
-          usable[round[i]] = false;
+          usable[blocks[i]] = false;
           degraded = true;
         }
         buffers.push_back(std::move(o.bytes));
@@ -938,71 +992,28 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
   return out;
 }
 
-CarouselStore::WholeBlocks CarouselStore::fetch_any_k(
-    std::uint32_t file_id, std::uint32_t stripe,
-    const std::vector<std::size_t>& order,
-    std::chrono::steady_clock::time_point deadline, const char* op) {
-  WholeBlocks got;
-  for (std::size_t h : order) {
-    if (got.ids.size() >= code_->k()) break;
-    check_budget(deadline, budget_exhausted_, op);
-    const auto h32 = static_cast<std::uint32_t>(h);
-    std::optional<std::vector<Byte>> b;
-    try {
-      Lease c = lease_for(file_id, stripe, h32);
-      b = c->get(key(file_id, stripe, h32));
-    } catch (const BadRequestError&) {
-      throw;  // locally composed malformed frame: a bug, not a dead server
-    } catch (const Error&) {
-      continue;
-    }
-    if (!b || b->size() != block_bytes_) continue;
-    got.ids.push_back(h);
-    got.blocks.push_back(std::move(*b));
-  }
-  return got;
-}
-
 bool CarouselStore::drop_block(std::uint32_t file_id, std::uint32_t stripe,
                                std::uint32_t index) {
-  Lease c = lease_for(file_id, stripe, index);
+  Lease c = lease(placement_of(file_id, stripe, index));
   return c->remove(key(file_id, stripe, index));
 }
 
 BlockState CarouselStore::verify_block(std::uint32_t file_id,
                                        std::uint32_t stripe,
                                        std::uint32_t index) {
-  try {
-    Lease c = lease_for(file_id, stripe, index);
-    switch (c->verify(key(file_id, stripe, index))) {
-      case BlockHealth::kOk:
-        return BlockState::kOk;
-      case BlockHealth::kMissing:
-        return BlockState::kMissing;
-      case BlockHealth::kCorrupt:
-        return BlockState::kCorrupt;
-    }
-  } catch (const Error&) {
-  }
-  return BlockState::kUnreachable;
+  return probe(server_at(placement_of(file_id, stripe, index)),
+               key(file_id, stripe, index));
 }
 
 std::uint64_t CarouselStore::repair_block(std::uint32_t file_id,
                                           std::uint32_t stripe,
                                           std::uint32_t index) {
-  return repair_block_impl(file_id, stripe, index, std::nullopt,
-                           budget_deadline());
+  return repair_block_impl(file_id, stripe, index, std::nullopt);
 }
 
 std::uint64_t CarouselStore::rehome_block(std::uint32_t file_id,
                                           std::uint32_t stripe,
                                           std::uint32_t index) {
-  return rehome_block_impl(file_id, stripe, index);
-}
-
-std::uint64_t CarouselStore::rehome_block_impl(std::uint32_t file_id,
-                                               std::uint32_t stripe,
-                                               std::uint32_t index) {
   auto candidates = placement_candidates(file_id, stripe, index);
   if (candidates.empty()) {
     rehome_failures_->inc();
@@ -1011,8 +1022,8 @@ std::uint64_t CarouselStore::rehome_block_impl(std::uint32_t file_id,
         "per-domain n-k cap (register a spare with add_server)");
   }
   try {
-    std::uint64_t fetched = repair_block_impl(
-        file_id, stripe, index, candidates.front(), budget_deadline());
+    std::uint64_t fetched =
+        repair_block_impl(file_id, stripe, index, candidates.front());
     rehomes_->inc();
     rehome_bytes_read_->inc(fetched);
     return fetched;
@@ -1025,17 +1036,10 @@ std::uint64_t CarouselStore::rehome_block_impl(std::uint32_t file_id,
 CarouselStore::RehomeReport CarouselStore::rehome_server(
     std::size_t server_id) {
   RehomeReport report;
-  std::vector<BlockRef> victims;
+  // Collect first: rehoming rewrites the placement rows being walked.
+  const std::vector<BlockRef> victims = blocks_on(server_id);
   {
     util::MutexLock lock(mu_);
-    // Collect first: rehoming rewrites the placement rows being iterated.
-    for (const auto& [file_id, info] : manifest_)
-      for (std::size_t s = 0; s < info.stripes; ++s)
-        for (std::size_t i = 0; i < code_->n(); ++i)
-          if (home_of_locked(file_id, static_cast<std::uint32_t>(s),
-                             static_cast<std::uint32_t>(i)) == server_id)
-            victims.push_back(BlockRef{file_id, static_cast<std::uint32_t>(s),
-                                       static_cast<std::uint32_t>(i)});
     if (scheduler_ != nullptr) {
       // Healing becomes the scheduler's job: one kRehome item per victim,
       // prioritized by how many blocks the stripe just lost on this server.
@@ -1053,7 +1057,7 @@ CarouselStore::RehomeReport CarouselStore::rehome_server(
   // Inline heals run with no store lock held, like any other repair.
   for (const BlockRef& b : victims) {
     try {
-      report.bytes_read += rehome_block_impl(b.file, b.stripe, b.index);
+      report.bytes_read += rehome_block(b.file, b.stripe, b.index);
       ++report.rehomed;
     } catch (const std::exception&) {
       ++report.failed;
@@ -1108,105 +1112,75 @@ std::vector<std::size_t> CarouselStore::choose_helpers(
 
 std::uint64_t CarouselStore::repair_block_impl(
     std::uint32_t file_id, std::uint32_t stripe, std::uint32_t index,
-    std::optional<std::size_t> target,
-    std::chrono::steady_clock::time_point deadline) {
+    std::optional<std::size_t> target) {
   obs::ScopedTimer timer(*repair_seconds_);
+  const auto deadline = budget_deadline();
+  const std::size_t n = code_->n();
   const std::size_t ub = block_bytes_ / code_->s();
   std::uint64_t fetched = 0;
 
-  // Probe which survivors hold a *healthy* copy (VERIFY: corruption-aware
-  // and no block bytes move), so the path choice never wastes helper chunks
-  // on a block that cannot serve.
-  std::vector<std::size_t> survivors;
-  for (std::size_t h = 0; h < code_->n(); ++h) {
-    if (h == index) continue;
-    check_budget(deadline, budget_exhausted_, "repair_block");
-    try {
-      Lease c = lease_for(file_id, stripe, static_cast<std::uint32_t>(h));
-      if (c->verify(key(file_id, stripe, static_cast<std::uint32_t>(h))) ==
-          BlockHealth::kOk)
-        survivors.push_back(h);
-    } catch (const Error&) {
-      // unreachable: not a survivor
-    }
-  }
-
-  // The planner picks the path: d projecting helpers (d/(d-k+1) block sizes
-  // on the wire) or k whole blocks.
-  std::vector<Byte> rebuilt(block_bytes_);
-  bool have_block = false;
-  auto plan = code_->plan_repair(index, survivors);
-  if (plan && plan->projected) {
-    // Helpers project phi server-side.  A helper dying mid-repair abandons
-    // this path (its traffic still counts) and drops through to the
-    // whole-block fetch below.  The helper policy (when a scheduler is
-    // attached) spreads this fan-in over the least-loaded survivors instead
-    // of always the first d.
-    plan->sources =
-        choose_helpers(file_id, stripe, survivors, plan->sources.size(),
-                       code_->helper_chunk_units() * ub);
-    std::vector<std::vector<Byte>> chunk_store;
-    bool complete = true;
-    for (std::size_t h : plan->sources) {
-      check_budget(deadline, budget_exhausted_, "repair_block");
-      auto proj = code_->repair_projection(h, index);
-      Client::Projection wire;
-      for (const auto& terms : proj) {
-        wire.emplace_back();
-        for (auto [pos, coeff] : terms)
-          wire.back().push_back({static_cast<std::uint32_t>(pos), coeff});
-      }
-      std::optional<std::vector<Byte>> resp;
-      try {
-        Lease c = lease_for(file_id, stripe, static_cast<std::uint32_t>(h));
-        resp = c->project(key(file_id, stripe, static_cast<std::uint32_t>(h)),
-                          static_cast<std::uint32_t>(ub), wire);
-      } catch (const BadRequestError&) {
-        throw;  // locally composed malformed frame: a bug, not a dead helper
-      } catch (const Error&) {
-        resp = std::nullopt;
-      }
-      if (!resp) {
-        complete = false;
-        break;
-      }
-      fetched += resp->size();
-      observe_traffic(home_of(file_id, stripe, static_cast<std::uint32_t>(h)),
-                      resp->size(), 0);
-      chunk_store.push_back(std::move(*resp));
-    }
-    if (complete) {
-      std::vector<std::span<const Byte>> chunks(chunk_store.begin(),
-                                                chunk_store.end());
-      code_->rebuild(index, *plan, chunks, rebuilt);
-      have_block = true;
-    }
-  }
-
-  if (!have_block) {
-    // Whole blocks (the plan's path, or a helper died mid-MSR-repair): any
-    // k healthy blocks rebuild the failed one.  Source order: k verified
-    // survivors (the helper policy's least-loaded pick when one is set, so
-    // whole-block sources also spread over the fleet), then every other
-    // index ascending as a stale-probe hedge.
-    std::vector<std::size_t> order =
-        choose_helpers(file_id, stripe, survivors, code_->k(), block_bytes_);
-    const std::set<std::size_t> chosen(order.begin(), order.end());
-    for (std::size_t h = 0; h < code_->n(); ++h)
-      if (h != index && !chosen.contains(h)) order.push_back(h);
-    WholeBlocks got =
-        fetch_any_k(file_id, stripe, order, deadline, "repair_block");
-    for (std::size_t h : got.ids) {
-      fetched += block_bytes_;
-      observe_traffic(home_of(file_id, stripe, static_cast<std::uint32_t>(h)),
-                      block_bytes_, 0);
-    }
-    if (got.ids.size() < code_->k())
+  // read_file's plan loop: VERIFY every other block at once (no block bytes
+  // move), so no helper chunk is wasted on a block that cannot serve; plan
+  // over the verified blocks, fetch every source not yet held, drop each
+  // failed one and re-plan, reusing what is held.  plan_repair alone picks
+  // d projecting helpers (d/(d-k+1) block sizes) or k whole blocks.
+  std::vector<std::size_t> usable;
+  Round probes(*this, file_id, stripe, deadline);
+  for (std::size_t h = 0; h < n; ++h)
+    if (h != index) probes.launch({Request::kVerify, h});
+  for (const Outcome& o : probes.collect())
+    if (o.ok) usable.push_back(o.block);
+  std::vector<std::vector<Byte>> held(n);  // by block; empty = not held
+  std::optional<codes::Carousel::RepairPlan> plan;
+  while (true) {
+    const bool was_projected = plan && plan->projected;
+    plan = code_->plan_repair(index, usable);
+    if (!plan)
       throw std::runtime_error("repair impossible: fewer than k blocks");
-    std::vector<std::span<const Byte>> blocks(got.blocks.begin(),
-                                              got.blocks.end());
-    code_->rebuild(index, {std::move(got.ids), false}, blocks, rebuilt);
+    if (plan->projected != was_projected) held.assign(n, {});
+    // Held sources stay; the helper policy picks the rest.
+    const std::size_t want = plan->sources.size();
+    std::vector<std::size_t> rest;
+    plan->sources.clear();
+    for (std::size_t h : usable)
+      (held[h].empty() ? rest : plan->sources).push_back(h);
+    const std::size_t have = plan->sources.size();
+    if (have == want) break;
+    for (std::size_t h : choose_helpers(
+             file_id, stripe, rest, want - have,
+             plan->projected ? code_->helper_chunk_units() * ub : block_bytes_))
+      plan->sources.push_back(h);
+    check_budget(deadline, budget_exhausted_, "repair_block");
+    Round round(*this, file_id, stripe, deadline);
+    for (std::size_t i = have; i < plan->sources.size(); ++i) {
+      const std::size_t h = plan->sources[i];
+      if (!plan->projected) {
+        round.launch({Request::kBlock, h});
+        continue;
+      }
+      Client::Projection terms;
+      for (const auto& unit : code_->repair_projection(h, index)) {
+        terms.emplace_back();
+        for (auto [pos, coeff] : unit)
+          terms.back().push_back({static_cast<std::uint32_t>(pos), coeff});
+      }
+      round.launch({Request::kProject, h, {}, std::move(terms)});
+    }
+    for (Outcome& o : round.collect()) {
+      if (!o.ok) {
+        std::erase(usable, o.block);
+        continue;
+      }
+      fetched += o.bytes.size();
+      observe_traffic(o.server, o.bytes.size(), 0);
+      held[o.block] = std::move(o.bytes);
+    }
   }
+  std::vector<std::span<const Byte>> inputs(plan->sources.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    inputs[i] = held[plan->sources[i]];
+  std::vector<Byte> rebuilt(block_bytes_);
+  code_->rebuild(index, *plan, inputs, rebuilt);
 
   // Re-upload and audit: PUT carries the block's CRC end to end, and VERIFY
   // confirms the server now holds a copy matching what we rebuilt.  The
@@ -1216,7 +1190,7 @@ std::uint64_t CarouselStore::repair_block_impl(
   // stripe exactly as it was (the block stays an erasure, never a silent
   // partial write).  PUT and the audit share one lease so the VERIFY sees
   // the same connection's view.
-  const std::size_t home = home_of(file_id, stripe, index);
+  const std::size_t home = placement_of(file_id, stripe, index);
   std::vector<std::size_t> uploads{target.value_or(home)};
   for (std::size_t c : placement_candidates(file_id, stripe, index))
     if (c != uploads.front()) uploads.push_back(c);
@@ -1312,22 +1286,14 @@ CarouselStore::ReconcileReport CarouselStore::reconcile() {
   report.pending_puts = puts.size();
   report.pending_rehomes = rehomes.size();
 
-  enum class BlockState { kHealthy, kAbsent, kUnreachable };
-  // Probes whether (file, stripe, index) holds a healthy block on `sid`.
-  // kUnreachable means "could not tell" — reconciliation then keeps the
-  // conservative choice (abort a put, leave a rehome unadopted) rather than
-  // guessing about bytes it cannot see.
-  auto probe = [this](std::size_t sid, std::uint32_t f, std::uint32_t s,
-                      std::uint32_t i) {
-    if (sid >= server_count()) return BlockState::kAbsent;
-    try {
-      Lease c = lease(sid);
-      return c->verify(key(f, s, i)) == BlockHealth::kOk
-                 ? BlockState::kHealthy
-                 : BlockState::kAbsent;
-    } catch (const Error&) {
-      return BlockState::kUnreachable;
-    }
+  // Whether `sid` holds a healthy copy of (f, s, i).  Anything short of
+  // kOk keeps the conservative choice — a put is not adopted, a rehome not
+  // flipped: kUnreachable means "could not tell", and reconciliation does
+  // not guess about bytes it cannot see; kMissing and kCorrupt are absent.
+  auto healthy = [this](std::size_t sid, std::uint32_t f, std::uint32_t s,
+                        std::uint32_t i) {
+    return sid < server_count() &&
+           probe(server_at(sid), key(f, s, i)) == BlockState::kOk;
   };
   // Deletes the copy of (f, s, i) on `sid` if one landed there; counts it
   // as an orphan removal only when a block was actually present.
@@ -1351,9 +1317,8 @@ CarouselStore::ReconcileReport CarouselStore::reconcile() {
         break;
       }
       for (std::size_t i = 0; adoptable && i < row.size(); ++i)
-        if (probe(row[i], file, static_cast<std::uint32_t>(s),
-                  static_cast<std::uint32_t>(i)) != BlockState::kHealthy)
-          adoptable = false;
+        adoptable = healthy(row[i], file, static_cast<std::uint32_t>(s),
+                            static_cast<std::uint32_t>(i));
     }
     if (adoptable) {
       // Re-check the rack invariant against the live fleet before adopting:
@@ -1414,10 +1379,8 @@ CarouselStore::ReconcileReport CarouselStore::reconcile() {
       ++report.rehomes_aborted;
       continue;
     }
-    bool target_ok =
-        probe(rh.target, rh.file, rh.stripe, rh.index) == BlockState::kHealthy;
-    bool home_ok =
-        probe(current, rh.file, rh.stripe, rh.index) == BlockState::kHealthy;
+    const bool target_ok = healthy(rh.target, rh.file, rh.stripe, rh.index);
+    const bool home_ok = healthy(current, rh.file, rh.stripe, rh.index);
     // Adopt only when the move is both complete (target verifies) and still
     // necessary (the old home does not) — otherwise the pre-crash placement
     // is intact and the target copy is garbage.
@@ -1466,17 +1429,10 @@ std::uint64_t CarouselStore::bytes_received() const {
 Client::Counters CarouselStore::counters() const {
   util::MutexLock lock(mu_);
   Client::Counters total;
-  auto fold = [&total](const Client::Counters& cc) {
-    total.retries += cc.retries;
-    total.reconnects += cc.reconnects;
-    total.timeouts += cc.timeouts;
-    total.wire_corruptions += cc.wire_corruptions;
-    total.corrupt_blocks += cc.corrupt_blocks;
-  };
   for (const auto& s : servers_) {
     util::MutexLock pool_lock(s->pool_mu);
-    fold(s->retired);
-    for (const auto& c : s->idle) fold(c->counters());
+    add_counters(total, s->retired);
+    for (const auto& c : s->idle) add_counters(total, c->counters());
   }
   return total;
 }

@@ -1,16 +1,16 @@
 // CarouselStore: the coordinator of the networked prototype.
 //
 // Stripes files across a fleet of block servers with a Carousel code and
-// is the remote executor of the code's stripe plans (codes/carousel.h):
-//   - read: per stripe, plan_read names the units to fetch; every planned
-//     fetch not yet held fans out over a store-owned thread pool — one
-//     GET_RANGE per data extent (all p at once when healthy), a PROJECT with
-//     identity terms for any other unit set (a §VII stand-in serving k/p of
-//     a block) — and a failed fetch marks its block unusable and re-plans;
-//   - repair: plan_repair picks the path; helpers run their phi-projections
-//     server-side (PROJECT), only the chunks travel, the newcomer rebuilds
-//     and re-PUTs — so the bytes on the wire are exactly Fig. 7's d/(d-k+1)
-//     block sizes.
+// is the remote executor of the code's stripe plans (codes/carousel.h).
+// read_file and repair_block are plan loops of one shape: plan over the
+// usable blocks, run what is not yet held all at once on a store-owned
+// thread pool, mark each failed block unusable, re-plan reusing the rest.
+//   - read: plan_read names the units — a GET_RANGE per data extent (all p
+//     at once when healthy), else an identity PROJECT (a §VII stand-in);
+//   - repair: n-1 VERIFYs at once, then plan_repair's d helpers run their
+//     phi-projections server-side (PROJECT), all at once, so only Fig. 7's
+//     d/(d-k+1) block sizes travel (k whole blocks when fewer than d are
+//     usable); the newcomer rebuilds and re-PUTs.
 //
 // Hedged reads: with StoreOptions::hedge enabled, a slot whose range-GET has
 // not answered within a latency budget (a quantile of the store's own
@@ -29,10 +29,10 @@
 // guarded by the per-server pool_mu) and runs lock-free, so concurrent
 // read_file calls — and a background Scrubber or RepairScheduler healing
 // while a foreground reader streams — proceed in parallel.  Lock order is
-// mu_ -> pool_mu, both leaf-held for pointer swaps only; read-path pool
-// tasks take pool_mu alone.  The placement snapshot a read takes under mu_
-// may go stale mid-read (a concurrent re-home): the affected block simply
-// surfaces as an erasure and fails over like any other.
+// mu_ -> pool_mu, both leaf-held for pointer swaps only; executor pool
+// tasks take pool_mu and their slot cell's leaf lock alone.  A round's
+// placement snapshot may go stale (a concurrent re-home): the affected
+// block simply surfaces as an erasure and fails over like any other.
 //
 // Placement is explicit: every file's manifest entry carries a per-stripe
 // placement table mapping block index -> server id.  put_file seeds it with
@@ -62,11 +62,12 @@
 // Failure model: a block that times out, arrives corrupt, or whose server is
 // down is an *erasure*, not an error.  read_file re-plans the stripe around
 // it (§VII stand-ins, then the fewest-units plan over what remains) and only
-// throws when the reachable blocks of a stripe cannot decode.  repair_block degrades from the
-// d-helper MSR path to the k-block decode when a helper dies mid-repair,
-// audits the rebuilt block (VERIFY + CRC compare) before declaring success,
-// and — when the re-upload target itself is dead — retries onto a
-// placement-eligible spare or throws RehomeError with the stripe untouched.
+// throws when the reachable blocks of a stripe cannot decode.  repair_block
+// re-plans the same way (a lost helper's place goes to the next verified
+// survivor), audits the rebuilt block (VERIFY + CRC compare) before
+// declaring success, and — when the re-upload target itself is dead —
+// retries onto a placement-eligible spare or throws RehomeError with the
+// stripe untouched.
 // StoreOptions::op_budget bounds a whole read_file/repair_block call across
 // every failover step (StoreDeadlineError), so a read limping across many
 // sick servers fails fast instead of multiplying per-op timeouts.
@@ -262,9 +263,9 @@ class CarouselStore {
   /// Downloads and reassembles the file (size from put_file's input).
   /// Each stripe runs the code's read plan over the blocks still usable —
   /// dead servers, timeouts and corrupt blocks all count as erasures, and
-  /// each one re-plans the stripe, reusing the units already held.  Thread-safe and
-  /// genuinely concurrent: two calls overlap on the wire, and within one
-  /// call all p extents of a stripe are in flight at once.
+  /// each one re-plans the stripe, reusing the units already held.
+  /// Thread-safe and genuinely concurrent: two calls overlap on the wire,
+  /// and within one call all p extents of a stripe are in flight at once.
   std::vector<codes::Byte> read_file(std::uint32_t file_id,
                                      std::size_t file_bytes) EXCLUDES(mu_);
 
@@ -274,13 +275,13 @@ class CarouselStore {
                   std::uint32_t index);
 
   /// Rebuilds a lost or corrupt block and re-uploads it to its current
-  /// home, then audits the stored copy (VERIFY) before returning.  Prefers
-  /// the d-helper MSR path (d/(d-k+1) block sizes on the wire); falls back
-  /// to the k-block decode when helpers are scarce or die mid-repair.  When
-  /// the home server is unreachable the rebuilt block is re-homed onto a
-  /// placement-eligible spare instead (RehomeError when none accepts it).
-  /// Returns bytes fetched from helpers, including any wasted by an
-  /// abandoned MSR attempt.
+  /// home, then audits the stored copy (VERIFY) before returning.  Probes
+  /// the other blocks at once, then fetches from the verified ones at once:
+  /// d helper chunks (d/(d-k+1) block sizes), or k whole blocks once fewer
+  /// than d verify or stay reachable.  When the home server is unreachable
+  /// the rebuilt block is re-homed onto a placement-eligible spare instead
+  /// (RehomeError when none accepts it).  Returns bytes fetched from
+  /// helpers, including chunks of an abandoned MSR attempt.
   std::uint64_t repair_block(std::uint32_t file_id, std::uint32_t stripe,
                              std::uint32_t index) EXCLUDES(mu_);
 
@@ -380,7 +381,7 @@ class CarouselStore {
 
  private:
   /// One server plus its client pool.  Server objects are heap-allocated
-  /// and live as long as the store, so a read task may hold a Server*
+  /// and live as long as the store, so an executor task may hold a Server*
   /// without mu_ — add_server() only ever appends to servers_.
   struct Server {
     std::uint16_t port = 0;
@@ -422,13 +423,6 @@ class CarouselStore {
   Server& server_at(std::size_t server_id) const
       EXCLUDES(mu_);  // takes mu_ briefly
   Lease lease(std::size_t server_id) const EXCLUDES(mu_);
-  std::size_t home_of(std::uint32_t file_id, std::uint32_t stripe,
-                      std::uint32_t index) const
-      EXCLUDES(mu_);  // takes mu_ briefly
-  Lease lease_for(std::uint32_t file_id, std::uint32_t stripe,
-                  std::uint32_t index) const EXCLUDES(mu_) {
-    return lease(home_of(file_id, stripe, index));
-  }
   BlockKey key(std::uint32_t file, std::uint32_t stripe,
                std::uint32_t index) const {
     return BlockKey{file, stripe, index};
@@ -480,30 +474,19 @@ class CarouselStore {
   /// Stripes a file of `file_bytes` occupies: ceil(bytes / (k*block_bytes)),
   /// and one zero-padded stripe for an empty file.
   std::size_t stripes_for(std::size_t file_bytes) const;
-  /// Blocks fetched by repair's whole-block path: the k (or fewer) indices
-  /// that answered with a full-size block, and those blocks.
-  struct WholeBlocks {
-    std::vector<std::size_t> ids;
-    std::vector<std::vector<codes::Byte>> blocks;
-  };
-  /// GETs whole blocks of (file, stripe) in `order` until k have arrived.
-  /// A dead, unreachable or wrong-sized block is an erasure; a malformed
-  /// frame (BadRequestError) rethrows.  The budget is charged per GET under
-  /// `op`.  Callers check ids.size() against k.
-  WholeBlocks fetch_any_k(std::uint32_t file_id, std::uint32_t stripe,
-                          const std::vector<std::size_t>& order,
-                          std::chrono::steady_clock::time_point deadline,
-                          const char* op) EXCLUDES(mu_);
+  class Round;  // the remote executor (DESIGN.md §10), in store.cpp
+  struct Request;
+  struct Outcome;
+  /// The one VERIFY -> BlockState mapping (a transport failure is
+  /// kUnreachable).  Takes no store lock: executor pool tasks call it.
+  BlockState probe(Server& server, const BlockKey& block_key) const;
   /// The repair engine.  Takes mu_ only for lookups and the final placement
   /// update — all probes, projections and uploads run on leased connections
   /// with no store lock held.
   std::uint64_t repair_block_impl(std::uint32_t file_id, std::uint32_t stripe,
                                   std::uint32_t index,
-                                  std::optional<std::size_t> target,
-                                  std::chrono::steady_clock::time_point
-                                      budget_deadline) EXCLUDES(mu_);
-  std::uint64_t rehome_block_impl(std::uint32_t file_id, std::uint32_t stripe,
-                                  std::uint32_t index) EXCLUDES(mu_);
+                                  std::optional<std::size_t> target)
+      EXCLUDES(mu_);
   std::chrono::steady_clock::time_point budget_deadline() const;
   /// Survivor ordering for the repair fan-in: the helper policy's choice
   /// (validated: `want` distinct members of `survivors`) or the first
@@ -548,7 +531,7 @@ class CarouselStore {
   // mutex (hooks) and any Server::pool_mu, never the reverse.
   mutable util::Mutex mu_{util::LockRank::kStore};
   // The vector is guarded; the heap-allocated Servers it points at live as
-  // long as the store, so a read task may keep a Server* with no lock.
+  // long as the store, so an executor task may keep a Server* with no lock.
   std::vector<std::unique_ptr<Server>> servers_ GUARDED_BY(mu_);
   // True once any server carries a caller-chosen domain label (via
   // StoreOptions::domains or add_server(port, domain)).  Default stores
@@ -585,7 +568,7 @@ class CarouselStore {
   obs::Counter* budget_exhausted_ = nullptr;
   obs::Gauge* spare_servers_ = nullptr;
 
-  /// Fan-out workers for the read path.  Declared last on purpose: members
+  /// Fan-out workers for the executor.  Declared last on purpose: members
   /// destroy in reverse order, so the pool's destructor joins any
   /// still-draining hedge losers while servers_ and the instruments their
   /// tasks touch are still alive.

@@ -8,11 +8,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -35,30 +31,9 @@ class ThreadPool {
   /// submit() (no wait_idle from inside a task).
   void submit(std::function<void()> task) EXCLUDES(mu_);
 
-  /// Enqueues a value-returning task and hands back its future.  Unlike
-  /// wait_idle() — which spans every task in the pool — the future waits on
-  /// exactly one task, so independent callers sharing one pool (e.g.
-  /// concurrent read fan-outs) never synchronize on each other's work.  An
-  /// exception thrown by the task surfaces through the future, not through
-  /// wait_idle()'s first_error_ channel.
-  template <typename F>
-  std::future<std::invoke_result_t<F&>> submit_task(F&& fn) {
-    using R = std::invoke_result_t<F&>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    submit([task] { (*task)(); });
-    return result;
-  }
-
   /// Blocks until every submitted task has finished.  If any task threw, the
   /// first exception is rethrown here (the rest are dropped).
   void wait_idle() EXCLUDES(mu_);
-
-  /// Runs fn(i) for i in [0, count) across the pool and waits; convenience
-  /// for parallel loops.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();

@@ -767,10 +767,12 @@ TEST(Chaos, CorrelatedFailureStormReprotectsEveryStripe) {
 
   // Foreground traffic runs throughout; gtest assertions are not
   // thread-safe off the main thread, so mismatches are only counted here.
-  std::atomic<bool> stop_reads{false};
+  // A jthread: should the storm below throw, unwinding stops and joins the
+  // reader instead of destroying a joinable std::thread (std::terminate,
+  // which loses the exception's message).
   std::atomic<std::uint64_t> reads{0}, mismatches{0};
-  std::thread foreground([&] {
-    while (!stop_reads.load()) {
+  std::jthread foreground([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
       for (const auto& [fid, data] : reference) {
         try {
           if (store.read_file(fid, data.size()) != data) ++mismatches;
@@ -795,7 +797,7 @@ TEST(Chaos, CorrelatedFailureStormReprotectsEveryStripe) {
       break;
     }
   }
-  stop_reads = true;
+  foreground.request_stop();
   foreground.join();
   sched.stop();
 
@@ -936,10 +938,12 @@ TEST(Chaos, RackDownSurvivesWithZeroDataLoss) {
 
   // Foreground traffic runs through the whole outage; gtest assertions are
   // not thread-safe off the main thread, so mismatches are only counted.
-  std::atomic<bool> stop_reads{false};
+  // A jthread: should the storm below throw, unwinding stops and joins the
+  // reader instead of destroying a joinable std::thread (std::terminate,
+  // which loses the exception's message).
   std::atomic<std::uint64_t> reads{0}, mismatches{0};
-  std::thread foreground([&] {
-    while (!stop_reads.load()) {
+  std::jthread foreground([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
       for (const auto& [fid, data] : reference) {
         try {
           if (store.read_file(fid, data.size()) != data) ++mismatches;
@@ -968,7 +972,7 @@ TEST(Chaos, RackDownSurvivesWithZeroDataLoss) {
       break;
     }
   }
-  stop_reads = true;
+  foreground.request_stop();
   foreground.join();
   sched.stop();
 
@@ -1024,10 +1028,12 @@ TEST(Chaos, SeededFaultScheduleKeepsEveryInvariant) {
   // thread, so the reader only counts; the main thread asserts after join.
   const auto pinned = harness.reference_snapshot();
   ASSERT_GE(pinned.size(), 2u);
-  std::atomic<bool> stop_reads{false};
+  // A jthread: should the storm below throw, unwinding stops and joins the
+  // reader instead of destroying a joinable std::thread (std::terminate,
+  // which loses the exception's message).
   std::atomic<std::uint64_t> reads{0}, mismatches{0};
-  std::thread foreground([&] {
-    while (!stop_reads.load()) {
+  std::jthread foreground([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
       for (const auto& [fid, data] : pinned) {
         try {
           // locked_read: kCoordCrash events rebuild the store object
@@ -1050,7 +1056,7 @@ TEST(Chaos, SeededFaultScheduleKeepsEveryInvariant) {
     if ((i + 1) % 25 == 0) harness.scrub_phase();
     if (::testing::Test::HasFatalFailure()) break;
   }
-  stop_reads = true;
+  foreground.request_stop();
   foreground.join();
   if (::testing::Test::HasFatalFailure()) return;
   harness.final_verify();

@@ -106,26 +106,6 @@ TEST_P(BackendEquivalence, XorRegion) {
   }
 }
 
-TEST_P(BackendEquivalence, DotProdMatchesScalarBackend) {
-  const std::size_t n = 777;
-  std::vector<std::vector<Byte>> bufs;
-  std::vector<const Byte*> ptrs;
-  std::vector<Byte> coeffs;
-  for (std::size_t i = 0; i < 6; ++i) {
-    bufs.push_back(test::random_bytes(n, static_cast<std::uint32_t>(i) + 10));
-    ptrs.push_back(bufs.back().data());
-    coeffs.push_back(static_cast<Byte>(41 * i + 1));
-  }
-  std::vector<Byte> got(n);
-  dot_prod_region(coeffs, ptrs, got.data(), n);
-  std::vector<Byte> want(n);
-  {
-    ScopedBackend scalar(Backend::kScalar);
-    dot_prod_region(coeffs, ptrs, want.data(), n);
-  }
-  EXPECT_EQ(got, want);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendEquivalence,
                          ::testing::Values(Backend::kScalar, Backend::kAvx2,
                                            Backend::kGfni),

@@ -170,18 +170,5 @@ TEST(Vect, XorRegionOddSizes) {
   }
 }
 
-TEST(Vect, DotProdMatchesManualSum) {
-  const std::size_t n = 300;
-  auto a = test::random_bytes(n, 1);
-  auto b = test::random_bytes(n, 2);
-  auto c = test::random_bytes(n, 3);
-  std::vector<Byte> coeffs = {0x02, 0x00, 0x9D};
-  std::vector<const Byte*> srcs = {a.data(), b.data(), c.data()};
-  std::vector<Byte> dst(n, 0xAA);  // must be overwritten, not accumulated
-  dot_prod_region(coeffs, srcs, dst.data(), n);
-  for (std::size_t i = 0; i < n; ++i)
-    ASSERT_EQ(dst[i], Byte(mul(0x02, a[i]) ^ mul(0x9D, c[i])));
-}
-
 }  // namespace
 }  // namespace carousel::gf

@@ -696,8 +696,9 @@ TEST_F(StoreTest, RepairDegradesWhenHelperDiesMidRepair) {
   ASSERT_TRUE(store.drop_block(25, 0, 4));
 
   // Server 2 answers the VERIFY probe (so it is chosen as an MSR helper)
-  // but drops every PROJECT unanswered: the helper dies mid-repair and the
-  // store must fall back to the whole-block decode.
+  // but drops every PROJECT unanswered: the helper dies mid-repair.  Eleven
+  // blocks verified, so the re-plan swaps in the eleventh as the d-th helper
+  // and the repair still moves only the optimal d/(d-k+1) block sizes.
   auto plan = std::make_shared<FaultPlan>(11);
   plan->add({.action = FaultAction::kDropBeforeResponse,
              .op = Op::kProject,
@@ -706,13 +707,81 @@ TEST_F(StoreTest, RepairDegradesWhenHelperDiesMidRepair) {
 
   std::uint64_t fetched = store.repair_block(25, 0, 4);
   EXPECT_GE(plan->injected(), 1u);  // the MSR attempt really was sabotaged
-  // Fallback cost: at most the abandoned MSR chunks plus k whole blocks.
-  EXPECT_LE(fetched, (code.d() / (code.d() - code.k() + 1) + code.k()) *
-                         std::uint64_t(block));
-  EXPECT_GE(fetched, std::uint64_t(code.k()) * block);
+  EXPECT_EQ(fetched, 2u * block);
   servers_[2]->set_fault_plan(nullptr);
   EXPECT_EQ(store.verify_block(25, 0, 4), BlockState::kOk);
   EXPECT_EQ(store.read_file(25, file.size()), file);
+}
+
+// Paper §VI after Dimakis et al.: the d helpers ship their chunks at once,
+// so a repair costs one helper's transfer, not d in a row.  Every server
+// stalls VERIFY and PROJECT by D: the n-1 probes run as one round and the d
+// PROJECTs as another, so the repair takes ~3 D (probes, PROJECTs, audit)
+// where a serial walk takes 2d + 2 = 22 D — on the same wire traffic.
+TEST_F(StoreTest, RepairRoundsRunConcurrently) {
+  codes::Carousel code(12, 6, 10, 12);
+  const std::size_t block = code.s() * 128;
+  obs::MetricsRegistry reg;
+  CarouselStore store(code, ports_, block, StoreOptions{fast_policy(), &reg});
+  auto file = random_bytes(code.k() * block, 49);
+  store.put_file(37, file);
+  ASSERT_TRUE(store.drop_block(37, 0, 4));
+
+  const std::chrono::milliseconds stall(150);  // io_timeout is 250 ms
+  for (auto& s : servers_) {
+    auto plan = std::make_shared<FaultPlan>(17);
+    for (Op op : {Op::kVerify, Op::kProject})
+      plan->add({.action = FaultAction::kDelay,
+                 .op = op,
+                 .max_hits = 1000,
+                 .delay_ms = static_cast<std::uint32_t>(stall.count())});
+    s->set_fault_plan(plan);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t fetched = store.repair_block(37, 0, 4);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  for (auto& s : servers_) s->set_fault_plan(nullptr);
+
+  EXPECT_LT(elapsed, 10 * stall);
+  EXPECT_EQ(fetched, 2u * block);
+  // n-1 probes plus the post-repair audit, and d PROJECTs.
+  const obs::Snapshot snap = reg.snapshot();
+  auto ops = [&snap](const char* op) {
+    return snap.histograms
+        .at(obs::labeled("carousel_client_op_seconds", "op", op))
+        .count;
+  };
+  EXPECT_EQ(ops("verify"), 12u);
+  EXPECT_EQ(ops("project"), 10u);
+  EXPECT_EQ(store.read_file(37, file.size()), file);
+}
+
+// A helper lost with exactly d verified survivors: the re-plan has only d-1
+// usable blocks, so plan_repair switches to k whole blocks, and the d-1
+// chunks already fetched count as spent traffic.
+TEST_F(StoreTest, RepairFallsBackToWholeBlocksWhenAHelperIsLostAtD) {
+  codes::Carousel code(12, 6, 10, 12);
+  const std::size_t block = code.s() * 128;
+  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  auto file = random_bytes(code.k() * block, 50);
+  store.put_file(39, file);
+  ASSERT_TRUE(store.drop_block(39, 0, 4));  // the target
+  ASSERT_TRUE(store.drop_block(39, 0, 5));  // leaves exactly d survivors
+
+  // Block 0, the first helper, drops every PROJECT unanswered.
+  auto plan = std::make_shared<FaultPlan>(19);
+  plan->add({.action = FaultAction::kDropBeforeResponse,
+             .op = Op::kProject,
+             .max_hits = 1000});
+  servers_[0]->set_fault_plan(plan);
+
+  const std::uint64_t fetched = store.repair_block(39, 0, 4);
+  EXPECT_GE(plan->injected(), 1u);
+  EXPECT_EQ(fetched, (code.d() - 1) * block / (code.d() - code.k() + 1) +
+                         code.k() * block);
+  servers_[0]->set_fault_plan(nullptr);
+  EXPECT_EQ(store.verify_block(39, 0, 4), BlockState::kOk);
+  EXPECT_EQ(store.read_file(39, file.size()), file);
 }
 
 TEST(Checksum, CorruptBlockWrapsOffsetAndRefusesEmptyBlocks) {

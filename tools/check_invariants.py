@@ -89,6 +89,14 @@ Rules (see DESIGN.md "Correctness tooling"):
      src/net/meta_log.{h,cpp}.  A record framed anywhere else could skip
      the fsync-before-publish ordering the crash-recovery story rests on.
 
+ 11. one wire executor — every stripe op reaches block data through the
+     store's remote executor (CarouselStore::Round in src/net/store.cpp):
+     each Client data fetch, `->get(`, `->get_range(` and `->project(`,
+     appears at most once in src/, and only in src/net/store.cpp, where the
+     executor dispatches it.  A second call site is a second way to fetch —
+     typically a serial per-helper loop that bypasses the executor's
+     concurrent rounds, first-wins slot cells and re-planning.
+
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -211,24 +219,30 @@ def check_cmake_options(problems: list[str]) -> None:
                 f"README.md")
 
 
+def code_lines(path: Path) -> list[str]:
+    """The file's lines with comments and string literals blanked out."""
+    string = re.compile(r'"(?:\\.|[^"\\])*"')
+    code = []
+    for line in path.read_text().splitlines():
+        if line.lstrip().startswith(("//", "*", "/*")):
+            code.append("")
+        else:
+            code.append(string.sub('""', line).split("//")[0])
+    return code
+
+
 def check_fsync_before_rename(problems: list[str]) -> None:
     """Rule 4: renames and fsyncs live in the durable module, flush first."""
     rename = re.compile(r"\brename\s*\(")
     fsync = re.compile(r"::fsync\s*\(")
     flush = re.compile(r"\bsync_file\s*\(")
-    string = re.compile(r'"(?:\\.|[^"\\])*"')
     window = 8  # lines above the rename that must contain the flush
     module = REPO / "src" / "net"
     for path in src_files(".h", ".cpp"):
         in_module = path.parent == module and path.stem == "durable_file"
         # Only code counts: comments and string literals neither rename nor
         # flush anything.
-        code = []
-        for line in path.read_text().splitlines():
-            if line.lstrip().startswith(("//", "*", "/*")):
-                code.append("")
-            else:
-                code.append(string.sub('""', line).split("//")[0])
+        code = code_lines(path)
         for i, line in enumerate(code):
             where = f"{path.relative_to(REPO)}:{i + 1}"
             if not in_module:
@@ -403,6 +417,31 @@ def check_meta_journal_provenance(problems: list[str]) -> None:
                 f"records are minted only through the MetaLog append API")
 
 
+def check_one_wire_executor(problems: list[str]) -> None:
+    """Rule 11: each Client data fetch has one call site, the executor's."""
+    # A call with arguments: `->get()` on a smart pointer is not a fetch.
+    fetch = re.compile(r"->(get|get_range|project)\s*\((?!\s*\))")
+    executor = REPO / "src" / "net" / "store.cpp"
+    seen: dict[str, str] = {}
+    for path in src_files(".h", ".cpp"):
+        for i, line in enumerate(code_lines(path)):
+            for m in fetch.finditer(line):
+                where = f"{path.relative_to(REPO)}:{i + 1}"
+                call = f"->{m.group(1)}("
+                if path != executor:
+                    problems.append(
+                        f"{where}: Client {call} outside src/net/store.cpp "
+                        f"— stripe data is fetched only through the "
+                        f"store's remote executor")
+                elif call in seen:
+                    problems.append(
+                        f"{where}: second Client {call} call site (first at "
+                        f"{seen[call]}) — run the request through the "
+                        f"executor's rounds instead of a second fetch path")
+                else:
+                    seen[call] = where
+
+
 def main() -> int:
     problems: list[str] = []
     check_wire_casts(problems)
@@ -415,6 +454,7 @@ def main() -> int:
     check_raw_locking(problems)
     check_domain_plumbing(problems)
     check_meta_journal_provenance(problems)
+    check_one_wire_executor(problems)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
