@@ -10,7 +10,6 @@
 
 #include "bench_util.h"
 #include "codes/carousel.h"
-#include "codes/rs.h"
 
 using namespace carousel::codes;
 using carousel::bench::kMiB;
@@ -69,7 +68,7 @@ int main() {
   std::printf("=== Ablation — sparsity-aware encoding (paper §VIII-A) ===\n");
   std::printf("parity-block encode throughput, sparse (production) vs dense "
               "(reference)\n\n");
-  report("(12,6) RS", ReedSolomon(12, 6), 1);
+  report("(12,6) RS", Carousel(12, 6, 6, 6), 1);
   {
     Carousel c(12, 6, 6, 12);
     report("(12,6,6,12) Carousel", c, c.expansion());

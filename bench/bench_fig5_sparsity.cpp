@@ -1,12 +1,12 @@
 // Paper Fig. 5: generating matrices of the (3,2) RS code and the (3,2,2,3)
 // Carousel code, plus the sparsity statistics that make Carousel encoding as
 // cheap as the base code (§VIII-A).  Extended with the Hadoop-experiment
-// configurations as a table.
+// configurations as a table.  RS and MSR are Carousel's p = k points:
+// Carousel(n,k,k,k) and Carousel(n,k,d,k).
 
 #include <cstdio>
 
 #include "codes/carousel.h"
-#include "codes/rs.h"
 
 using namespace carousel::codes;
 
@@ -36,7 +36,7 @@ void print_density(const LinearCode& code, const char* label) {
 int main() {
   std::printf("=== Fig. 5 — generating matrices, (3,2) RS vs (3,2,2,3) "
               "Carousel ===\n\n");
-  ReedSolomon rs(3, 2);
+  Carousel rs(3, 2, 2, 2);
   std::printf("(3,2) RS generator (n x k):\n%s\n",
               rs.generator().to_string().c_str());
   Carousel car(3, 2, 2, 3);
@@ -49,9 +49,9 @@ int main() {
   std::printf("=== Density across evaluated configurations ===\n");
   print_density(rs, "(3,2) RS");
   print_density(car, "(3,2,2,3) Carousel");
-  print_density(ReedSolomon(12, 6), "(12,6) RS");
+  print_density(Carousel(12, 6, 6, 6), "(12,6) RS");
   print_density(Carousel(12, 6, 6, 12), "(12,6,6,12) Carousel");
-  print_density(ProductMatrixMSR(12, 6, 10), "(12,6,10) MSR");
+  print_density(Carousel(12, 6, 10, 6), "(12,6,10) MSR");
   print_density(Carousel(12, 6, 10, 12), "(12,6,10,12) Carousel");
   print_density(Carousel(12, 6, 10, 10), "(12,6,10,10) Carousel");
   std::printf("\nInvariant reproduced: Carousel parity rows never exceed "

@@ -1,6 +1,7 @@
 // Paper Fig. 6: encoding and decoding throughput for k in {2,4,6,8,10} with
 // n = 2k, comparing RS, Carousel (d = k), MSR (d = 2k-1) and Carousel
 // (d = 2k-1); p = n for both Carousel variants, exactly the paper's setup.
+// RS is Carousel(n,k,k,k) and MSR is Carousel(n,k,d,k), the p = k points.
 //
 // Decoding follows the paper's protocol: the original data is recovered from
 // blocks 2..k+1 (block 1 lost) — k-1 data blocks plus one parity block for
@@ -22,8 +23,6 @@
 
 #include "bench_util.h"
 #include "codes/carousel.h"
-#include "codes/msr.h"
-#include "codes/rs.h"
 
 using namespace carousel::codes;
 using carousel::bench::kMiB;
@@ -84,9 +83,9 @@ int main() {
   for (int k : {2, 4, 6, 8, 10}) {
     Meas m{k, {}, {}, {}, {}};
     const std::size_t n = 2 * k;
-    m.rs = measure(ReedSolomon(n, k));
+    m.rs = measure(Carousel(n, k, k, k));
     m.car_k = measure(Carousel(n, k, k, n));
-    m.msr = measure(ProductMatrixMSR(n, k, 2 * k - 1));
+    m.msr = measure(Carousel(n, k, 2 * k - 1, k));
     m.car_d = measure(Carousel(n, k, 2 * k - 1, n));
     rows.push_back(m);
   }

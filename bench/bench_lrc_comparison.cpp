@@ -5,6 +5,8 @@
 // the same k = 6:
 //   storage overhead, MDS (yes/no), repair fan-in, repair traffic, and the
 //   fraction of f-failure patterns each layout survives.
+// RS and MSR are Carousel's p = k points, Carousel(n,k,k,k) and
+// Carousel(n,k,d,k).
 
 #include <cstdio>
 #include <vector>
@@ -12,7 +14,6 @@
 #include "bench_util.h"
 #include "codes/carousel.h"
 #include "codes/lrc.h"
-#include "codes/rs.h"
 #include "matrix/echelon.h"
 
 using namespace carousel::codes;
@@ -60,9 +61,9 @@ struct Layout {
 }  // namespace
 
 int main() {
-  ReedSolomon rs(10, 6);
+  Carousel rs(10, 6, 6, 6);
   LocalReconstructionCode lrc(6, 2, 2);  // n = 10, matched overhead
-  ProductMatrixMSR msr(12, 6, 10);
+  Carousel msr(12, 6, 10, 6);
   Carousel car(12, 6, 10, 12);
 
   Layout layouts[] = {

@@ -159,6 +159,11 @@ Carousel::Carousel(std::size_t n, std::size_t k, std::size_t d, std::size_t p)
         return c;
       }()) {}
 
+const char* Carousel::kind() const {
+  if (p() > k()) return "carousel";
+  return msr_base_ ? "msr" : "rs";
+}
+
 std::pair<std::size_t, std::size_t> Carousel::message_slice(
     std::size_t block) const {
   if (block >= p()) return {0, 0};
@@ -205,7 +210,14 @@ Carousel::repair_projection(std::size_t helper, std::size_t failed) const {
   if (helper >= n() || failed >= n() || helper == failed)
     throw std::invalid_argument("invalid helper/failed pair");
   std::vector<std::vector<std::pair<std::size_t, Byte>>> outputs;
-  if (!msr_base_) return outputs;
+  if (!msr_base_) {
+    // d == k: RS repair, the helper's whole block.
+    for (std::size_t t = 0; t < s(); ++t) outputs.push_back({{t, 1}});
+    return outputs;
+  }
+  // One projected unit per expansion coordinate u: the base helper vector
+  // phi_failed applied across segments, with this block's reorder permutation
+  // folded into the coefficient positions (paper Fig. 4b).
   auto coeffs = msr_base_->phi(failed);
   outputs.resize(P_);
   for (std::size_t u = 0; u < P_; ++u) {
@@ -219,29 +231,17 @@ Carousel::repair_projection(std::size_t helper, std::size_t failed) const {
 void Carousel::helper_compute(std::size_t helper, std::size_t failed,
                               std::span<const Byte> block,
                               std::span<Byte> chunk_out) const {
-  if (helper >= n() || failed >= n() || helper == failed)
-    throw std::invalid_argument("invalid helper/failed pair");
+  const auto outputs = repair_projection(helper, failed);
   if (block.size() % s() != 0)
     throw std::invalid_argument("block size must be a multiple of s");
   const std::size_t ub = block.size() / s();
-  if (chunk_out.size() != helper_chunk_units() * ub)
+  if (chunk_out.size() != outputs.size() * ub)
     throw std::invalid_argument("chunk buffer has wrong size");
-  if (!msr_base_) {
-    // d == k: helpers ship their whole block (RS repair).
-    std::memcpy(chunk_out.data(), block.data(), block.size());
-    return;
-  }
-  // One projected unit per expansion coordinate u: the base helper vector
-  // phi_failed applied across segments, with this block's reorder permutation
-  // folded into the coefficient positions (paper Fig. 4b).
-  auto coeffs = msr_base_->phi(failed);
-  for (std::size_t u = 0; u < P_; ++u) {
+  for (std::size_t u = 0; u < outputs.size(); ++u) {
     Byte* dst = chunk_out.data() + u * ub;
     gf::zero_region(dst, ub);
-    for (std::size_t a = 0; a < alpha(); ++a) {
-      std::size_t pos = store_pos(helper, a * P_ + u);
-      gf::mul_add_region(coeffs[a], block.data() + pos * ub, dst, ub);
-    }
+    for (auto [pos, coeff] : outputs[u])
+      gf::mul_add_region(coeff, block.data() + pos * ub, dst, ub);
   }
 }
 

@@ -5,6 +5,11 @@
 // reads, data-local map tasks) from k to p, while remaining MDS and keeping
 // the optimal MSR repair traffic d/(d-k+1) block sizes.
 //
+// It is the repository's one MDS codec: at p = k the construction returns
+// its base code unchanged, so Carousel(n, k, k, k) is the systematic (n, k)
+// RS code and Carousel(n, k, d, k) the (n, k, d) product-matrix MSR code.
+// The points differ only in (d, p) on one regenerating-codes trade-off.
+//
 // Construction, following the paper exactly:
 //  1. Base code: systematic (n,k) RS when d == k, else the systematic
 //     (n,k,d) product-matrix MSR code; alpha = d-k+1 segments per block.
@@ -58,7 +63,9 @@ class Carousel : public LinearCode {
  public:
   Carousel(std::size_t n, std::size_t k, std::size_t d, std::size_t p);
 
-  const char* kind() const override { return "carousel"; }
+  /// "rs" (d = k = p), "msr" (d > k = p) or "carousel" (p > k): the
+  /// classic code a p = k point is, so codec metrics keep their labels.
+  const char* kind() const override;
 
   std::size_t alpha() const { return params().alpha(); }
   std::size_t d() const { return params().d; }
@@ -95,9 +102,9 @@ class Carousel : public LinearCode {
 
   /// The helper-side repair computation as explicit linear combinations:
   /// element u lists the (stored unit position, coefficient) terms of chunk
-  /// unit u — what helper_compute evaluates locally, in a form a remote,
-  /// code-agnostic block server can execute (net protocol PROJECT).
-  /// Empty when d == k: helpers then ship their whole block.
+  /// unit u, in a form a remote, code-agnostic block server executes (net
+  /// protocol PROJECT) and helper_compute evaluates locally.  When d == k
+  /// each of the s outputs is one stored unit: the helper ships its block.
   std::vector<std::vector<std::pair<std::size_t, Byte>>> repair_projection(
       std::size_t helper, std::size_t failed) const;
 
@@ -105,7 +112,8 @@ class Carousel : public LinearCode {
   /// d/(d-k+1)-block total; equals a whole block when d == k).
   std::size_t helper_chunk_units() const { return s() / alpha(); }
 
-  /// Helper-side repair computation (runs where the surviving block lives).
+  /// Helper-side repair computation (runs where the surviving block lives):
+  /// evaluates repair_projection(helper, failed) over `block`.
   void helper_compute(std::size_t helper, std::size_t failed,
                       std::span<const Byte> block,
                       std::span<Byte> chunk_out) const;

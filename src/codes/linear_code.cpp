@@ -310,24 +310,4 @@ IoStats LinearCode::project_units(std::span<const UnitRef> sources,
   return stats;
 }
 
-std::vector<LinearCode::UnitDependency> LinearCode::dependents_of(
-    std::size_t message_unit) const {
-  if (message_unit >= message_units())
-    throw std::invalid_argument("message unit out of range");
-  std::vector<UnitDependency> out;
-  for (std::size_t r = 0; r < g_.rows(); ++r) {
-    Byte c = g_.at(r, message_unit);
-    if (c != 0) out.push_back({r / s_, r % s_, c});
-  }
-  return out;
-}
-
-bool LinearCode::unit_is_systematic(std::size_t block, std::size_t pos,
-                                    std::size_t* message_unit) const {
-  std::ptrdiff_t col = identity_col_[block * s_ + pos];
-  if (col < 0) return false;
-  if (message_unit) *message_unit = static_cast<std::size_t>(col);
-  return true;
-}
-
 }  // namespace carousel::codes

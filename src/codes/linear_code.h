@@ -1,13 +1,14 @@
 // Generator-matrix codec engine.
 //
-// Every code in this repository — Reed-Solomon, product-matrix MSR and
-// Carousel — is a linear code over GF(2^8) described by a generator matrix G
-// of size (n*s) x (k*s), where s is the number of symbols ("units") per
-// block.  A block of w bytes is s units of w/s bytes each; unit t of block i
-// is the byte-wise evaluation of row i*s + t of G against the k*s message
-// units.  The paper's prototype works the same way ("all operations ... are
-// performed by vector/matrix multiplications on a finite field of size 2^8",
-// §VIII-A), including the sparsity-aware encode that skips zero coefficients.
+// The MDS codec — Carousel, whose p = k points are Reed-Solomon and
+// product-matrix MSR — and the LRC baseline are linear codes over GF(2^8)
+// described by a generator matrix G of size (n*s) x (k*s), where s is the
+// number of symbols ("units") per block.  A block of w bytes is s units of
+// w/s bytes each; unit t of block i is the byte-wise evaluation of row
+// i*s + t of G against the k*s message units.  The paper's prototype works
+// the same way ("all operations ... are performed by vector/matrix
+// multiplications on a finite field of size 2^8", §VIII-A), including the
+// sparsity-aware encode that skips zero coefficients.
 
 #ifndef CAROUSEL_CODES_LINEAR_CODE_H
 #define CAROUSEL_CODES_LINEAR_CODE_H
@@ -72,10 +73,6 @@ class LinearCode {
 
   const Matrix& generator() const { return g_; }
 
-  /// Smallest block size (bytes) this code can operate on; block sizes must
-  /// be multiples of it (one byte per unit).
-  std::size_t min_block_bytes() const { return s_; }
-
   /// Encodes a stripe: data holds k*s units back to back (k blocks' worth of
   /// original bytes); each of the n output spans receives one block of
   /// data.size()/k bytes.  Zero coefficients are skipped and identity rows
@@ -136,29 +133,6 @@ class LinearCode {
   IoStats project_units(std::span<const UnitRef> sources,
                         std::size_t unit_bytes, std::size_t target,
                         std::span<Byte> out) const;
-
-  /// One stored unit affected by a message-unit update, with the generator
-  /// coefficient linking them: when message unit m changes by delta, stored
-  /// unit (block, pos) changes by coeff * delta.
-  struct UnitDependency {
-    std::size_t block = 0;
-    std::size_t pos = 0;
-    Byte coeff = 0;
-  };
-
-  /// All stored units whose value depends on message unit m (including its
-  /// own systematic unit, coeff 1).  Thanks to generator sparsity this is at
-  /// most 1 + (n-k)*alpha-ish entries, which is what makes in-place partial
-  /// writes cheap (see storage::ErasureFile::write).
-  std::vector<UnitDependency> dependents_of(std::size_t message_unit) const;
-
-  /// True if stored unit (block, pos) is a verbatim message unit; if so,
-  /// *message_unit gets its message index.
-  bool unit_is_systematic(std::size_t block, std::size_t pos,
-                          std::size_t* message_unit = nullptr) const;
-
-  /// Per-row generator density statistics (for the Fig. 5 bench).
-  std::size_t generator_nonzeros() const { return g_.nonzeros(); }
 
  protected:
   /// Row of the generator for unit pos of block id.

@@ -1,13 +1,13 @@
 #include "codes/msr.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
-#include "gf/vect.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-
 namespace carousel::codes {
+
+using gf::Byte;
+using matrix::Matrix;
 
 namespace {
 
@@ -19,182 +19,105 @@ std::size_t tri_index(std::size_t r, std::size_t c, std::size_t alpha) {
 
 }  // namespace
 
-struct ProductMatrixMSR::Construction {
-  CodeParams params;
-  Matrix generator;  // shortened systematic generator, (n*alpha) x (k*alpha)
-  std::size_t shortened;
-  std::size_t base_n;
-  std::vector<Byte> xs;
-  Matrix psi;
-  std::vector<Byte> lambda;
-};
-
-ProductMatrixMSR::ProductMatrixMSR(Construction c)
-    : LinearCode(c.params, c.params.alpha(), std::move(c.generator)),
-      shortened_(c.shortened),
-      base_n_(c.base_n),
-      xs_(std::move(c.xs)),
-      psi_(std::move(c.psi)),
-      lambda_(std::move(c.lambda)) {}
-
 ProductMatrixMSR::ProductMatrixMSR(std::size_t n, std::size_t k, std::size_t d)
-    : ProductMatrixMSR([&] {
-        CodeParams params{n, k, d, /*p=*/k};
-        params.validate();
-        if (d == k)
-          throw std::invalid_argument(
-              "d == k is the RS regime; use ReedSolomon");
-        const std::size_t alpha = params.alpha();
-        const std::size_t shortened = d - (2 * k - 2);
-        const std::size_t base_n = n + shortened;
-        const std::size_t base_k = k + shortened;  // = alpha + 1
-        const std::size_t base_msg = base_k * alpha;
+    : params_{n, k, d, /*p=*/k} {
+  params_.validate();
+  if (d == k)
+    throw std::invalid_argument(
+        "d == k has no product-matrix base; Carousel uses systematic RS");
+  const std::size_t alpha = params_.alpha();
+  shortened_ = d - (2 * k - 2);
+  const std::size_t base_n = n + shortened_;
+  const std::size_t base_k = k + shortened_;  // = alpha + 1
+  const std::size_t base_msg = base_k * alpha;
 
-        // Evaluation points with pairwise-distinct alpha-th powers.
-        std::vector<Byte> xs;
-        std::vector<Byte> lambda;
-        for (unsigned e = 0; e < 256 && xs.size() < base_n; ++e) {
-          Byte lam = gf::pow(static_cast<Byte>(e), static_cast<unsigned>(alpha));
-          bool clash = false;
-          for (Byte seen : lambda) clash = clash || (seen == lam);
-          if (clash) continue;
-          xs.push_back(static_cast<Byte>(e));
-          lambda.push_back(lam);
-        }
-        if (xs.size() < base_n)
-          throw std::invalid_argument(
-              "GF(256) has too few distinct alpha-th powers for these (n,k,d)");
+  // Evaluation points with pairwise-distinct alpha-th powers.
+  std::vector<Byte> xs;
+  for (unsigned e = 0; e < 256 && xs.size() < base_n; ++e) {
+    Byte lam = gf::pow(static_cast<Byte>(e), static_cast<unsigned>(alpha));
+    if (std::find(lambda_.begin(), lambda_.end(), lam) != lambda_.end())
+      continue;
+    xs.push_back(static_cast<Byte>(e));
+    lambda_.push_back(lam);
+  }
+  if (xs.size() < base_n)
+    throw std::invalid_argument(
+        "GF(256) has too few distinct alpha-th powers for these (n,k,d)");
 
-        Matrix psi = matrix::vandermonde(xs, 2 * alpha);
+  psi_ = matrix::vandermonde(xs, 2 * alpha);
 
-        // Raw generator over the packed symmetric message (S1, S2).
-        const std::size_t half = alpha * (alpha + 1) / 2;
-        Matrix raw(base_n * alpha, 2 * half);
-        for (std::size_t i = 0; i < base_n; ++i)
-          for (std::size_t a = 0; a < alpha; ++a)
-            for (std::size_t r = 0; r < alpha; ++r) {
-              std::size_t v = tri_index(std::min(r, a), std::max(r, a), alpha);
-              Byte phi_ir = psi.at(i, r);
-              raw.at(i * alpha + a, v) ^= phi_ir;
-              raw.at(i * alpha + a, half + v) ^= gf::mul(lambda[i], phi_ir);
-            }
-        if (raw.cols() != base_msg)
-          throw std::logic_error("PM message size mismatch");
+  // Raw generator over the packed symmetric message (S1, S2).
+  const std::size_t half = alpha * (alpha + 1) / 2;
+  Matrix raw(base_n * alpha, 2 * half);
+  for (std::size_t i = 0; i < base_n; ++i)
+    for (std::size_t a = 0; a < alpha; ++a)
+      for (std::size_t r = 0; r < alpha; ++r) {
+        std::size_t v = tri_index(std::min(r, a), std::max(r, a), alpha);
+        Byte phi_ir = psi_.at(i, r);
+        raw.at(i * alpha + a, v) ^= phi_ir;
+        raw.at(i * alpha + a, half + v) ^= gf::mul(lambda_[i], phi_ir);
+      }
+  if (raw.cols() != base_msg)
+    throw std::logic_error("PM message size mismatch");
 
-        // Systematise: remap the message so the first base_k nodes store it
-        // verbatim (symbol remapping, [19] Theorem 1).
-        std::vector<std::size_t> sys_rows(base_k * alpha);
-        for (std::size_t r = 0; r < sys_rows.size(); ++r) sys_rows[r] = r;
-        auto a_inv = raw.select_rows(sys_rows).inverse();
-        if (!a_inv)
-          throw std::logic_error(
-              "PM systematisation failed: top rows singular (construction "
-              "invariant violated)");
-        Matrix sys = raw.mul(*a_inv);
+  // Systematise: remap the message so the first base_k nodes store it
+  // verbatim (symbol remapping, [19] Theorem 1).
+  std::vector<std::size_t> sys_rows(base_k * alpha);
+  for (std::size_t r = 0; r < sys_rows.size(); ++r) sys_rows[r] = r;
+  auto a_inv = raw.select_rows(sys_rows).inverse();
+  if (!a_inv)
+    throw std::logic_error(
+        "PM systematisation failed: top rows singular (construction "
+        "invariant violated)");
+  Matrix sys = raw.mul(*a_inv);
 
-        // Shorten: zero (and drop) systematic nodes k..base_k-1.
-        std::vector<std::size_t> keep_rows;
-        keep_rows.reserve(n * alpha);
-        for (std::size_t i = 0; i < base_n; ++i) {
-          if (i >= k && i < base_k) continue;
-          for (std::size_t a = 0; a < alpha; ++a)
-            keep_rows.push_back(i * alpha + a);
-        }
-        std::vector<std::size_t> keep_cols(k * alpha);
-        for (std::size_t c = 0; c < keep_cols.size(); ++c) keep_cols[c] = c;
-        Matrix gen = sys.select_rows(keep_rows).select_cols(keep_cols);
-
-        return Construction{params,   std::move(gen),    shortened,
-                            base_n,   std::move(xs),     std::move(psi),
-                            std::move(lambda)};
-      }()) {}
+  // Shorten: zero (and drop) systematic nodes k..base_k-1.
+  std::vector<std::size_t> keep_rows;
+  keep_rows.reserve(n * alpha);
+  for (std::size_t i = 0; i < base_n; ++i) {
+    if (i >= k && i < base_k) continue;
+    for (std::size_t a = 0; a < alpha; ++a) keep_rows.push_back(i * alpha + a);
+  }
+  std::vector<std::size_t> keep_cols(k * alpha);
+  for (std::size_t c = 0; c < keep_cols.size(); ++c) keep_cols[c] = c;
+  generator_ = sys.select_rows(keep_rows).select_cols(keep_cols);
+}
 
 std::span<const Byte> ProductMatrixMSR::phi(std::size_t node) const {
-  return psi_.row(base_index(node)).subspan(0, alpha());
+  return psi_.row(base_index(node)).subspan(0, params_.alpha());
 }
 
 Byte ProductMatrixMSR::lambda(std::size_t node) const {
   return lambda_[base_index(node)];
 }
 
-void ProductMatrixMSR::helper_compute(std::size_t helper, std::size_t failed,
-                                      std::span<const Byte> block,
-                                      std::span<Byte> chunk_out) const {
-  if (helper == failed)
-    throw std::invalid_argument("failed block cannot be its own helper");
-  if (block.size() % s() != 0)
-    throw std::invalid_argument("block size must be a multiple of alpha");
-  const std::size_t ub = block.size() / s();
-  if (chunk_out.size() != ub)
-    throw std::invalid_argument("chunk buffer must hold one unit");
-  auto coeffs = phi(failed);
-  gf::zero_region(chunk_out.data(), ub);
-  for (std::size_t a = 0; a < alpha(); ++a)
-    gf::mul_add_region(coeffs[a], block.data() + a * ub, chunk_out.data(), ub);
-}
-
 Matrix ProductMatrixMSR::repair_combiner(
     std::size_t failed, std::span<const std::size_t> helpers) const {
-  if (helpers.size() != d())
+  const std::size_t n = params_.n, d = params_.d;
+  if (helpers.size() != d)
     throw std::invalid_argument("MSR repair needs exactly d helpers");
-  const std::size_t two_alpha = 2 * alpha();
+  const std::size_t two_alpha = 2 * params_.alpha();
   // Repair system rows: the d real helpers followed by the shortened
   // (virtual, all-zero) nodes; together exactly 2*alpha Vandermonde rows.
   std::vector<std::size_t> rows;
   rows.reserve(two_alpha);
-  std::vector<bool> seen(n(), false);
+  std::vector<bool> seen(n, false);
   for (std::size_t h : helpers) {
-    if (h >= n() || h == failed || seen[h])
+    if (h >= n || h == failed || seen[h])
       throw std::invalid_argument("helpers must be distinct survivors");
     seen[h] = true;
     rows.push_back(base_index(h));
   }
   for (std::size_t v = 0; v < shortened_; ++v)
-    rows.push_back(params().k + v);  // base indices of the dropped nodes
+    rows.push_back(params_.k + v);  // base indices of the dropped nodes
   assert(rows.size() == two_alpha);
   auto inv = psi_.select_rows(rows).inverse();
   if (!inv)
     throw std::logic_error("PM repair system singular (invariant violated)");
   // Only the first d columns matter: virtual helpers contribute zero chunks.
-  std::vector<std::size_t> cols(d());
-  for (std::size_t c = 0; c < d(); ++c) cols[c] = c;
+  std::vector<std::size_t> cols(d);
+  for (std::size_t c = 0; c < d; ++c) cols[c] = c;
   return inv->select_cols(cols);
-}
-
-IoStats ProductMatrixMSR::newcomer_compute(
-    std::size_t failed, std::span<const std::size_t> helpers,
-    std::span<const std::span<const Byte>> chunks, std::span<Byte> out) const {
-  if (chunks.size() != helpers.size())
-    throw std::invalid_argument("one chunk per helper required");
-  Matrix w = repair_combiner(failed, helpers);
-  const std::size_t ub = chunks.front().size();
-  if (out.size() != s() * ub)
-    throw std::invalid_argument("output must be one full block");
-
-  const auto& ins = instruments();
-  obs::ScopedTimer timer(*ins.repair_seconds);
-  ins.repair_bytes_read->inc(helpers.size() * ub);
-
-  // xy rows 0..alpha-1 = S1 phi_f, rows alpha..2alpha-1 = S2 phi_f.
-  std::vector<Byte> xy(2 * alpha() * ub, 0);
-  for (std::size_t r = 0; r < 2 * alpha(); ++r)
-    for (std::size_t j = 0; j < helpers.size(); ++j) {
-      if (chunks[j].size() != ub)
-        throw std::invalid_argument("chunks must share one size");
-      gf::mul_add_region(w.at(r, j), chunks[j].data(), xy.data() + r * ub, ub);
-    }
-
-  const Byte lam = lambda(failed);
-  for (std::size_t a = 0; a < alpha(); ++a) {
-    Byte* dst = out.data() + a * ub;
-    std::copy(xy.begin() + static_cast<std::ptrdiff_t>(a * ub),
-              xy.begin() + static_cast<std::ptrdiff_t>((a + 1) * ub), dst);
-    gf::mul_add_region(lam, xy.data() + (alpha() + a) * ub, dst, ub);
-  }
-  IoStats stats;
-  stats.bytes_read = helpers.size() * ub;
-  stats.sources = helpers.size();
-  return stats;
 }
 
 }  // namespace carousel::codes

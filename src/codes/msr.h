@@ -1,7 +1,8 @@
-// Systematic (n, k, d) minimum-storage regenerating codes via the
-// product-matrix construction of Rashmi, Shah and Kumar (IEEE-IT 2011),
-// reference [19] of the paper — the same construction the paper's prototype
-// uses (§VIII-A, footnote 2).
+// The product-matrix minimum-storage regenerating construction of Rashmi,
+// Shah and Kumar (IEEE-IT 2011), reference [19] of the paper — the base code
+// Carousel builds on when d > k (§VIII-A, footnote 2).  This class is only
+// the construction: the systematic generator and the repair algebra.  The
+// codec is Carousel(n, k, d, k), which returns this code unchanged (§VI).
 //
 // Construction summary (d = 2k-2 base case):
 //   alpha = d - k + 1 = k - 1 segments per block;
@@ -25,64 +26,46 @@
 #ifndef CAROUSEL_CODES_MSR_H
 #define CAROUSEL_CODES_MSR_H
 
+#include <span>
 #include <vector>
 
-#include "codes/linear_code.h"
+#include "codes/params.h"
+#include "gf/gf256.h"
+#include "matrix/matrix.h"
 
 namespace carousel::codes {
 
-class ProductMatrixMSR : public LinearCode {
+class ProductMatrixMSR {
  public:
   /// Requires d >= max(k+1, 2k-2) (see CodeParams::validate) and k >= 2.
   ProductMatrixMSR(std::size_t n, std::size_t k, std::size_t d);
 
-  const char* kind() const override { return "msr"; }
+  /// Systematic generator, (n*alpha) x (k*alpha): nodes 0..k-1 store the
+  /// message verbatim.
+  const matrix::Matrix& generator() const { return generator_; }
 
-  std::size_t alpha() const { return params().alpha(); }
-  std::size_t d() const { return params().d; }
-
-  /// Bytes each helper ships per block byte-width w: w / alpha.
-  /// (One segment out of its alpha.)
-  std::size_t helper_chunk_units() const { return 1; }
-
-  /// Helper-side repair computation: project this helper's block onto
-  /// phi_failed.  block is s()=alpha units; chunk_out is one unit.
-  void helper_compute(std::size_t helper, std::size_t failed,
-                      std::span<const Byte> block,
-                      std::span<Byte> chunk_out) const;
-
-  /// Newcomer-side repair: combine d helper chunks (parallel arrays) into the
-  /// failed block.  Chunks are one unit each; out is a full block.
-  IoStats newcomer_compute(std::size_t failed,
-                           std::span<const std::size_t> helpers,
-                           std::span<const std::span<const Byte>> chunks,
-                           std::span<Byte> out) const;
-
-  /// phi row (alpha coefficients) of a node, exposed for Carousel's expanded
-  /// repair vectors (paper §VI-A).
-  std::span<const Byte> phi(std::size_t node) const;
-  Byte lambda(std::size_t node) const;
+  /// phi row (alpha coefficients) of a node: what a helper projects its
+  /// segments onto to repair it.
+  std::span<const gf::Byte> phi(std::size_t node) const;
+  gf::Byte lambda(std::size_t node) const;
 
   /// Inverse of the repair system for (failed, helpers): a 2*alpha x d matrix
   /// W with [S1 phi_f; S2 phi_f] = W * chunks (virtual zero helpers from
-  /// shortening already folded in).  Exposed for Carousel.
-  Matrix repair_combiner(std::size_t failed,
-                         std::span<const std::size_t> helpers) const;
+  /// shortening already folded in).
+  matrix::Matrix repair_combiner(std::size_t failed,
+                                 std::span<const std::size_t> helpers) const;
 
  private:
-  // Base (unshortened) code geometry.
-  std::size_t shortened_ = 0;                 // i = d - 2k + 2
-  std::size_t base_n_ = 0;                    // n + i
-  std::vector<Byte> xs_;                      // evaluation points, base_n_
-  Matrix psi_;                                // base_n_ x 2*alpha
-  std::vector<Byte> lambda_;                  // base_n_
-
   std::size_t base_index(std::size_t node) const {
-    return node < params().k ? node : node + shortened_;
+    return node < params_.k ? node : node + shortened_;
   }
 
-  struct Construction;  // helper used by the constructor
-  explicit ProductMatrixMSR(Construction c);
+  CodeParams params_;
+  matrix::Matrix generator_;
+  // Base (unshortened) code geometry.
+  std::size_t shortened_ = 0;       // i = d - 2k + 2
+  matrix::Matrix psi_;              // (n + i) x 2*alpha
+  std::vector<gf::Byte> lambda_;    // n + i
 };
 
 }  // namespace carousel::codes

@@ -110,9 +110,28 @@ std::optional<ParsedRecord> parse_record(std::span<const std::uint8_t> bytes) {
   return rec;
 }
 
-std::vector<std::uint8_t> serialize_file_record(
-    std::uint32_t file, const MetaLog::FileRecord& rec) {
-  Writer w;
+/// Walks the intact records at the front of a journal image in order and
+/// returns where the intact prefix ends (the torn tail, if any, starts
+/// there; bytes.size() when the journal is whole).
+template <typename OnRecord>
+std::size_t scan_journal(std::span<const std::uint8_t> bytes,
+                         OnRecord&& on_record) {
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
+    const auto rec = parse_record(bytes.subspan(pos));
+    if (!rec) break;
+    on_record(*rec);
+    pos += rec->total_bytes;
+  }
+  return pos;
+}
+
+// One encode and one decode per journaled struct.  The append API, replay,
+// the snapshot writer and the snapshot parser all go through these, so each
+// struct's on-disk layout is spelled once.
+
+// u32 file, u64 bytes, u32 stripes, u32 width, stripes*width u32 servers.
+void encode(Writer& w, std::uint32_t file, const MetaLog::FileRecord& rec) {
   w.u32(file);
   w.u64(rec.file_bytes);
   w.u32(rec.stripes);
@@ -122,10 +141,9 @@ std::vector<std::uint8_t> serialize_file_record(
   w.u32(width);
   for (const auto& row : rec.placement)
     for (std::uint32_t server : row) w.u32(server);
-  return w.data();
 }
 
-std::pair<std::uint32_t, MetaLog::FileRecord> parse_file_record(Reader& r) {
+std::pair<std::uint32_t, MetaLog::FileRecord> decode_file(Reader& r) {
   const std::uint32_t file = r.u32();
   MetaLog::FileRecord rec;
   rec.file_bytes = r.u64();
@@ -140,6 +158,51 @@ std::pair<std::uint32_t, MetaLog::FileRecord> parse_file_record(Reader& r) {
   return {file, rec};
 }
 
+// u32 file, u32 stripe, u32 index, u32 target.
+void encode(Writer& w, const MetaLog::RehomeIntent& ri) {
+  w.key(BlockKey{ri.file, ri.stripe, ri.index});
+  w.u32(ri.target);
+}
+
+MetaLog::RehomeIntent decode_rehome(Reader& r) {
+  const BlockKey key = r.key();
+  return {key.file, key.stripe, key.index, r.u32()};
+}
+
+// u16 port, u64 domain, u8 labeled.
+void encode(Writer& w, const MetaLog::SpareServer& sp) {
+  w.u16(sp.port);
+  w.u64(sp.domain);
+  w.u8(sp.labeled ? 1 : 0);
+}
+
+MetaLog::SpareServer decode_spare(Reader& r) {
+  MetaLog::SpareServer sp;
+  sp.port = r.u16();
+  sp.domain = r.u64();
+  sp.labeled = r.u8() != 0;
+  return sp;
+}
+
+// u8 enabled, u64 percentile bits, u64 floor, u64 initial, u64 min samples.
+void encode(Writer& w, const MetaLog::HedgeRecord& h) {
+  w.u8(h.enabled ? 1 : 0);
+  w.u64(std::bit_cast<std::uint64_t>(h.percentile));
+  w.u64(static_cast<std::uint64_t>(h.floor_ms));
+  w.u64(static_cast<std::uint64_t>(h.initial_ms));
+  w.u64(h.min_samples);
+}
+
+MetaLog::HedgeRecord decode_hedge(Reader& r) {
+  MetaLog::HedgeRecord h;
+  h.enabled = r.u8() != 0;
+  h.percentile = std::bit_cast<double>(r.u64());
+  h.floor_ms = static_cast<std::int64_t>(r.u64());
+  h.initial_ms = static_cast<std::int64_t>(r.u64());
+  h.min_samples = r.u64();
+  return h;
+}
+
 std::vector<std::uint8_t> serialize_state(const MetaLog::State& state,
                                           std::uint32_t config_crc,
                                           std::uint64_t lsn) {
@@ -148,32 +211,15 @@ std::vector<std::uint8_t> serialize_state(const MetaLog::State& state,
   w.u32(config_crc);
   w.u64(lsn);
   w.u32(static_cast<std::uint32_t>(state.manifest.size()));
-  for (const auto& [file, rec] : state.manifest)
-    w.bytes(serialize_file_record(file, rec));
+  for (const auto& [file, rec] : state.manifest) encode(w, file, rec);
   w.u32(static_cast<std::uint32_t>(state.pending_puts.size()));
-  for (const auto& [file, rec] : state.pending_puts)
-    w.bytes(serialize_file_record(file, rec));
+  for (const auto& [file, rec] : state.pending_puts) encode(w, file, rec);
   w.u32(static_cast<std::uint32_t>(state.pending_rehomes.size()));
-  for (const auto& ri : state.pending_rehomes) {
-    w.u32(ri.file);
-    w.u32(ri.stripe);
-    w.u32(ri.index);
-    w.u32(ri.target);
-  }
+  for (const auto& ri : state.pending_rehomes) encode(w, ri);
   w.u32(static_cast<std::uint32_t>(state.spares.size()));
-  for (const auto& sp : state.spares) {
-    w.u16(sp.port);
-    w.u64(sp.domain);
-    w.u8(sp.labeled ? 1 : 0);
-  }
+  for (const auto& sp : state.spares) encode(w, sp);
   w.u8(state.hedge ? 1 : 0);
-  if (state.hedge) {
-    w.u8(state.hedge->enabled ? 1 : 0);
-    w.u64(std::bit_cast<std::uint64_t>(state.hedge->percentile));
-    w.u64(static_cast<std::uint64_t>(state.hedge->floor_ms));
-    w.u64(static_cast<std::uint64_t>(state.hedge->initial_ms));
-    w.u64(state.hedge->min_samples);
-  }
+  if (state.hedge) encode(w, *state.hedge);
   w.u32(util::crc32(w.data()));
   return w.data();
 }
@@ -197,38 +243,26 @@ std::optional<ParsedSnapshot> parse_snapshot(
     snap.config_crc = r.u32();
     snap.lsn = r.u64();
     for (std::uint32_t n = r.u32(); n > 0; --n)
-      snap.state.manifest.insert(parse_file_record(r));
+      snap.state.manifest.insert(decode_file(r));
     for (std::uint32_t n = r.u32(); n > 0; --n)
-      snap.state.pending_puts.insert(parse_file_record(r));
-    for (std::uint32_t n = r.u32(); n > 0; --n) {
-      MetaLog::RehomeIntent ri;
-      ri.file = r.u32();
-      ri.stripe = r.u32();
-      ri.index = r.u32();
-      ri.target = r.u32();
-      snap.state.pending_rehomes.push_back(ri);
-    }
-    for (std::uint32_t n = r.u32(); n > 0; --n) {
-      MetaLog::SpareServer sp;
-      sp.port = r.u16();
-      sp.domain = r.u64();
-      sp.labeled = r.u8() != 0;
-      snap.state.spares.push_back(sp);
-    }
-    if (r.u8() != 0) {
-      MetaLog::HedgeRecord h;
-      h.enabled = r.u8() != 0;
-      h.percentile = std::bit_cast<double>(r.u64());
-      h.floor_ms = static_cast<std::int64_t>(r.u64());
-      h.initial_ms = static_cast<std::int64_t>(r.u64());
-      h.min_samples = r.u64();
-      snap.state.hedge = h;
-    }
+      snap.state.pending_puts.insert(decode_file(r));
+    for (std::uint32_t n = r.u32(); n > 0; --n)
+      snap.state.pending_rehomes.push_back(decode_rehome(r));
+    for (std::uint32_t n = r.u32(); n > 0; --n)
+      snap.state.spares.push_back(decode_spare(r));
+    if (r.u8() != 0) snap.state.hedge = decode_hedge(r);
     if (r.remaining() != 0) return std::nullopt;
     return snap;
   } catch (const MalformedPayload&) {
     return std::nullopt;
   }
+}
+
+/// Drops the pending rehome of one block, if any.
+void drop_rehome(MetaLog::State& state, const BlockKey& key) {
+  std::erase_if(state.pending_rehomes, [&key](const MetaLog::RehomeIntent& p) {
+    return BlockKey{p.file, p.stripe, p.index} == key;
+  });
 }
 
 }  // namespace
@@ -332,34 +366,31 @@ void MetaLog::replay(std::uint32_t config_crc) {
   const fs::path journal_p = dir_ / "journal";
   auto bytes = durable::read_file(journal_p);
   if (bytes) {
-    std::size_t pos = 0;
-    while (pos < bytes->size()) {
-      const auto rec =
-          parse_record(std::span(*bytes).subspan(pos));
-      if (!rec) {
-        // Torn tail: everything from here on is untrusted.  Quarantine the
-        // fragment, truncate the journal at the last intact boundary.
-        replay_.torn_tail = true;
-        replay_.torn_bytes = bytes->size() - pos;
-        durable::quarantine_bytes(quarantine_dir(), "journal.tail",
-                                  std::span(*bytes).subspan(pos));
-        if (::truncate(journal_p.c_str(), static_cast<off_t>(pos)) != 0)
-          throw std::system_error(errno, std::generic_category(),
-                                  "truncate journal " + journal_p.string());
-        torn_tails_->inc();
-        break;
-      }
-      if (rec->lsn <= lsn_) {
-        // Already folded into the snapshot (a crash between snapshot rename
-        // and journal reset leaves such records behind — harmless).
-        ++replay_.skipped_records;
-      } else {
-        apply_record(rec->kind, rec->payload);
-        lsn_ = rec->lsn;
-        ++replay_.journal_records;
-        replay_records_->inc();
-      }
-      pos += rec->total_bytes;
+    const std::size_t intact =
+        scan_journal(*bytes, [this](const ParsedRecord& rec) {
+          if (rec.lsn <= lsn_) {
+            // Already folded into the snapshot (a crash between snapshot
+            // rename and journal reset leaves such records behind —
+            // harmless).
+            ++replay_.skipped_records;
+            return;
+          }
+          apply_record(rec.kind, rec.payload);
+          lsn_ = rec.lsn;
+          ++replay_.journal_records;
+          replay_records_->inc();
+        });
+    if (intact < bytes->size()) {
+      // Torn tail: everything from here on is untrusted.  Quarantine the
+      // fragment, truncate the journal at the last intact boundary.
+      replay_.torn_tail = true;
+      replay_.torn_bytes = bytes->size() - intact;
+      durable::quarantine_bytes(quarantine_dir(), "journal.tail",
+                                std::span(*bytes).subspan(intact));
+      if (::truncate(journal_p.c_str(), static_cast<off_t>(intact)) != 0)
+        throw std::system_error(errno, std::generic_category(),
+                                "truncate journal " + journal_p.string());
+      torn_tails_->inc();
     }
   }
   replay_.seconds =
@@ -381,16 +412,11 @@ void MetaLog::apply_record(std::uint8_t kind,
               (dir_ / "journal").string());
         return;
       }
-      case kRecAddServer: {
-        SpareServer sp;
-        sp.port = r.u16();
-        sp.domain = r.u64();
-        sp.labeled = r.u8() != 0;
-        state_.spares.push_back(sp);
+      case kRecAddServer:
+        state_.spares.push_back(decode_spare(r));
         return;
-      }
       case kRecPutIntent: {
-        auto [file, rec] = parse_file_record(r);
+        auto [file, rec] = decode_file(r);
         state_.pending_puts[file] = std::move(rec);
         return;
       }
@@ -409,60 +435,33 @@ void MetaLog::apply_record(std::uint8_t kind,
         return;
       }
       case kRecRehomeIntent: {
-        RehomeIntent ri;
-        ri.file = r.u32();
-        ri.stripe = r.u32();
-        ri.index = r.u32();
-        ri.target = r.u32();
-        std::erase_if(state_.pending_rehomes, [&ri](const RehomeIntent& p) {
-          return p.file == ri.file && p.stripe == ri.stripe &&
-                 p.index == ri.index;
-        });
+        const RehomeIntent ri = decode_rehome(r);
+        drop_rehome(state_, BlockKey{ri.file, ri.stripe, ri.index});
         state_.pending_rehomes.push_back(ri);
         return;
       }
       case kRecRehomeCommit: {
-        const std::uint32_t file = r.u32();
-        const std::uint32_t stripe = r.u32();
-        const std::uint32_t index = r.u32();
-        const std::uint32_t server = r.u32();
-        auto it = state_.manifest.find(file);
+        // Laid out as a RehomeIntent whose target is the new home.
+        const RehomeIntent rc = decode_rehome(r);
+        auto it = state_.manifest.find(rc.file);
         if (it == state_.manifest.end() ||
-            stripe >= it->second.placement.size() ||
-            index >= it->second.placement[stripe].size())
+            rc.stripe >= it->second.placement.size() ||
+            rc.index >= it->second.placement[rc.stripe].size())
           throw MetaReplayError(
               "rehome_commit names a block outside the manifest: file " +
-              std::to_string(file) + " stripe " + std::to_string(stripe) +
-              " index " + std::to_string(index));
-        it->second.placement[stripe][index] = server;
-        std::erase_if(state_.pending_rehomes,
-                      [&](const RehomeIntent& p) {
-                        return p.file == file && p.stripe == stripe &&
-                               p.index == index;
-                      });
+              std::to_string(rc.file) + " stripe " +
+              std::to_string(rc.stripe) + " index " +
+              std::to_string(rc.index));
+        it->second.placement[rc.stripe][rc.index] = rc.target;
+        drop_rehome(state_, BlockKey{rc.file, rc.stripe, rc.index});
         return;
       }
-      case kRecRehomeAbort: {
-        const std::uint32_t file = r.u32();
-        const std::uint32_t stripe = r.u32();
-        const std::uint32_t index = r.u32();
-        std::erase_if(state_.pending_rehomes,
-                      [&](const RehomeIntent& p) {
-                        return p.file == file && p.stripe == stripe &&
-                               p.index == index;
-                      });
+      case kRecRehomeAbort:
+        drop_rehome(state_, r.key());
         return;
-      }
-      case kRecHedge: {
-        HedgeRecord h;
-        h.enabled = r.u8() != 0;
-        h.percentile = std::bit_cast<double>(r.u64());
-        h.floor_ms = static_cast<std::int64_t>(r.u64());
-        h.initial_ms = static_cast<std::int64_t>(r.u64());
-        h.min_samples = r.u64();
-        state_.hedge = h;
+      case kRecHedge:
+        state_.hedge = decode_hedge(r);
         return;
-      }
       default:
         throw MetaReplayError("unknown journal record kind " +
                               std::to_string(kind));
@@ -559,7 +558,7 @@ void MetaLog::put_intent(
   rec.stripes = stripes;
   rec.placement = placement;
   Writer w;
-  w.bytes(serialize_file_record(file, rec));
+  encode(w, file, rec);
   append_record(kRecPutIntent, w.data());
 }
 
@@ -578,48 +577,34 @@ void MetaLog::put_abort(std::uint32_t file) {
 void MetaLog::rehome_intent(std::uint32_t file, std::uint32_t stripe,
                             std::uint32_t index, std::uint32_t target) {
   Writer w;
-  w.u32(file);
-  w.u32(stripe);
-  w.u32(index);
-  w.u32(target);
+  encode(w, RehomeIntent{file, stripe, index, target});
   append_record(kRecRehomeIntent, w.data());
 }
 
 void MetaLog::rehome_commit(std::uint32_t file, std::uint32_t stripe,
                             std::uint32_t index, std::uint32_t server) {
   Writer w;
-  w.u32(file);
-  w.u32(stripe);
-  w.u32(index);
-  w.u32(server);
+  encode(w, RehomeIntent{file, stripe, index, server});
   append_record(kRecRehomeCommit, w.data());
 }
 
 void MetaLog::rehome_abort(std::uint32_t file, std::uint32_t stripe,
                            std::uint32_t index) {
   Writer w;
-  w.u32(file);
-  w.u32(stripe);
-  w.u32(index);
+  w.key(BlockKey{file, stripe, index});
   append_record(kRecRehomeAbort, w.data());
 }
 
 void MetaLog::add_server(std::uint16_t port, std::uint64_t domain,
                          bool labeled) {
   Writer w;
-  w.u16(port);
-  w.u64(domain);
-  w.u8(labeled ? 1 : 0);
+  encode(w, SpareServer{port, domain, labeled});
   append_record(kRecAddServer, w.data());
 }
 
 void MetaLog::set_hedge(const HedgeRecord& hedge) {
   Writer w;
-  w.u8(hedge.enabled ? 1 : 0);
-  w.u64(std::bit_cast<std::uint64_t>(hedge.percentile));
-  w.u64(static_cast<std::uint64_t>(hedge.floor_ms));
-  w.u64(static_cast<std::uint64_t>(hedge.initial_ms));
-  w.u64(hedge.min_samples);
+  encode(w, hedge);
   append_record(kRecHedge, w.data());
 }
 
@@ -664,20 +649,12 @@ std::string MetaLog::inspect(const fs::path& dir) {
   std::uint64_t first_lsn = 0;
   std::uint64_t last_lsn = 0;
   std::uint64_t records = 0;
-  std::size_t pos = 0;
-  std::optional<std::size_t> torn_at;
-  while (pos < bytes->size()) {
-    const auto rec = parse_record(std::span(*bytes).subspan(pos));
-    if (!rec) {
-      torn_at = pos;
-      break;
-    }
-    ++counts[rec->kind];
-    if (records == 0) first_lsn = rec->lsn;
-    last_lsn = rec->lsn;
+  const std::size_t intact = scan_journal(*bytes, [&](const ParsedRecord& rec) {
+    ++counts[rec.kind];
+    if (records == 0) first_lsn = rec.lsn;
+    last_lsn = rec.lsn;
     ++records;
-    pos += rec->total_bytes;
-  }
+  });
   out << "journal: " << records << " record(s), " << bytes->size()
       << " byte(s)";
   if (records > 0) out << ", lsn " << first_lsn << ".." << last_lsn;
@@ -685,9 +662,9 @@ std::string MetaLog::inspect(const fs::path& dir) {
   for (std::uint8_t k = 0; k < kRecKindCount; ++k)
     if (counts[k] > 0)
       out << "  " << kind_name(k) << ": " << counts[k] << "\n";
-  if (torn_at)
-    out << "  TORN TAIL at byte " << *torn_at << " ("
-        << bytes->size() - *torn_at
+  if (intact < bytes->size())
+    out << "  TORN TAIL at byte " << intact << " ("
+        << bytes->size() - intact
         << " byte(s) would be quarantined on the next open)\n";
 
   const fs::path q = dir / "quarantine";

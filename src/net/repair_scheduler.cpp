@@ -368,29 +368,16 @@ void RepairScheduler::poll_admission() {
     const auto& h = it->second;
     // Windowed p99: only observations since the last poll count, so a past
     // latency spike cannot pin the scheduler down forever.
-    std::uint64_t total = 0;
     std::vector<std::uint64_t> delta(h.buckets.size(), 0);
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       const std::uint64_t prev =
           i < last_foreground_buckets_.size() ? last_foreground_buckets_[i]
                                               : 0;
       delta[i] = h.buckets[i] - prev;
-      total += delta[i];
     }
     last_foreground_buckets_ = h.buckets;
-    if (total > 0) {
-      const std::uint64_t need = (total * 99 + 99) / 100;  // ceil(.99 total)
-      std::uint64_t cum = 0;
-      for (std::size_t i = 0; i < delta.size(); ++i) {
-        cum += delta[i];
-        if (cum < need) continue;
-        // The bucket's upper bound estimates the quantile; the +inf bucket
-        // has none, so score it far beyond any sane budget.
-        p99_s = i < h.bounds.size()
-                    ? h.bounds[i]
-                    : (h.bounds.empty() ? 0.0 : h.bounds.back() * 10.0);
-        break;
-      }
+    if (const auto p99 = obs::quantile_upper_bound(h.bounds, delta, 0.99)) {
+      p99_s = *p99;
       breach =
           p99_s * 1000.0 > static_cast<double>(options_.p99_budget.count());
     }

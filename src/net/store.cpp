@@ -479,43 +479,20 @@ void CarouselStore::set_hedge_policy(HedgePolicy policy) {
   hedge_ = policy;
 }
 
-HedgePolicy CarouselStore::hedge_policy() const {
-  util::MutexLock lock(mu_);
-  return hedge_;
-}
-
 std::chrono::milliseconds CarouselStore::hedge_budget(
     const HedgePolicy& policy) const {
   const obs::Histogram& h = *range_get_seconds_;
   if (h.count() < policy.min_samples)
     return std::max(policy.floor, policy.initial);
-  // Walk the cumulative histogram to the bucket holding the requested
-  // quantile and budget its *upper* bound — hedging should fire past the
-  // quantile, never inside it.  The +inf bucket has no bound; use 10x the
-  // ladder top (anything there is a straggler by definition).
-  const auto& bounds = h.bounds();
-  std::vector<std::uint64_t> buckets(bounds.size() + 1);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    buckets[i] = h.bucket(i);
-    total += buckets[i];
-  }
-  if (total == 0) return std::max(policy.floor, policy.initial);
-  const double target = policy.percentile * static_cast<double>(total);
-  const std::uint64_t need = std::min<std::uint64_t>(
-      total, std::max<std::uint64_t>(
-                 1, static_cast<std::uint64_t>(std::ceil(target))));
-  double budget_s = bounds.empty() ? 0.0 : bounds.back() * 10.0;
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    cum += buckets[i];
-    if (cum >= need) {
-      budget_s = i < bounds.size() ? bounds[i] : bounds.back() * 10.0;
-      break;
-    }
-  }
+  // Budget the *upper* bound of the bucket holding the requested quantile
+  // — hedging should fire past the quantile, never inside it.
+  std::vector<std::uint64_t> buckets(h.bounds().size() + 1);
+  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] = h.bucket(i);
+  const std::optional<double> budget_s =
+      obs::quantile_upper_bound(h.bounds(), buckets, policy.percentile);
+  if (!budget_s) return std::max(policy.floor, policy.initial);
   const auto ms = std::chrono::milliseconds(
-      static_cast<std::int64_t>(std::ceil(budget_s * 1000.0)));
+      static_cast<std::int64_t>(std::ceil(*budget_s * 1000.0)));
   return std::max(policy.floor, ms);
 }
 

@@ -326,7 +326,6 @@ class CarouselStore {
   /// Replaces the hedged-read policy at runtime (benches toggle hedging on
   /// one fleet to measure its tail-latency win in isolation).
   void set_hedge_policy(HedgePolicy policy) EXCLUDES(mu_);
-  HedgePolicy hedge_policy() const EXCLUDES(mu_);
 
   /// Overrides which survivors the repair path fans into (null restores the
   /// first-d default).  The policy is invoked under the store's mutex and

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -155,6 +156,24 @@ void Histogram::observe(double v) noexcept {
 
 std::span<const double> Histogram::latency_buckets_seconds() {
   return kLatencyBounds;
+}
+
+std::optional<double> quantile_upper_bound(
+    std::span<const double> bounds, std::span<const std::uint64_t> buckets,
+    double q) {
+  std::uint64_t total = 0;
+  for (std::uint64_t b : buckets) total += b;
+  if (total == 0) return std::nullopt;
+  const std::uint64_t rank = std::min<std::uint64_t>(
+      total, std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::ceil(
+                                            q * static_cast<double>(total)))));
+  const double overflow = bounds.empty() ? 0.0 : bounds.back() * 10.0;
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    cum += buckets[i];
+    if (cum >= rank) return i < bounds.size() ? bounds[i] : overflow;
+  }
+  return overflow;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {

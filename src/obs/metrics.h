@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -101,6 +102,15 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
 };
+
+/// The one histogram-quantile rule: the upper bound of the bucket holding
+/// the q-quantile of per-bucket counts (`buckets` has bounds.size() + 1
+/// entries, the last the +inf bucket), i.e. the first bucket whose
+/// cumulative count reaches rank max(1, ceil(q * total)).  The +inf bucket
+/// has no bound and scores 10x the top one.  nullopt when every count is 0.
+std::optional<double> quantile_upper_bound(
+    std::span<const double> bounds, std::span<const std::uint64_t> buckets,
+    double q);
 
 /// Point-in-time copy of one histogram.
 struct HistogramSnapshot {

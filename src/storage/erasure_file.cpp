@@ -1,11 +1,7 @@
 #include "storage/erasure_file.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
-
-#include "gf/vect.h"
-#include "util/crc32.h"
 
 namespace carousel::storage {
 
@@ -23,7 +19,6 @@ ErasureFile::ErasureFile(const Carousel& code, std::span<const Byte> file,
   std::copy(file.begin(), file.end(), padded_file_.begin());
   store_.assign(stripes_ * code.n() * block_bytes, 0);
   available_.assign(stripes_ * code.n(), true);
-  checksum_.assign(stripes_ * code.n(), 0);
   for (std::size_t s = 0; s < stripes_; ++s) {
     std::vector<std::span<Byte>> blocks;
     blocks.reserve(code_->n());
@@ -33,12 +28,7 @@ ErasureFile::ErasureFile(const Carousel& code, std::span<const Byte> file,
         std::span<const Byte>(padded_file_.data() + s * stripe_data,
                               stripe_data),
         blocks);
-    for (std::size_t i = 0; i < code_->n(); ++i) record_checksum(s, i);
   }
-}
-
-void ErasureFile::record_checksum(std::size_t stripe, std::size_t index) {
-  checksum_[slot(stripe, index)] = util::crc32(block(stripe, index));
 }
 
 std::span<const Byte> ErasureFile::block(std::size_t stripe,
@@ -92,63 +82,12 @@ std::vector<Byte> ErasureFile::read_all(IoStats* stats) const {
   return out;
 }
 
-std::size_t ErasureFile::write(std::size_t offset,
-                               std::span<const Byte> bytes) {
-  if (offset + bytes.size() > file_bytes_)
-    throw std::invalid_argument("write extends past the end of the file");
-  if (bytes.empty()) return 0;
-  const std::size_t ub = block_bytes_ / code_->s();
-  const std::size_t stripe_data = code_->k() * block_bytes_;
-  const std::size_t first_stripe = offset / stripe_data;
-  const std::size_t last_stripe = (offset + bytes.size() - 1) / stripe_data;
-  for (std::size_t s = first_stripe; s <= last_stripe; ++s)
-    for (std::size_t i = 0; i < code_->n(); ++i)
-      if (!block_available(s, i))
-        throw std::runtime_error(
-            "write: a block of an affected stripe is unavailable; repair "
-            "first");
-
-  std::size_t touched = 0;
-  std::size_t cursor = 0;
-  while (cursor < bytes.size()) {
-    const std::size_t abs = offset + cursor;
-    const std::size_t stripe = abs / stripe_data;
-    const std::size_t in_stripe = abs % stripe_data;
-    const std::size_t msg_unit = in_stripe / ub;
-    const std::size_t in_unit = in_stripe % ub;
-    const std::size_t span_len =
-        std::min(ub - in_unit, bytes.size() - cursor);
-
-    // Delta of the affected window of this message unit.
-    Byte* old_bytes = padded_file_.data() + stripe * stripe_data +
-                      msg_unit * ub + in_unit;
-    std::vector<Byte> delta(span_len);
-    for (std::size_t b = 0; b < span_len; ++b)
-      delta[b] = static_cast<Byte>(old_bytes[b] ^ bytes[cursor + b]);
-    std::copy(bytes.begin() + static_cast<std::ptrdiff_t>(cursor),
-              bytes.begin() + static_cast<std::ptrdiff_t>(cursor + span_len),
-              old_bytes);
-
-    for (const auto& dep : code_->dependents_of(msg_unit)) {
-      Byte* unit = block_mut(stripe, dep.block).data() + dep.pos * ub + in_unit;
-      gf::mul_add_region(dep.coeff, delta.data(), unit, span_len);
-      ++touched;
-    }
-    cursor += span_len;
-  }
-  // Refresh the scrub checksums of the touched stripes.
-  for (std::size_t s = first_stripe; s <= last_stripe; ++s)
-    for (std::size_t i = 0; i < code_->n(); ++i) record_checksum(s, i);
-  return touched;
-}
-
 IoStats ErasureFile::repair_block(std::size_t stripe, std::size_t index) {
   if (block_available(stripe, index))
     throw std::invalid_argument("block is not missing");
   auto stats =
       code_->repair_stripe(index, stripe_views(stripe), block_mut(stripe, index));
   set_block_available(stripe, index, true);
-  record_checksum(stripe, index);
   return stats;
 }
 
@@ -158,29 +97,6 @@ std::vector<std::span<const Byte>> ErasureFile::stripe_views(
   for (std::size_t i = 0; i < code_->n(); ++i)
     if (block_available(stripe, i)) views[i] = block(stripe, i);
   return views;
-}
-
-ErasureFile::ScrubReport ErasureFile::scrub(bool repair) {
-  ScrubReport report;
-  std::vector<std::pair<std::size_t, std::size_t>> corrupt;
-  for (std::size_t s = 0; s < stripes_; ++s)
-    for (std::size_t i = 0; i < code_->n(); ++i) {
-      if (!block_available(s, i)) continue;
-      ++report.blocks_checked;
-      if (util::crc32(block(s, i)) != checksum_[slot(s, i)]) {
-        ++report.corrupt_found;
-        // Quarantine first: a corrupt block must never serve reads or act
-        // as a repair helper.
-        set_block_available(s, i, false);
-        corrupt.emplace_back(s, i);
-      }
-    }
-  if (repair)
-    for (auto [s, i] : corrupt) {
-      repair_block(s, i);
-      ++report.repaired;
-    }
-  return report;
 }
 
 bool ErasureFile::verify() const {

@@ -61,14 +61,6 @@ class ErasureFile {
   /// when a stripe's available blocks cannot decode.
   std::vector<Byte> read_all(IoStats* stats = nullptr) const;
 
-  /// In-place partial overwrite of the file: updates the affected data
-  /// units and, via the generator coefficients, every dependent parity unit
-  /// (delta encoding — no re-encode of the stripe).  The byte range must lie
-  /// within the file, and every block of the affected stripes must be
-  /// available (updating around failures would leave silent staleness).
-  /// Returns the number of stored units touched.
-  std::size_t write(std::size_t offset, std::span<const Byte> bytes);
-
   /// Rebuilds an unavailable block of one stripe through the code's repair
   /// planner (repair_stripe: d projecting helpers, else k whole blocks),
   /// restoring its availability.  Returns the repair traffic.
@@ -77,20 +69,6 @@ class ErasureFile {
   /// Verifies every available block against a fresh encode (integrity
   /// check used by tests and the failure-injection example).
   bool verify() const;
-
-  /// Result of a scrub pass.
-  struct ScrubReport {
-    std::size_t blocks_checked = 0;
-    std::size_t corrupt_found = 0;
-    std::size_t repaired = 0;
-  };
-
-  /// Background-scrubber pass: recomputes every available block's CRC-32
-  /// against the checksum recorded at encode/repair/write time.  Blocks that
-  /// fail are marked unavailable (a corrupt block is worse than a missing
-  /// one) and, when `repair` is set, rebuilt from the survivors — silent
-  /// bit-rot turns back into clean redundancy.
-  ScrubReport scrub(bool repair = true);
 
  private:
   std::span<Byte> block_mut(std::size_t stripe, std::size_t index);
@@ -104,11 +82,9 @@ class ErasureFile {
   std::size_t file_bytes_ = 0;
   std::size_t block_bytes_ = 0;
   std::size_t stripes_ = 0;
-  void record_checksum(std::size_t stripe, std::size_t index);
 
   std::vector<Byte> store_;        // stripes * n * block_bytes
   std::vector<bool> available_;    // per block
-  std::vector<std::uint32_t> checksum_;  // per block, CRC-32
   std::vector<Byte> padded_file_;  // original data, zero-padded per stripe
 };
 

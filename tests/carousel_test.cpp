@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "codes/carousel.h"
-#include "codes/rs.h"
 #include "test_util.h"
 
 namespace carousel::codes {
@@ -44,16 +43,19 @@ TEST(Carousel, PaperToyExampleGeometry) {
 TEST(Carousel, ReducesToRsWhenPEqualsK) {
   // (n, k, d=k, p=k) must be exactly the systematic RS code.
   Carousel c(6, 4, 4, 4);
-  ReedSolomon rs(6, 4);
   EXPECT_EQ(c.s(), 1u);
-  EXPECT_EQ(c.generator(), rs.generator());
+  EXPECT_EQ(c.generator(), matrix::cauchy_systematic(6, 4));
+  EXPECT_STREQ(c.kind(), "rs");
 }
 
 TEST(Carousel, ReducesToMsrWhenPEqualsK) {
+  // (n, k, d>k, p=k) must be exactly the product-matrix MSR base code.
   Carousel c(8, 4, 6, 4);
   ProductMatrixMSR msr(8, 4, 6);
-  EXPECT_EQ(c.s(), msr.s());
+  EXPECT_EQ(c.s(), c.alpha());
   EXPECT_EQ(c.generator(), msr.generator());
+  EXPECT_STREQ(c.kind(), "msr");
+  EXPECT_STREQ(Carousel(8, 4, 6, 5).kind(), "carousel");
 }
 
 TEST(Carousel, DataUnitsLayoutInvariant) {
@@ -262,11 +264,9 @@ TEST(Carousel, RepairEveryBlockRsBase) {
 TEST(Carousel, RepairMatchesBaseMsrTraffic) {
   // Carousel must not add a single byte over its base MSR code (Fig. 7).
   Carousel c(12, 6, 10, 12);
-  ProductMatrixMSR msr(12, 6, 10);
-  const std::size_t w_units = 420;  // divisible by both s values
+  Carousel msr(12, 6, 10, 6);
   EXPECT_EQ(double(c.helper_chunk_units()) / double(c.s()),
             double(msr.helper_chunk_units()) / double(msr.s()));
-  (void)w_units;
 }
 
 TEST(Carousel, SelectionPatternMathematics) {

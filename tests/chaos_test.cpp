@@ -223,8 +223,7 @@ class ChaosHarness {
         if (up.empty() || down_.size() >= kMaxDown) return;
         const std::size_t id = up[e.a % up.size()];
         if (!survivable({id})) return;
-        servers_[id].reset();
-        down_.insert(id);
+        kill(id);
         return;
       }
       case ChaosKind::kCorrelatedKill: {
@@ -238,8 +237,7 @@ class ChaosHarness {
           if (up.empty() || down_.size() >= kMaxDown) return;
           const std::size_t id = up[draw % up.size()];
           if (!survivable({id})) continue;
-          servers_[id].reset();
-          down_.insert(id);
+          kill(id);
         }
         return;
       }
@@ -256,10 +254,7 @@ class ChaosHarness {
         for (std::size_t i = 0; i < servers_.size(); ++i)
           if (rack_of(i) == rack) members.insert(i);
         if (!survivable(members)) return;
-        for (std::size_t id : members) {
-          servers_[id].reset();
-          down_.insert(id);
-        }
+        for (std::size_t id : members) kill(id);
         rack_down_ = rack;
         return;
       }
@@ -269,11 +264,7 @@ class ChaosHarness {
         if (!rack_down_.has_value()) return;
         for (std::size_t id :
              std::vector<std::size_t>(down_.begin(), down_.end()))
-          if (rack_of(id) == *rack_down_) {
-            servers_[id] =
-                std::make_unique<BlockServer>(ports_[id], dir(id), popts_);
-            down_.erase(id);
-          }
+          if (rack_of(id) == *rack_down_) revive(id);
         rack_down_.reset();
         return;
       }
@@ -281,12 +272,9 @@ class ChaosHarness {
         if (down_.empty()) return;
         auto it = down_.begin();
         std::advance(it, e.a % down_.size());
-        const std::size_t id = *it;
         // Restart runs the crash-recovery scan: at-rest rot the run
         // injected earlier is quarantined, never silently served.
-        servers_[id] = std::make_unique<BlockServer>(ports_[id], dir(id),
-                                                     popts_);
-        down_.erase(id);
+        revive(*it);
         return;
       }
       case ChaosKind::kCorrupt: {
@@ -407,11 +395,8 @@ class ChaosHarness {
   /// demand a fully healthy cluster and bit-exact reads of every file.
   void final_verify() {
     clear_fault_plans();
-    for (std::size_t id : std::vector<std::size_t>(down_.begin(), down_.end())) {
-      servers_[id] =
-          std::make_unique<BlockServer>(ports_[id], dir(id), popts_);
-      down_.erase(id);
-    }
+    for (std::size_t id : std::vector<std::size_t>(down_.begin(), down_.end()))
+      revive(id);
     rack_down_.reset();
     monitor_->probe_once();
     monitor_->probe_once();
@@ -478,6 +463,23 @@ class ChaosHarness {
 
   fs::path dir(std::size_t i) const {
     return root_ / ("srv" + std::to_string(i));
+  }
+
+  /// Kills server `id`.  Its port stays held (bound, refusing connections)
+  /// until revive(id): otherwise another process may take the freed port,
+  /// answer the monitor's probes and the sweep's VERIFYs in the dead
+  /// server's place, and make the restart's bind fail.
+  void kill(std::size_t id) {
+    servers_[id].reset();
+    held_.try_emplace(id, ports_[id]);
+    down_.insert(id);
+  }
+
+  /// Restarts server `id` on its old port and directory.
+  void revive(std::size_t id) {
+    held_.erase(id);
+    servers_[id] = std::make_unique<BlockServer>(ports_[id], dir(id), popts_);
+    down_.erase(id);
   }
 
   /// True when additionally killing every server in `extra` still leaves
@@ -686,6 +688,7 @@ class ChaosHarness {
   std::unique_ptr<Scrubber> scrubber_;
   std::map<std::uint32_t, std::vector<Byte>> reference_;  // acked PUTs
   std::set<std::size_t> down_;
+  std::map<std::size_t, test::ClosedPort> held_;  // ports of down_ servers
   std::optional<std::size_t> rack_down_;  // set while a whole rack is out
   std::set<BlockId> broken_;  // corrupted and not yet healed
   std::uint32_t next_file_id_ = 1;
@@ -760,6 +763,9 @@ TEST(Chaos, CorrelatedFailureStormReprotectsEveryStripe) {
   while (victim_b == victim_a) victim_b = rng() % 12;
   servers[victim_a].reset();
   servers[victim_b].reset();
+  // Dead for the rest of the test: hold their ports so no other process
+  // answers the detector in their place.
+  const test::ClosedPort held_a(ports[victim_a]), held_b(ports[victim_b]);
   monitor.probe_once();
   monitor.probe_once();
   ASSERT_EQ(monitor.state_of(victim_a), ServerState::kDead);
@@ -919,7 +925,13 @@ TEST(Chaos, RackDownSurvivesWithZeroDataLoss) {
   for (std::size_t i = 0; i < servers.size(); ++i)
     if (i % kRacks == 0) rack0.push_back(i);
   ASSERT_EQ(rack0.size(), 5u);
-  for (std::size_t id : rack0) servers[id].reset();
+  // Their ports stay held until the restart below: no other process may
+  // answer the detector in their place.
+  std::map<std::size_t, test::ClosedPort> held;
+  for (std::size_t id : rack0) {
+    servers[id].reset();
+    held.try_emplace(id, ports[id]);
+  }
   monitor.probe_once();
   monitor.probe_once();
   for (std::size_t id : rack0)
@@ -994,8 +1006,10 @@ TEST(Chaos, RackDownSurvivesWithZeroDataLoss) {
 
   // Power returns: the rack's servers restart (blank — their blocks all
   // re-homed), the detector revives them, and the rollup goes quiet.
-  for (std::size_t id : rack0)
+  for (std::size_t id : rack0) {
+    held.erase(id);
     servers[id] = std::make_unique<BlockServer>(ports[id]);
+  }
   monitor.probe_once();
   monitor.probe_once();
   for (const auto& st : monitor.statuses())
@@ -1200,6 +1214,7 @@ TEST(Chaos, CoordinatorCrashAtEveryPointRecoversBitExact) {
   // failed upload to the dead home itself appends nothing).
   const std::size_t victim = 7;
   servers[victim].reset();
+  const test::ClosedPort held(ports[victim]);  // dead for good
   for (const MetaCrashPoint point : kPoints) {
     for (const std::uint64_t countdown : {1, 2}) {
       SCOPED_TRACE("rehome crash point " +

@@ -12,7 +12,9 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "codes/carousel.h"
@@ -65,8 +67,14 @@ class ClusterTest : public ::testing::Test {
     for (const auto& s : servers_) ports_.push_back(s->port());
   }
 
-  void kill(std::size_t i) { servers_[i].reset(); }
+  // A killed server's port stays held until revive(): another process
+  // taking it could answer probes and accept rebuilt blocks in its place.
+  void kill(std::size_t i) {
+    servers_[i].reset();
+    held_.try_emplace(i, ports_[i]);
+  }
   void revive(std::size_t i) {
+    held_.erase(i);
     servers_[i] = std::make_unique<BlockServer>(ports_[i]);
   }
 
@@ -92,6 +100,7 @@ class ClusterTest : public ::testing::Test {
   obs::MetricsRegistry registry_;
   std::vector<std::unique_ptr<BlockServer>> servers_;
   std::vector<std::uint16_t> ports_;
+  std::map<std::size_t, test::ClosedPort> held_;  // ports of killed servers
 };
 
 // ---- Failure detection ----------------------------------------------------
@@ -785,6 +794,9 @@ TEST_F(DrainTest, InFlightPutCompletesAndNewConnectionsAreRefused) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   server->drain();
+  // The port stays held until the restart below, so the refused connection
+  // is this server's, not another process's listener.
+  std::optional<test::ClosedPort> held(std::in_place, port);
   writer.join();
   // The in-flight PUT was acknowledged, not cut off.
   EXPECT_FALSE(put_error) << "draining server dropped an in-flight PUT";
@@ -798,6 +810,7 @@ TEST_F(DrainTest, InFlightPutCompletesAndNewConnectionsAreRefused) {
   server->stop();   // and stop() after drain() is a no-op
 
   // Everything acknowledged is on disk: a restart recovers the block clean.
+  held.reset();
   server = std::make_unique<BlockServer>(port, dir_, popts);
   EXPECT_EQ(server->recovery_report().recovered, 1u);
   EXPECT_EQ(server->recovery_report().quarantined_files, 0u);
@@ -825,7 +838,9 @@ TEST_F(DrainTest, DrainedFleetMemberReadsBackAfterRestart) {
   store.put_file(1, file);
 
   fleet[2]->drain();
+  std::optional<test::ClosedPort> held(std::in_place, ports[2]);
   EXPECT_EQ(store.read_file(1, file.size()), file);  // degraded path
+  held.reset();
   fleet[2] = std::make_unique<BlockServer>(ports[2]);
   store.repair_block(1, 0, 2);  // block was RAM-only: regenerate it
   EXPECT_EQ(store.read_file(1, file.size()), file);

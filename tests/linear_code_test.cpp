@@ -8,7 +8,6 @@
 #include <numeric>
 
 #include "codes/carousel.h"
-#include "codes/rs.h"
 #include "matrix/echelon.h"
 #include "test_util.h"
 
@@ -51,21 +50,8 @@ TEST(LinearCode, RejectsMalformedGenerator) {
   EXPECT_NO_THROW(LinearCode(p, 2, matrix::Matrix(8, 4)));
 }
 
-TEST(LinearCode, UnitIsSystematicReportsMessageIndex) {
-  ReedSolomon rs(5, 3);
-  std::size_t msg = 99;
-  EXPECT_TRUE(rs.unit_is_systematic(1, 0, &msg));
-  EXPECT_EQ(msg, 1u);
-  EXPECT_FALSE(rs.unit_is_systematic(4, 0, &msg));
-  Carousel c(6, 3, 4, 6);
-  for (std::size_t t = 0; t < c.data_units_per_block(); ++t) {
-    EXPECT_TRUE(c.unit_is_systematic(2, t, &msg));
-    EXPECT_EQ(msg, 2 * c.data_units_per_block() + t);
-  }
-}
-
 TEST(LinearCode, DecodeUnitsRejectsBadShapes) {
-  ReedSolomon rs(4, 2);
+  Carousel rs(4, 2, 2, 2);
   auto data = random_bytes(2 * 16);
   std::vector<Byte> blob(4 * 16);
   rs.encode(data, split_spans(blob, 4));
@@ -226,7 +212,7 @@ TEST(LinearCode, ProjectUnitsMatchesEncodeForEveryTarget) {
 }
 
 TEST(LinearCode, ProjectUnitsRejectsSelfSource) {
-  ReedSolomon rs(4, 2);
+  Carousel rs(4, 2, 2, 2);
   auto data = random_bytes(2 * 8);
   std::vector<Byte> blob(4 * 8);
   rs.encode(data, split_spans(blob, 4));

@@ -412,6 +412,82 @@ TEST_F(MetaLogTest, MetricsCountTheWork) {
             3u);
 }
 
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+// CMJ1 and CMS1 are on-disk formats: a refactor of the writer must not move
+// a byte.  The script mints every record kind, compacts once (the snapshot
+// then holds a manifest entry, a pending put, two pending rehomes, two
+// spares and a hedge), and journals every kind again after the reset.
+TEST_F(MetaLogTest, JournalAndSnapshotBytesArePinned) {
+  {
+    MetaLog log(dir_, kConfig, opts(/*fsync=*/false, /*snapshot_every=*/9));
+    log.add_server(9001, 3, true);
+    log.add_server(9002, 0, false);
+    MetaLog::HedgeRecord hedge;
+    hedge.enabled = true;
+    hedge.percentile = 0.99;
+    hedge.floor_ms = 7;
+    hedge.initial_ms = 40;
+    hedge.min_samples = 16;
+    log.set_hedge(hedge);
+    log.put_intent(1, 1000, 2, {{0, 1, 2}, {3, 4, 5}});
+    log.put_commit(1);
+    log.put_intent(2, 50, 1, {{6, 7, 8}});
+    log.rehome_intent(1, 0, 1, 9);
+    log.rehome_intent(1, 1, 2, 10);  // ninth record: compaction at lsn 9
+    log.rehome_commit(1, 0, 1, 9);
+    log.rehome_abort(1, 1, 2);
+    log.put_abort(2);
+    log.add_server(9003, 5, true);
+    hedge.enabled = false;
+    hedge.percentile = 0.5;
+    log.set_hedge(hedge);
+    log.put_intent(3, 77, 1, {{11, 10, 9}});
+    log.put_commit(3);
+    log.rehome_intent(3, 0, 2, 12);
+  }
+  EXPECT_EQ(hex(read_bytes(dir_ / "journal")),
+            "434d4a31000a000000000000000400000001eeffc06c188182434d4a31060b0000"
+            "00000000001000000001000000000000000100000009000000b25b244f434d4a31"
+            "070c000000000000000c000000010000000100000002000000e43983ef434d4a31"
+            "040d00000000000000040000000200000050aaf9b5434d4a31010e000000000000"
+            "000b0000002b2305000000000000000145f5d3c7434d4a31080f00000000000000"
+            "2100000000000000000000e03f0700000000000000280000000000000010000000"
+            "000000006f5dd85c434d4a3102100000000000000020000000030000004d000000"
+            "0000000001000000030000000b0000000a000000090000000d669c0f434d4a3103"
+            "11000000000000000400000003000000285cd26c434d4a31051200000000000000"
+            "100000000300000000000000020000000c000000492698c3");
+  EXPECT_EQ(hex(read_bytes(dir_ / "snapshot")),
+            "434d533101eeffc009000000000000000100000001000000e80300000000000002"
+            "000000030000000000000001000000020000000300000004000000050000000100"
+            "0000020000003200000000000000010000000300000006000000070000000800"
+            "000002000000010000000000000001000000090000000100000001000000020000"
+            "000a0000000200000029230300000000000000012a230000000000000000000101"
+            "ae47e17a14aeef3f070000000000000028000000000000001000000000000000db"
+            "936cad");
+
+  MetaLog log(dir_, kConfig, opts(false, 9));
+  EXPECT_EQ(log.lsn(), 18u);
+  EXPECT_EQ(log.state().manifest.size(), 2u);
+  EXPECT_EQ(log.state().manifest.at(1).placement[0][1], 9u);
+  EXPECT_TRUE(log.state().pending_puts.empty());
+  ASSERT_EQ(log.state().pending_rehomes.size(), 1u);
+  EXPECT_EQ(log.state().pending_rehomes[0],
+            (MetaLog::RehomeIntent{3, 0, 2, 12}));
+  ASSERT_EQ(log.state().spares.size(), 3u);
+  EXPECT_EQ(log.state().spares[2].port, 9003);
+  ASSERT_TRUE(log.state().hedge.has_value());
+  EXPECT_DOUBLE_EQ(log.state().hedge->percentile, 0.5);
+}
+
 // ---- CarouselStore integration --------------------------------------------
 
 class MetaStoreTest : public MetaLogTest {

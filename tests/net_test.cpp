@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "codes/carousel.h"
@@ -887,6 +888,8 @@ TEST_F(StoreTest, ScrubberRetriesUnreachableServerAfterItReturns) {
   // deliberately — does not repair: a rebuilt block has nowhere to live.
   servers_[3]->stop();
   servers_[3].reset();
+  // Held until the server returns: no other process may answer for it.
+  std::optional<test::ClosedPort> held(std::in_place, ports_[3]);
   Scrubber scrubber(store);
   auto sweep = scrubber.run_once();
   EXPECT_EQ(sweep.unreachable, 1u);
@@ -895,6 +898,7 @@ TEST_F(StoreTest, ScrubberRetriesUnreachableServerAfterItReturns) {
 
   // The server returns (same port, empty store).  The next sweep sees a
   // plain missing block and heals it at the optimal d/(d-k+1) = 2 blocks.
+  held.reset();
   servers_[3] = std::make_unique<BlockServer>(ports_[3]);
   auto next = scrubber.run_once();
   EXPECT_EQ(next.unreachable, 0u);
@@ -922,6 +926,7 @@ TEST_F(StoreTest, KilledServerPlusCorruptBlockReadAndScrubRoundTrip) {
   store.put_file(31, file);
 
   servers_[4]->stop();  // hosts block 4: killed, not drained
+  std::optional<test::ClosedPort> held(std::in_place, ports_[4]);
   ASSERT_TRUE(servers_[7]->corrupt_block(BlockKey{31, 0, 7}, 11));
 
   auto start = std::chrono::steady_clock::now();
@@ -945,6 +950,7 @@ TEST_F(StoreTest, KilledServerPlusCorruptBlockReadAndScrubRoundTrip) {
   }
 
   // A replacement server comes up on the dead one's port (empty disk).
+  held.reset();
   servers_[4] = std::make_unique<BlockServer>(ports_[4]);
 
   Scrubber scrubber(store);

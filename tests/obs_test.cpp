@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -90,6 +91,58 @@ TEST(HistogramTest, ConcurrentObservesConserveCount) {
   EXPECT_EQ(h.count(), std::uint64_t(kThreads) * kObs);
   EXPECT_EQ(h.bucket(0) + h.bucket(1), h.count());
   EXPECT_EQ(h.bucket(0), std::uint64_t(kThreads) / 2 * kObs);
+}
+
+// quantile_upper_bound over a live histogram's per-bucket counts.
+std::optional<double> quantile(const Histogram& h, double q) {
+  std::vector<std::uint64_t> buckets(h.bounds().size() + 1);
+  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] = h.bucket(i);
+  return quantile_upper_bound(h.bounds(), buckets, q);
+}
+
+TEST(HistogramQuantile, EmptyHistogramHasNoQuantile) {
+  Histogram h({1.0, 2.0});
+  EXPECT_FALSE(quantile(h, 0.5).has_value());
+}
+
+TEST(HistogramQuantile, ValueOnABoundReportsThatBound) {
+  Histogram h({1.0, 2.0, 5.0});
+  h.observe(2.0);  // le semantics: the 2.0 bucket, not the next one
+  h.observe(2.0);
+  for (double q : {0.5, 0.95, 0.99}) EXPECT_EQ(quantile(h, q), 2.0) << q;
+}
+
+TEST(HistogramQuantile, SingleSampleIsEveryQuantile) {
+  Histogram h({1.0, 2.0, 5.0});
+  h.observe(1.5);
+  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0})
+    EXPECT_EQ(quantile(h, q), 2.0) << q;
+}
+
+TEST(HistogramQuantile, AllSamplesInInfScoreTenTimesTheTopBound) {
+  Histogram h({1.0, 2.0, 5.0});
+  for (int i = 0; i < 7; ++i) h.observe(9.0);
+  for (double q : {0.5, 0.95, 0.99}) EXPECT_EQ(quantile(h, q), 50.0) << q;
+}
+
+TEST(HistogramQuantile, RankIsCeilOfQTimesTotal) {
+  // 100 samples: 50 in (0, 1], 45 in (1, 2], 4 in (2, 5], 1 past 5.
+  Histogram h({1.0, 2.0, 5.0});
+  for (int i = 0; i < 50; ++i) h.observe(0.5);
+  for (int i = 0; i < 45; ++i) h.observe(1.5);
+  for (int i = 0; i < 4; ++i) h.observe(3.0);
+  h.observe(8.0);
+  EXPECT_EQ(quantile(h, 0.5), 1.0);    // rank 50: the last (0, 1] sample
+  EXPECT_EQ(quantile(h, 0.95), 2.0);   // rank 95
+  EXPECT_EQ(quantile(h, 0.99), 5.0);   // rank 99
+  EXPECT_EQ(quantile(h, 1.0), 50.0);   // rank 100: the +inf sample
+  // 51 samples in (0, 1] from here on; the median's rank walks past them.
+  h.observe(0.5);  // 101 samples: rank ceil(50.5) = 51
+  EXPECT_EQ(quantile(h, 0.5), 1.0);
+  h.observe(1.5);  // 102: rank 51
+  EXPECT_EQ(quantile(h, 0.5), 1.0);
+  h.observe(1.5);  // 103: rank ceil(51.5) = 52
+  EXPECT_EQ(quantile(h, 0.5), 2.0);
 }
 
 TEST(Registry, InstrumentReferencesAreStable) {

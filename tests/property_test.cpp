@@ -169,10 +169,11 @@ TEST(PropertyGrid, DataUnitsArePlacedVerbatim) {
 TEST(PropertyGrid, RepairTrafficIsExactlyTheMsrOptimum) {
   std::mt19937 rng(202);
   std::uint32_t seed = 3000;
-  auto& repair_counter = obs::MetricsRegistry::global().counter(
-      obs::labeled("carousel_codec_repair_bytes_read_total", "code",
-                   "carousel"));
   for (const auto& e : grid()) {
+    // The codec reports under its family label: rs/msr at p = k.
+    auto& repair_counter = obs::MetricsRegistry::global().counter(
+        obs::labeled("carousel_codec_repair_bytes_read_total", "code",
+                     e.code->kind()));
     Stripe s = encode_stripe(e, seed++);
     const std::size_t alpha = e.d - e.k + 1;
     const std::size_t failed =

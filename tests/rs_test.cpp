@@ -1,6 +1,12 @@
+// The systematic (n, k) Reed-Solomon code of the paper's baseline (§IV) is
+// Carousel(n, k, k, k): at p = k the construction returns its base code
+// (§VI), the extended-Cauchy systematic generator.  Any k blocks decode, and
+// a lost block is rebuilt from k whole blocks (d = k), the repair traffic the
+// paper's Fig. 7 contrasts with MSR/Carousel repair.
+
 #include <gtest/gtest.h>
 
-#include "codes/rs.h"
+#include "codes/carousel.h"
 #include "test_util.h"
 
 namespace carousel::codes {
@@ -12,7 +18,7 @@ using test::split_spans;
 using test::subsets;
 
 TEST(ReedSolomon, SystematicPrefixIsVerbatim) {
-  ReedSolomon rs(6, 4);
+  Carousel rs(6, 4, 4, 4);
   auto data = random_bytes(4 * 100);
   std::vector<Byte> blob(6 * 100);
   auto blocks = split_spans(blob, 6);
@@ -24,7 +30,7 @@ TEST(ReedSolomon, SystematicPrefixIsVerbatim) {
 
 TEST(ReedSolomon, DecodeFromEveryKSubset) {
   const std::size_t n = 6, k = 4, w = 64;
-  ReedSolomon rs(n, k);
+  Carousel rs(n, k, k, k);
   auto data = random_bytes(k * w);
   std::vector<Byte> blob(n * w);
   auto blocks = split_spans(blob, n);
@@ -42,7 +48,7 @@ TEST(ReedSolomon, DecodeFromEveryKSubset) {
 }
 
 TEST(ReedSolomon, ParityDiffersFromData) {
-  ReedSolomon rs(5, 3);
+  Carousel rs(5, 3, 3, 3);
   auto data = random_bytes(3 * 32);
   std::vector<Byte> blob(5 * 32);
   auto blocks = split_spans(blob, 5);
@@ -56,7 +62,7 @@ TEST(ReedSolomon, ParityDiffersFromData) {
 
 TEST(ReedSolomon, ReconstructEveryBlockFromEveryHelperSet) {
   const std::size_t n = 6, k = 3, w = 48;
-  ReedSolomon rs(n, k);
+  Carousel rs(n, k, k, k);
   auto data = random_bytes(k * w);
   std::vector<Byte> blob(n * w);
   rs.encode(data, split_spans(blob, n));
@@ -66,8 +72,13 @@ TEST(ReedSolomon, ReconstructEveryBlockFromEveryHelperSet) {
       if (std::find(ids.begin(), ids.end(), failed) != ids.end()) continue;
       std::vector<std::span<const Byte>> chosen;
       for (std::size_t id : ids) chosen.push_back(views[id]);
+      // With exactly k survivors the planner takes all of them, whole.
+      const auto plan = rs.plan_repair(failed, ids);
+      ASSERT_TRUE(plan.has_value());
+      EXPECT_FALSE(plan->projected);
+      EXPECT_EQ(plan->sources, ids);
       std::vector<Byte> rebuilt(w);
-      auto stats = rs.reconstruct(failed, ids, chosen, rebuilt);
+      auto stats = rs.rebuild(failed, *plan, chosen, rebuilt);
       EXPECT_TRUE(std::equal(rebuilt.begin(), rebuilt.end(),
                              views[failed].begin()))
           << "failed=" << failed;
@@ -78,19 +89,19 @@ TEST(ReedSolomon, ReconstructEveryBlockFromEveryHelperSet) {
 }
 
 TEST(ReedSolomon, ReconstructRejectsSelfHelper) {
-  ReedSolomon rs(4, 2);
+  Carousel rs(4, 2, 2, 2);
   auto data = random_bytes(2 * 16);
   std::vector<Byte> blob(4 * 16);
   rs.encode(data, split_spans(blob, 4));
   auto views = split_const_spans(blob, 4);
-  std::vector<std::size_t> ids = {1, 2};
+  const Carousel::RepairPlan plan{{1, 2}, /*projected=*/false};
   std::vector<std::span<const Byte>> chosen = {views[1], views[2]};
   std::vector<Byte> out(16);
-  EXPECT_THROW(rs.reconstruct(1, ids, chosen, out), std::invalid_argument);
+  EXPECT_THROW(rs.rebuild(1, plan, chosen, out), std::invalid_argument);
 }
 
 TEST(ReedSolomon, DecodeShapeErrors) {
-  ReedSolomon rs(4, 2);
+  Carousel rs(4, 2, 2, 2);
   auto data = random_bytes(2 * 16);
   std::vector<Byte> blob(4 * 16);
   rs.encode(data, split_spans(blob, 4));
@@ -109,7 +120,7 @@ TEST(ReedSolomon, DecodeShapeErrors) {
 }
 
 TEST(ReedSolomon, EncodeShapeErrors) {
-  ReedSolomon rs(4, 2);
+  Carousel rs(4, 2, 2, 2);
   auto data = random_bytes(2 * 16);
   std::vector<Byte> blob(3 * 16);
   auto blocks = split_spans(blob, 3);  // one block short
@@ -117,12 +128,13 @@ TEST(ReedSolomon, EncodeShapeErrors) {
 }
 
 TEST(ReedSolomon, ParamsExposeRsShape) {
-  ReedSolomon rs(9, 6);
+  Carousel rs(9, 6, 6, 6);
   EXPECT_EQ(rs.params().d, 6u);
   EXPECT_EQ(rs.params().p, 6u);
   EXPECT_EQ(rs.s(), 1u);
   EXPECT_TRUE(rs.params().trivial_repair());
   EXPECT_DOUBLE_EQ(rs.params().repair_traffic_blocks(), 6.0);
+  EXPECT_STREQ(rs.kind(), "rs");
 }
 
 // Parameterised MDS sweep across realistic deployment shapes (the paper
@@ -132,7 +144,7 @@ class RsMdsSweep : public ::testing::TestWithParam<std::pair<int, int>> {};
 TEST_P(RsMdsSweep, RandomStripesRoundTrip) {
   auto [n, k] = GetParam();
   const std::size_t w = 40;
-  ReedSolomon rs(n, k);
+  Carousel rs(n, k, k, k);
   auto data = random_bytes(k * w, n * 1000 + k);
   std::vector<Byte> blob(n * w);
   rs.encode(data, split_spans(blob, n));

@@ -172,127 +172,6 @@ TEST(ErasureFile, RepairUnrecoverableThrows) {
   EXPECT_THROW(ef.repair_block(0, 0), std::runtime_error);
 }
 
-TEST(ErasureFile, WriteUpdatesDataAndParityInPlace) {
-  Carousel code(12, 6, 10, 10);
-  const std::size_t block = code.s() * 32;
-  auto file = random_bytes(6 * block * 2);  // two stripes
-  ErasureFile ef(code, file, block);
-
-  // Overwrite an unaligned range spanning unit boundaries and both stripes.
-  auto patch = random_bytes(block + 77, 123);
-  const std::size_t off = 6 * block - 50;  // tail of stripe 0 into stripe 1
-  std::size_t touched = ef.write(off, patch);
-  EXPECT_GT(touched, 0u);
-  std::copy(patch.begin(), patch.end(), file.begin() + off);
-
-  EXPECT_TRUE(ef.verify()) << "parity must track the delta update";
-  EXPECT_EQ(ef.read_all(), file);
-
-  // The file must also decode correctly from parity-only sets afterwards.
-  ef.fail_block_index(0);
-  ef.fail_block_index(3);
-  EXPECT_EQ(ef.read_all(), file);
-}
-
-TEST(ErasureFile, WriteTouchesOnlyDependentUnits) {
-  // One in-unit byte write touches exactly the units whose generator rows
-  // read that message unit: its own data unit + dependent parity units.
-  Carousel code(6, 3, 3, 6);
-  const std::size_t block = code.s() * 16;
-  auto file = random_bytes(3 * block);
-  ErasureFile ef(code, file, block);
-  std::vector<Byte> one = {0x5A};
-  std::size_t touched = ef.write(10, one);
-  std::size_t expected = code.dependents_of(0).size();
-  EXPECT_EQ(touched, expected);
-  file[10] = 0x5A;
-  EXPECT_EQ(ef.read_all(), file);
-  EXPECT_TRUE(ef.verify());
-}
-
-TEST(ErasureFile, WriteValidation) {
-  Carousel code(4, 2, 2, 4);
-  const std::size_t block = code.s() * 8;
-  auto file = random_bytes(2 * block);
-  ErasureFile ef(code, file, block);
-  std::vector<Byte> data(10);
-  EXPECT_THROW(ef.write(file.size() - 5, data), std::invalid_argument);
-  EXPECT_EQ(ef.write(0, {}), 0u);
-  ef.fail_block_index(3);
-  EXPECT_THROW(ef.write(0, data), std::runtime_error);
-}
-
-TEST(LinearCodeDeps, DependentsMatchGeneratorColumns) {
-  Carousel code(6, 3, 4, 5);
-  for (std::size_t m = 0; m < code.message_units(); ++m) {
-    auto deps = code.dependents_of(m);
-    ASSERT_FALSE(deps.empty());
-    // The message unit's own systematic copy must be among them, coeff 1.
-    bool own = false;
-    for (const auto& d : deps) {
-      EXPECT_EQ(code.generator().at(d.block * code.s() + d.pos, m), d.coeff);
-      std::size_t msg;
-      if (code.unit_is_systematic(d.block, d.pos, &msg) && msg == m) {
-        own = true;
-        EXPECT_EQ(d.coeff, 1);
-      }
-    }
-    EXPECT_TRUE(own) << "message unit " << m;
-  }
-}
-
-TEST(ErasureFile, ScrubFindsAndHealsBitRot) {
-  Carousel code(12, 6, 10, 10);
-  const std::size_t block = code.s() * 16;
-  auto file = random_bytes(6 * block * 2, 41);
-  ErasureFile ef(code, file, block);
-
-  auto clean = ef.scrub();
-  EXPECT_EQ(clean.blocks_checked, 24u);
-  EXPECT_EQ(clean.corrupt_found, 0u);
-
-  // Flip bits in three blocks (a data unit, a parity region, a parity-only
-  // block) across both stripes.
-  const_cast<codes::Byte&>(ef.block(0, 2)[5]) ^= 0x01;
-  const_cast<codes::Byte&>(ef.block(0, 11)[block - 1]) ^= 0x80;
-  const_cast<codes::Byte&>(ef.block(1, 7)[block / 2]) ^= 0xFF;
-
-  auto report = ef.scrub();
-  EXPECT_EQ(report.corrupt_found, 3u);
-  EXPECT_EQ(report.repaired, 3u);
-  EXPECT_TRUE(ef.verify());
-  EXPECT_EQ(ef.read_all(), file);
-  // A follow-up pass finds nothing.
-  EXPECT_EQ(ef.scrub().corrupt_found, 0u);
-}
-
-TEST(ErasureFile, ScrubWithoutRepairQuarantines) {
-  Carousel code(6, 3, 4, 6);
-  const std::size_t block = code.s() * 8;
-  auto file = random_bytes(3 * block, 43);
-  ErasureFile ef(code, file, block);
-  const_cast<codes::Byte&>(ef.block(0, 1)[0]) ^= 0x10;
-  auto report = ef.scrub(/*repair=*/false);
-  EXPECT_EQ(report.corrupt_found, 1u);
-  EXPECT_EQ(report.repaired, 0u);
-  EXPECT_FALSE(ef.block_available(0, 1));  // quarantined
-  EXPECT_EQ(ef.read_all(), file);          // reads route around it
-}
-
-TEST(ErasureFile, ScrubAfterWriteAndRepairStaysClean) {
-  // Checksums must track every mutation path: write() and repair_block().
-  Carousel code(6, 3, 4, 5);
-  const std::size_t block = code.s() * 8;
-  auto file = random_bytes(3 * block, 47);
-  ErasureFile ef(code, file, block);
-  auto patch = random_bytes(50, 48);
-  ef.write(13, patch);
-  EXPECT_EQ(ef.scrub().corrupt_found, 0u);
-  ef.set_block_available(0, 4, false);
-  ef.repair_block(0, 4);
-  EXPECT_EQ(ef.scrub().corrupt_found, 0u);
-}
-
 TEST(ErasureFile, VerifyDetectsCorruption) {
   Carousel code(4, 2, 2, 4);
   const std::size_t block = code.s() * 4;

@@ -12,6 +12,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace carousel::test {
@@ -76,25 +77,23 @@ inline std::vector<std::vector<std::size_t>> subsets(std::size_t n,
 }
 
 /// A loopback port that refuses every connection and that no one else can
-/// take: the socket is bound to 127.0.0.1 with no listen() and no
-/// SO_REUSEADDR, and holds the port until destroyed.  A freshly freed
-/// ephemeral port would not do as a "dead server" — a concurrently running
-/// test may bind it again.
+/// take: the socket is bound to 127.0.0.1 and never listens, and holds the
+/// port until destroyed.
 class ClosedPort {
  public:
-  ClosedPort() : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
-    if (fd_ < 0) throw std::runtime_error("ClosedPort: socket() failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    socklen_t len = sizeof addr;
-    if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-      ::close(fd_);
-      throw std::runtime_error("ClosedPort: bind() failed");
-    }
-    port_ = ntohs(addr.sin_port);
-  }
+  /// A fresh ephemeral port, bound without SO_REUSEADDR.  A freshly freed
+  /// ephemeral port would not do as a "dead server" — a concurrently
+  /// running test may bind it again.
+  ClosedPort() : ClosedPort(0, /*reuse=*/false) {}
+
+  /// Holds `port`, the port of a server the test just killed, until the
+  /// test revives the server there: destroy the holder, then rebind.  In
+  /// between, a process that would otherwise take the freed port cannot
+  /// answer in the dead server's place.  Binds with SO_REUSEADDR, as
+  /// TcpListener::bind does, so the dead server's TIME_WAIT connections do
+  /// not block it.
+  explicit ClosedPort(std::uint16_t port) : ClosedPort(port, /*reuse=*/true) {}
+
   ~ClosedPort() { ::close(fd_); }
   ClosedPort(const ClosedPort&) = delete;
   ClosedPort& operator=(const ClosedPort&) = delete;
@@ -102,6 +101,25 @@ class ClosedPort {
   std::uint16_t port() const { return port_; }
 
  private:
+  ClosedPort(std::uint16_t port, bool reuse)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    if (fd_ < 0) throw std::runtime_error("ClosedPort: socket() failed");
+    int one = 1;
+    if (reuse) ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    socklen_t len = sizeof addr;
+    if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ::close(fd_);
+      throw std::runtime_error("ClosedPort: bind() of port " +
+                               std::to_string(port) + " failed");
+    }
+    port_ = ntohs(addr.sin_port);
+  }
+
   int fd_;
   std::uint16_t port_ = 0;
 };

@@ -97,6 +97,13 @@ Rules (see DESIGN.md "Correctness tooling"):
      typically a serial per-helper loop that bypasses the executor's
      concurrent rounds, first-wins slot cells and re-planning.
 
+ 12. one MDS codec — Carousel is the only MDS codec class: every
+     `: public LinearCode` in src/ derives Carousel or the LRC baseline
+     (LocalReconstructionCode, the one non-MDS code).  RS and product-matrix
+     MSR are Carousel(n,k,k,k) and Carousel(n,k,d,k); a second codec class
+     for them would bring back a second copy of the repair math and a
+     second set of benches comparing one code with itself.
+
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -442,6 +449,23 @@ def check_one_wire_executor(problems: list[str]) -> None:
                     seen[call] = where
 
 
+def check_one_mds_codec(problems: list[str]) -> None:
+    """Rule 12: only Carousel and the LRC baseline derive LinearCode."""
+    allowed = {"Carousel", "LocalReconstructionCode"}
+    derived = re.compile(
+        r"\b(?:class|struct)\s+(\w+)(?:\s+final)?\s*:\s*"
+        r"(?:public\s+)?(?:carousel::)?(?:codes::)?LinearCode\b")
+    for path in src_files(".h", ".cpp"):
+        text = "\n".join(code_lines(path))
+        for m in derived.finditer(text):
+            if m.group(1) not in allowed:
+                problems.append(
+                    f"{path.relative_to(REPO)}:{line_of(text, m.start())}: "
+                    f"{m.group(1)} derives LinearCode — Carousel is the one "
+                    f"MDS codec (RS is Carousel(n,k,k,k), MSR "
+                    f"Carousel(n,k,d,k))")
+
+
 def main() -> int:
     problems: list[str] = []
     check_wire_casts(problems)
@@ -455,6 +479,7 @@ def main() -> int:
     check_domain_plumbing(problems)
     check_meta_journal_provenance(problems)
     check_one_wire_executor(problems)
+    check_one_mds_codec(problems)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
