@@ -35,7 +35,9 @@ const char* server_state_name(ServerState state) {
 }
 
 HealthMonitor::HealthMonitor(CarouselStore& store, Options options)
-    : store_(store), options_(options) {
+    : store_(store),
+      options_(options),
+      loop_(options.interval, [this] { probe_once(); }) {
   if (options_.interval.count() <= 0)
     throw std::invalid_argument("HealthMonitor interval must be > 0");
   if (options_.suspect_after == 0)
@@ -66,48 +68,6 @@ HealthMonitor::HealthMonitor(CarouselStore& store, Options options)
   domain_count_gauge_ = &reg.gauge(domain_metric("count"));
   domain_down_gauge_ = &reg.gauge(domain_metric("down"));
   domain_degraded_gauge_ = &reg.gauge(domain_metric("degraded"));
-}
-
-HealthMonitor::~HealthMonitor() { stop(); }
-
-void HealthMonitor::start() {
-  util::MutexLock lock(mu_);
-  if (running_) return;
-  stop_requested_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { loop(); });
-}
-
-void HealthMonitor::stop() {
-  // Claim the thread handle under the lock so concurrent stop() calls never
-  // join the same std::thread twice: the loser finds an empty handle.
-  std::thread claimed;
-  {
-    util::MutexLock lock(mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-    running_ = false;
-    claimed = std::move(thread_);
-  }
-  cv_.notify_all();
-  if (claimed.joinable()) claimed.join();
-}
-
-bool HealthMonitor::running() const {
-  util::MutexLock lock(mu_);
-  return running_;
-}
-
-void HealthMonitor::loop() {
-  for (;;) {
-    probe_once();
-    const auto deadline = std::chrono::steady_clock::now() + options_.interval;
-    util::MutexLock lock(mu_);
-    while (!stop_requested_ &&
-           cv_.wait_until(mu_, deadline) != std::cv_status::timeout) {
-    }
-    if (stop_requested_) return;
-  }
 }
 
 void HealthMonitor::probe_once() {

@@ -19,13 +19,14 @@
 // The monitor only *observes*.  Acting on a kDead verdict — re-homing the
 // dead server's blocks onto spares via the store's MSR repair path — is the
 // Scrubber's job (Scrubber::Options::monitor) or the caller's
-// (store.rehome_server).  This split keeps the detector trivially testable
-// and means a wrong verdict costs extra repair traffic, never data.
+// (RepairScheduler::enqueue_server).  This split keeps the detector
+// trivially testable and means a wrong verdict costs extra repair traffic,
+// never data.
 //
 // Thread model: the monitor owns its own Client per server (clients are not
 // thread-safe, and borrowing the store's would serialize probing behind
 // bulk reads).  probe_once() is safe to call concurrently with store ops;
-// start()/stop() run it on a background thread like the Scrubber.
+// start()/stop() run it on a util::PeriodicThread like the Scrubber.
 
 #ifndef CAROUSEL_NET_CLUSTER_H
 #define CAROUSEL_NET_CLUSTER_H
@@ -34,10 +35,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "net/store.h"
+#include "util/periodic_thread.h"
 #include "util/sync.h"
 
 namespace carousel::net {
@@ -102,17 +103,17 @@ class HealthMonitor {
   HealthMonitor(CarouselStore& store, Options options);
   explicit HealthMonitor(CarouselStore& store)
       : HealthMonitor(store, Options{}) {}
-  ~HealthMonitor();
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  /// Launches the background probe thread.  Idempotent.
-  void start() EXCLUDES(mu_);
-  /// Stops it and joins.  Idempotent (including concurrent callers); also
-  /// called by the destructor.
-  void stop() EXCLUDES(mu_);
-  bool running() const EXCLUDES(mu_);
+  /// Launches the background probe rounds (the first runs at once).
+  /// Idempotent.
+  void start() { loop_.start(); }
+  /// Stops them and joins.  Idempotent (including concurrent callers);
+  /// also done on destruction.
+  void stop() { loop_.stop(); }
+  bool running() const { return loop_.running(); }
 
   /// One synchronous probe round over every server the store currently
   /// knows (servers added since the last round are picked up here).
@@ -153,7 +154,6 @@ class HealthMonitor {
     std::unique_ptr<Client> probe;  // monitor-owned; never the store's
   };
 
-  void loop() EXCLUDES(probe_serial_, mu_);
   void transition_locked(Tracked& t, ServerState to) REQUIRES(mu_);
   void export_gauges_locked() REQUIRES(mu_);
   std::vector<DomainStatus> domain_statuses_locked() const REQUIRES(mu_);
@@ -184,11 +184,9 @@ class HealthMonitor {
   util::Mutex probe_serial_ ACQUIRED_BEFORE(mu_){
       util::LockRank::kMonitorProbe};
   mutable util::Mutex mu_{util::LockRank::kMonitor};
-  util::CondVar cv_;
-  std::thread thread_ GUARDED_BY(mu_);
-  bool stop_requested_ GUARDED_BY(mu_) = false;
-  bool running_ GUARDED_BY(mu_) = false;
   std::map<std::size_t, Tracked> tracked_ GUARDED_BY(mu_);
+  // Declared last: destroyed (and joined) before the state probe_once uses.
+  util::PeriodicThread loop_;
 };
 
 }  // namespace carousel::net

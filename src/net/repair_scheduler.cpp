@@ -26,7 +26,10 @@ std::uint64_t charge_of(const std::map<std::size_t, std::uint64_t>& window,
 }  // namespace
 
 RepairScheduler::RepairScheduler(CarouselStore& store, Options options)
-    : store_(store), options_(options), registry_(&store.metrics()) {
+    : store_(store),
+      options_(options),
+      registry_(&store.metrics()),
+      dispatcher_(options.tick, [this] { dispatch_pass(); }) {
   if (options_.max_concurrent == 0)
     throw std::invalid_argument(
         "RepairScheduler max_concurrent must be >= 1 (zero can never "
@@ -76,27 +79,16 @@ RepairScheduler::RepairScheduler(CarouselStore& store, Options options)
   foreground_p99_gauge_ = repair_gauge("foreground_p99_ms");
   allowed_gauge_->set(static_cast<double>(allowed_));
 
-  // All healing flows through this scheduler from here on: rehome_server
-  // fans into the queue, the MSR fan-in spreads over least-charged helpers,
+  // From here on the store's MSR fan-in spreads over least-charged helpers
   // and budgets charge the repair path's actual wire bytes.
-  store_.set_helper_policy(
-      [this](const std::vector<CarouselStore::HelperCandidate>& cands,
-             std::size_t want, std::size_t bytes_per_helper) {
-        return select_helpers(cands, want, bytes_per_helper);
-      });
-  store_.set_traffic_observer(
-      [this](std::size_t server, std::uint64_t eg, std::uint64_t in) {
-        observe_traffic(server, eg, in);
-      });
   store_.attach_scheduler(this);
 }
 
 RepairScheduler::~RepairScheduler() {
-  // Detach first: the setters take the store mutex, so once they return no
-  // in-flight store operation can still call back into this object.
+  // Detach first: attach_scheduler takes the store mutex, so once it
+  // returns no in-flight store operation can still call back into this
+  // object.
   store_.attach_scheduler(nullptr);
-  store_.set_helper_policy(nullptr);
-  store_.set_traffic_observer(nullptr);
   stop();
 }
 
@@ -119,9 +111,7 @@ void RepairScheduler::enqueue(const CarouselStore::BlockRef& block, Kind kind,
     if (dead > 1) boost = static_cast<std::uint32_t>(dead - 1);
   }
   criticality += boost;
-  // Releasable so the dispatcher wakes to an uncontended mutex: the notify
-  // below happens after the lock is dropped.
-  util::ReleasableMutexLock lock(mu_);
+  util::MutexLock lock(mu_);
   if (boost > 0) {
     ++stats_.domain_boosts;
     domain_boosts_total_->inc();
@@ -147,8 +137,6 @@ void RepairScheduler::enqueue(const CarouselStore::BlockRef& block, Kind kind,
     enqueued_total_->inc();
   }
   export_queue_gauges_locked();
-  lock.release();
-  work_cv_.notify_all();
 }
 
 std::size_t RepairScheduler::enqueue_server(std::size_t server_id) {
@@ -258,7 +246,7 @@ void RepairScheduler::execute(const WorkItem& item) {
                                       item.block.index);
   } catch (const std::exception&) {
     // A failed heal is counted, not retried here: the next scrubber sweep
-    // (or rehome_server call) re-enqueues whatever is still broken.
+    // (or enqueue_server call) re-enqueues whatever is still broken.
     ok = false;
   }
   finish(item, ok, bytes);
@@ -280,7 +268,6 @@ void RepairScheduler::finish(const WorkItem& item, bool ok,
   }
   export_queue_gauges_locked();
   idle_cv_.notify_all();
-  work_cv_.notify_all();
 }
 
 std::vector<std::size_t> RepairScheduler::select_helpers(
@@ -401,63 +388,41 @@ void RepairScheduler::poll_admission() {
 }
 
 void RepairScheduler::start() {
+  // Holding mu_ across the launch keeps a concurrent start() from resetting
+  // the admission clock of a running pass.
   util::MutexLock lock(mu_);
-  if (dispatcher_running_) return;
-  stop_requested_ = false;
-  dispatcher_running_ = true;
+  if (dispatcher_.running()) return;
   if (!pool_) pool_ = std::make_unique<util::ThreadPool>(options_.workers);
-  dispatcher_ = std::thread([this] { loop(); });
+  last_admission_ = std::chrono::steady_clock::now();
+  dispatcher_.start();
 }
 
 void RepairScheduler::stop() {
-  // Claim the dispatcher thread under the lock so concurrent stop() calls
-  // never join the same std::thread twice: the loser finds an empty handle.
-  std::thread claimed;
+  dispatcher_.stop();
   util::ThreadPool* pool = nullptr;
   {
     util::MutexLock lock(mu_);
-    if (!dispatcher_running_) return;
-    stop_requested_ = true;
-    dispatcher_running_ = false;
-    claimed = std::move(dispatcher_);
     pool = pool_.get();
   }
-  work_cv_.notify_all();
-  if (claimed.joinable()) claimed.join();
   if (pool) pool->wait_idle();  // execute() swallows store exceptions
 }
 
-bool RepairScheduler::running() const {
-  util::MutexLock lock(mu_);
-  return dispatcher_running_;
-}
-
-void RepairScheduler::loop() {
-  auto last_admission = std::chrono::steady_clock::now();
-  for (;;) {
-    {
-      util::MutexLock lock(mu_);
-      if (stop_requested_) return;
-    }
+void RepairScheduler::dispatch_pass() {
+  bool poll = false;
+  {
+    util::MutexLock lock(mu_);
     const auto now = std::chrono::steady_clock::now();
     if (options_.p99_budget.count() > 0 &&
-        now - last_admission >= options_.admission_interval) {
-      poll_admission();
-      last_admission = now;
-    }
-    Dispatch d = plan_dispatch();
-    if (d.result == StepResult::kDispatched) {
-      pool_->submit([this, item = d.item] { execute(item); });
-      continue;  // keep dispatching while slots and budgets allow
-    }
-    // Sleep out the tick; only a stop request ends it early (a work notify
-    // re-checks the predicate and keeps waiting for the remainder).
-    const auto deadline = std::chrono::steady_clock::now() + options_.tick;
-    util::MutexLock lock(mu_);
-    while (!stop_requested_ &&
-           work_cv_.wait_until(mu_, deadline) != std::cv_status::timeout) {
+        now - last_admission_ >= options_.admission_interval) {
+      last_admission_ = now;
+      poll = true;
     }
   }
+  if (poll) poll_admission();
+  // Keep dispatching while slots and budgets allow.
+  for (Dispatch d = plan_dispatch(); d.result == StepResult::kDispatched;
+       d = plan_dispatch())
+    pool_->submit([this, item = d.item] { execute(item); });
 }
 
 bool RepairScheduler::wait_idle(std::chrono::milliseconds timeout) {

@@ -21,12 +21,13 @@
 //   window.  Before dispatch the scheduler prices the next heal from the
 //   code (d chunks of block/(d-k+1) helper egress for the MSR path, k whole
 //   blocks for the RS fallback, one block of newcomer ingress) and defers
-//   when too few healthy servers have headroom.  The scheduler also
-//   installs itself as the store's helper-selection policy, so the MSR
-//   PROJECT fan-in spreads across the least-charged healthy servers instead
-//   of always taking the first d survivors — Wu's spread-the-helper-load
-//   argument — and as the store's traffic observer, so budgets charge
-//   actual wire bytes, not estimates.
+//   when too few healthy servers have headroom.  The scheduler attaches
+//   itself to the store (attach_scheduler, the one seam): the store asks it
+//   which helpers the MSR PROJECT fan-in uses, so the fan-in spreads across
+//   the least-charged healthy servers instead of always taking the first d
+//   survivors — Wu's spread-the-helper-load argument — and reports every
+//   repair transfer to it, so budgets charge actual wire bytes, not
+//   estimates.
 //
 //   Admission control.  When the foreground p99 (windowed, from the
 //   store's carousel_store_read_seconds histogram) exceeds
@@ -35,15 +36,15 @@
 //   bypass admission and budget gates — at the erasure limit durability
 //   outranks politeness — but never the global cap.
 //
-// Work flows in from three places: Scrubber sweeps (Options::scheduler),
-// CarouselStore::rehome_server (enqueues per-victim items when a scheduler
-// is attached), and direct enqueue()/enqueue_server() calls.  Items drain
-// either synchronously (step(), what the tests drive) or on a small
-// ThreadPool fed by a dispatcher thread (start()/stop()).
+// Work flows in from two places: Scrubber sweeps (Options::scheduler) and
+// direct enqueue() calls, enqueue_server() being the whole-server fan-in.
+// Items drain either synchronously (step(), what the tests drive) or on a
+// small ThreadPool fed by a dispatch pass that a util::PeriodicThread runs
+// every Options::tick (start()/stop()).
 //
-// Lock order: store.mu_ -> scheduler.mu_ (the store calls the selection/
-// observer hooks while holding its mutex).  The scheduler therefore never
-// calls a store method while holding its own mutex, and the hooks touch
+// Lock order: store.mu_ -> scheduler.mu_ (the store calls select_helpers/
+// observe_traffic while holding its mutex).  The scheduler therefore never
+// calls a store method while holding its own mutex, and those two touch
 // only scheduler state.  The order is enforced by the lock ranks in
 // util/sync.h (LockRank::kStore < kScheduler) and by the thread-safety
 // annotations below.
@@ -61,12 +62,12 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "net/store.h"
 #include "obs/metrics.h"
+#include "util/periodic_thread.h"
 #include "util/sync.h"
 #include "util/thread_pool.h"
 
@@ -150,9 +151,8 @@ class RepairScheduler {
     std::uint64_t max_window_ingress = 0;
   };
 
-  /// Installs itself on the store (helper policy, traffic observer, rehome
-  /// fan-in) for its lifetime.  The store and monitor must outlive it; one
-  /// scheduler per store.
+  /// Attaches itself to the store (attach_scheduler) for its lifetime.  The
+  /// store and monitor must outlive it; one scheduler per store.
   RepairScheduler(CarouselStore& store, Options options);
   explicit RepairScheduler(CarouselStore& store)
       : RepairScheduler(store, Options{}) {}
@@ -161,10 +161,8 @@ class RepairScheduler {
   RepairScheduler(const RepairScheduler&) = delete;
   RepairScheduler& operator=(const RepairScheduler&) = delete;
 
-  /// Adds (or escalates) one work item.  Safe to call from any thread,
-  /// including under the store's mutex (a monitor consultation happens
-  /// before the scheduler's own state is touched, honoring the lock
-  /// ranks).  `home` is the victim block's (dead) home server: when the
+  /// Adds (or escalates) one work item.  Safe to call from any thread.
+  /// `home` is the victim block's (dead) home server: when the
   /// monitor knows other servers in that failure domain are also kDead,
   /// criticality is boosted by (dead-in-domain - 1) so a rack-down's
   /// stripes jump a backlog of scattered single failures.
@@ -173,9 +171,10 @@ class RepairScheduler {
                std::optional<std::size_t> home = std::nullopt)
       EXCLUDES(mu_);
 
-  /// Enqueues a kRehome item for every block currently placed on
-  /// `server_id`; criticality is the per-stripe victim count.  Returns how
-  /// many items were submitted.
+  /// The whole-server fan-in: enqueues a kRehome item for every block
+  /// currently placed on `server_id` (a server the caller has declared
+  /// dead); criticality is the per-stripe victim count.  Returns how many
+  /// items were submitted.
   std::size_t enqueue_server(std::size_t server_id) EXCLUDES(mu_);
 
   /// The item the next dispatch would take (copy), if any.
@@ -185,19 +184,20 @@ class RepairScheduler {
   /// Deterministic — admission is only re-evaluated via poll_admission().
   StepResult step() EXCLUDES(mu_);
 
-  /// Background mode: dispatcher thread + worker pool.  Idempotent
-  /// (including concurrent stop() callers).
+  /// Background mode: a dispatch pass every Options::tick + worker pool.
+  /// Idempotent (including concurrent stop() callers); stop() also waits
+  /// for the dispatched heals to finish.
   void start() EXCLUDES(mu_);
   void stop() EXCLUDES(mu_);
-  bool running() const EXCLUDES(mu_);
+  bool running() const { return dispatcher_.running(); }
 
   /// Waits until the queue is empty and nothing is in flight.
   bool wait_idle(std::chrono::milliseconds timeout) EXCLUDES(mu_);
 
   /// One admission-control evaluation: diffs the foreground histogram
   /// since the last call and halves/ramps the allowed concurrency.  Called
-  /// on admission_interval by the background dispatcher; public so tests
-  /// and synchronous drains can drive it deterministically.
+  /// on admission_interval by the background dispatch pass; public so
+  /// tests and synchronous drains can drive it deterministically.
   void poll_admission() EXCLUDES(mu_);
 
   /// Forgets the current window's byte charges (ops/test hook; the
@@ -205,6 +205,19 @@ class RepairScheduler {
   void reset_budget_window() EXCLUDES(mu_);
 
   Stats stats() const EXCLUDES(mu_);
+
+  /// Helper choice for the store's repair fan-in: `want` candidate indices,
+  /// within-budget servers first, least window egress first, then server
+  /// id.  The store calls it under its mutex while this scheduler is
+  /// attached, so it touches only scheduler state.
+  std::vector<std::size_t> select_helpers(
+      const std::vector<CarouselStore::HelperCandidate>& candidates,
+      std::size_t want, std::size_t bytes_per_helper) EXCLUDES(mu_);
+  /// Charges one repair transfer (helper egress, newcomer ingress) to the
+  /// budget window.  Called by the store under its mutex, like
+  /// select_helpers.
+  void observe_traffic(std::size_t server, std::uint64_t egress_bytes,
+                       std::uint64_t ingress_bytes) EXCLUDES(mu_);
 
  private:
   using BlockId = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
@@ -232,14 +245,9 @@ class RepairScheduler {
   void execute(const WorkItem& item) EXCLUDES(mu_);
   void finish(const WorkItem& item, bool ok, std::uint64_t bytes)
       EXCLUDES(mu_);
-
-  /// Store hooks (called under the store's mutex; they take scheduler mu_,
-  /// honoring the store -> scheduler lock order).
-  std::vector<std::size_t> select_helpers(
-      const std::vector<CarouselStore::HelperCandidate>& candidates,
-      std::size_t want, std::size_t bytes_per_helper) EXCLUDES(mu_);
-  void observe_traffic(std::size_t server, std::uint64_t egress_bytes,
-                       std::uint64_t ingress_bytes) EXCLUDES(mu_);
+  /// One background pass: polls admission once admission_interval has
+  /// elapsed, then dispatches onto the pool until plan_dispatch stops.
+  void dispatch_pass() EXCLUDES(mu_);
 
   std::uint32_t emergency_threshold() const;
   bool budget_ok_locked(const std::vector<bool>& dead) REQUIRES(mu_);
@@ -248,7 +256,6 @@ class RepairScheduler {
   void charge_locked(std::size_t server, std::uint64_t egress,
                      std::uint64_t ingress) REQUIRES(mu_);
   void export_queue_gauges_locked() REQUIRES(mu_);
-  void loop() EXCLUDES(mu_);
 
   CarouselStore& store_;
   Options options_;
@@ -275,7 +282,6 @@ class RepairScheduler {
   obs::Gauge* foreground_p99_gauge_ = nullptr;
 
   mutable util::Mutex mu_{util::LockRank::kScheduler};
-  util::CondVar work_cv_;  // wakes the dispatcher
   util::CondVar idle_cv_;  // wakes wait_idle
   std::set<WorkItem, ItemOrder> queue_ GUARDED_BY(mu_);
   std::map<BlockId, std::set<WorkItem, ItemOrder>::iterator> index_
@@ -297,14 +303,16 @@ class RepairScheduler {
 
   // Windowed-p99 state: foreground histogram buckets at the last poll.
   std::vector<std::uint64_t> last_foreground_buckets_ GUARDED_BY(mu_);
+  // When the background pass last polled admission (start() resets it, so
+  // the first poll comes one admission_interval after a start).
+  std::chrono::steady_clock::time_point last_admission_ GUARDED_BY(mu_);
 
-  std::thread dispatcher_ GUARDED_BY(mu_);
-  bool dispatcher_running_ GUARDED_BY(mu_) = false;
-  bool stop_requested_ GUARDED_BY(mu_) = false;
   // Created by the first start() under mu_, destroyed only with the
-  // scheduler; the dispatcher and stop() use it after that handoff without
-  // the lock (mu_'s release/acquire orders the one-time publication).
+  // scheduler; the dispatch pass uses it after that handoff without the
+  // lock (the thread launch orders the one-time publication).
   std::unique_ptr<util::ThreadPool> pool_;
+  // Declared last: destroyed (and joined) before the state its pass uses.
+  util::PeriodicThread dispatcher_;
 };
 
 }  // namespace carousel::net

@@ -1,5 +1,7 @@
 #include "net/scrubber.h"
 
+#include <optional>
+
 #include "net/cluster.h"
 #include "net/repair_scheduler.h"
 #include "obs/metrics.h"
@@ -8,7 +10,9 @@
 namespace carousel::net {
 
 Scrubber::Scrubber(CarouselStore& store, Options options)
-    : store_(store), options_(options) {
+    : store_(store),
+      options_(options),
+      loop_(options.interval, [this] { run_once(); }) {
   auto& reg = store.metrics();
   sweeps_total_ = &reg.counter("carousel_scrubber_sweeps_total");
   blocks_checked_total_ =
@@ -28,52 +32,11 @@ Scrubber::Scrubber(CarouselStore& store, Options options)
   pending_rehomes_ = &reg.gauge("carousel_cluster_pending_rehomes");
 }
 
-Scrubber::~Scrubber() { stop(); }
-
-void Scrubber::start() {
-  util::MutexLock lock(mu_);
-  if (running_) return;
-  stop_requested_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { loop(); });
-}
-
-void Scrubber::stop() {
-  // Claim the thread handle under the lock so concurrent stop() calls never
-  // join the same std::thread twice: the loser finds an empty handle.
-  std::thread claimed;
-  {
-    util::MutexLock lock(mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-    running_ = false;
-    claimed = std::move(thread_);
-  }
-  cv_.notify_all();
-  if (claimed.joinable()) claimed.join();
-}
-
-bool Scrubber::running() const {
-  util::MutexLock lock(mu_);
-  return running_;
-}
-
-void Scrubber::loop() {
-  for (;;) {
-    run_once();
-    const auto deadline = std::chrono::steady_clock::now() + options_.interval;
-    util::MutexLock lock(mu_);
-    while (!stop_requested_ &&
-           cv_.wait_until(mu_, deadline) != std::cv_status::timeout) {
-    }
-    if (stop_requested_) return;
-  }
-}
-
 Scrubber::Stats Scrubber::run_once() {
   obs::ScopedTimer sweep_timer(*sweep_seconds_);
   Stats sweep;
   sweep.sweeps = 1;
+  std::uint64_t rehomes_enqueued = 0;  // dead-home blocks left queued
   // Crash-recovered intents first: an orphan adopted here is a stripe the
   // verify pass below never has to heal, and an orphan deleted here never
   // shadows a real placement.  No-op unless a replay left pending intents.
@@ -108,6 +71,8 @@ Scrubber::Stats Scrubber::run_once() {
       // block's failed heal (or rehome) never short-circuits its siblings.
       for (std::size_t i = 0; i < n; ++i) {
         const auto index = static_cast<std::uint32_t>(i);
+        auto kind = RepairScheduler::Kind::kRepair;
+        std::optional<std::size_t> dead_home;
         switch (states[i]) {
           case BlockState::kOk:
             continue;
@@ -120,46 +85,38 @@ Scrubber::Stats Scrubber::run_once() {
           case BlockState::kUnreachable: {
             const std::size_t home =
                 store_.placement_of(file_id, stripe, index);
-            if (options_.monitor != nullptr &&
-                options_.monitor->state_of(home) == ServerState::kDead) {
-              // The detector has given up on the home: regenerate onto a
-              // placement-eligible spare (the newcomer loop).
-              if (options_.scheduler != nullptr) {
-                // The dead home rides along so the scheduler can boost
-                // domain-correlated losses ahead of scattered ones.
-                options_.scheduler->enqueue(
-                    CarouselStore::BlockRef{file_id, stripe, index},
-                    RepairScheduler::Kind::kRehome, erasures, home);
-                ++sweep.enqueued;
-                continue;
-              }
-              try {
-                sweep.repair_bytes +=
-                    store_.rehome_block(file_id, stripe, index);
-                ++sweep.rehomes;
-              } catch (const std::exception&) {
-                ++sweep.rehome_failures;
-              }
-            } else {
+            if (options_.monitor == nullptr ||
+                options_.monitor->state_of(home) != ServerState::kDead) {
               // Down but not declared dead (no monitor, or still kSuspect):
               // a rebuilt block has nowhere better to go — retry next sweep.
               ++sweep.unreachable;
+              continue;
             }
-            continue;
+            // The detector has given up on the home: regenerate onto a
+            // placement-eligible spare (the newcomer loop).  The dead home
+            // rides along so the scheduler can boost domain-correlated
+            // losses ahead of scattered ones.
+            kind = RepairScheduler::Kind::kRehome;
+            dead_home = home;
+            break;
           }
         }
+        const bool rehome = kind == RepairScheduler::Kind::kRehome;
         if (options_.scheduler != nullptr) {
           options_.scheduler->enqueue(
-              CarouselStore::BlockRef{file_id, stripe, index},
-              RepairScheduler::Kind::kRepair, erasures);
+              CarouselStore::BlockRef{file_id, stripe, index}, kind, erasures,
+              dead_home);
           ++sweep.enqueued;
+          if (rehome) ++rehomes_enqueued;
           continue;
         }
         try {
-          sweep.repair_bytes += store_.repair_block(file_id, stripe, index);
-          ++sweep.repairs;
+          sweep.repair_bytes +=
+              rehome ? store_.rehome_block(file_id, stripe, index)
+                     : store_.repair_block(file_id, stripe, index);
+          ++(rehome ? sweep.rehomes : sweep.repairs);
         } catch (const std::exception&) {
-          ++sweep.repair_failures;
+          ++(rehome ? sweep.rehome_failures : sweep.repair_failures);
         }
       }
     }
@@ -176,9 +133,10 @@ Scrubber::Stats Scrubber::run_once() {
       sweep.missing_found + sweep.corrupt_found + sweep.unreachable));
   last_sweep_repair_bytes_->set(static_cast<double>(sweep.repair_bytes));
   // Blocks this sweep left on a bad home: skipped (home not declared dead
-  // yet) or attempted and failed.  Zero once the cluster has healed.
-  pending_rehomes_->set(
-      static_cast<double>(sweep.unreachable + sweep.rehome_failures));
+  // yet), attempted and failed, or handed to the scheduler and still
+  // queued.  Zero once the cluster has healed.
+  pending_rehomes_->set(static_cast<double>(
+      sweep.unreachable + sweep.rehome_failures + rehomes_enqueued));
 
   util::MutexLock lock(mu_);
   total_.sweeps += sweep.sweeps;

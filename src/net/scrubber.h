@@ -7,8 +7,8 @@
 // paper's optimal-bandwidth repair: a scrub-detected corruption costs
 // d/(d-k+1) block sizes to heal when d helpers survive, not k.
 //
-// Runs either synchronously (run_once, what the tests drive) or as a
-// background thread on a fixed interval (start/stop).
+// Runs either synchronously (run_once, what the tests drive) or on a
+// util::PeriodicThread at a fixed interval (start/stop).
 //
 // Unreachable blocks: without a HealthMonitor (Options::monitor), the sweep
 // records them and retries later — the home may just be rebooting, and a
@@ -23,18 +23,20 @@
 // unhealthy block is then handled independently (its own try/catch, its own
 // counter) — one block's failed heal never short-circuits its siblings.
 // With Options::scheduler set the sweep stops healing inline altogether:
-// unhealthy blocks are enqueued as prioritized work items carrying the
-// stripe's erasure count as criticality, and the RepairScheduler's budgets
-// and admission control decide when they actually heal.
+// unhealthy blocks (repairs and dead-home rehomes alike) are enqueued as
+// prioritized work items carrying the stripe's erasure count as
+// criticality, and the RepairScheduler's budgets and admission control
+// decide when they actually heal.  Without one, a monitor-driven sweep is
+// what moves a dead server's blocks inline.
 
 #ifndef CAROUSEL_NET_SCRUBBER_H
 #define CAROUSEL_NET_SCRUBBER_H
 
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
 #include "net/store.h"
+#include "util/periodic_thread.h"
 #include "util/sync.h"
 
 namespace carousel::net {
@@ -75,17 +77,16 @@ class Scrubber {
   /// The store must outlive the scrubber.
   Scrubber(CarouselStore& store, Options options);
   explicit Scrubber(CarouselStore& store) : Scrubber(store, Options{}) {}
-  ~Scrubber();
 
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
 
-  /// Launches the background sweep thread.  Idempotent.
-  void start() EXCLUDES(mu_);
-  /// Stops it and joins.  Idempotent (including concurrent callers); also
-  /// called by the destructor.
-  void stop() EXCLUDES(mu_);
-  bool running() const EXCLUDES(mu_);
+  /// Launches the background sweeps (the first runs at once).  Idempotent.
+  void start() { loop_.start(); }
+  /// Stops them and joins.  Idempotent (including concurrent callers);
+  /// also done on destruction.
+  void stop() { loop_.stop(); }
+  bool running() const { return loop_.running(); }
 
   /// One full synchronous sweep; returns that sweep's stats (also folded
   /// into the cumulative ones).
@@ -95,8 +96,6 @@ class Scrubber {
   Stats stats() const EXCLUDES(mu_);
 
  private:
-  void loop() EXCLUDES(mu_);
-
   CarouselStore& store_;
   Options options_;
 
@@ -115,11 +114,9 @@ class Scrubber {
   obs::Gauge* last_sweep_repair_bytes_ = nullptr;
   obs::Gauge* pending_rehomes_ = nullptr;
   mutable util::Mutex mu_{util::LockRank::kScrubber};
-  util::CondVar cv_;
-  std::thread thread_ GUARDED_BY(mu_);
-  bool stop_requested_ GUARDED_BY(mu_) = false;
-  bool running_ GUARDED_BY(mu_) = false;
   Stats total_ GUARDED_BY(mu_);
+  // Declared last: destroyed (and joined) before the state run_once uses.
+  util::PeriodicThread loop_;
 };
 
 }  // namespace carousel::net

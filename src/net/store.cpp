@@ -468,7 +468,8 @@ void CarouselStore::set_placement_locked(std::uint32_t file_id,
 void CarouselStore::observe_traffic(std::size_t server, std::uint64_t egress,
                                     std::uint64_t ingress) {
   util::MutexLock lock(mu_);
-  if (traffic_observer_) traffic_observer_(server, egress, ingress);
+  if (scheduler_ != nullptr)
+    scheduler_->observe_traffic(server, egress, ingress);
 }
 
 void CarouselStore::set_hedge_policy(HedgePolicy policy) {
@@ -1010,49 +1011,6 @@ std::uint64_t CarouselStore::rehome_block(std::uint32_t file_id,
   }
 }
 
-CarouselStore::RehomeReport CarouselStore::rehome_server(
-    std::size_t server_id) {
-  RehomeReport report;
-  // Collect first: rehoming rewrites the placement rows being walked.
-  const std::vector<BlockRef> victims = blocks_on(server_id);
-  {
-    util::MutexLock lock(mu_);
-    if (scheduler_ != nullptr) {
-      // Healing becomes the scheduler's job: one kRehome item per victim,
-      // prioritized by how many blocks the stripe just lost on this server.
-      // enqueue() touches only scheduler state, so calling it under mu_
-      // respects the store -> scheduler lock order.
-      std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> losses;
-      for (const BlockRef& b : victims) ++losses[{b.file, b.stripe}];
-      for (const BlockRef& b : victims)
-        scheduler_->enqueue(b, RepairScheduler::Kind::kRehome,
-                            losses[{b.file, b.stripe}], server_id);
-      report.enqueued = victims.size();
-      return report;
-    }
-  }
-  // Inline heals run with no store lock held, like any other repair.
-  for (const BlockRef& b : victims) {
-    try {
-      report.bytes_read += rehome_block(b.file, b.stripe, b.index);
-      ++report.rehomed;
-    } catch (const std::exception&) {
-      ++report.failed;
-    }
-  }
-  return report;
-}
-
-void CarouselStore::set_helper_policy(HelperPolicy policy) {
-  util::MutexLock lock(mu_);
-  helper_policy_ = std::move(policy);
-}
-
-void CarouselStore::set_traffic_observer(TrafficObserver observer) {
-  util::MutexLock lock(mu_);
-  traffic_observer_ = std::move(observer);
-}
-
 void CarouselStore::attach_scheduler(RepairScheduler* scheduler) {
   util::MutexLock lock(mu_);
   scheduler_ = scheduler;
@@ -1063,28 +1021,17 @@ std::vector<std::size_t> CarouselStore::choose_helpers(
     const std::vector<std::size_t>& survivors, std::size_t want,
     std::size_t bytes_per_helper) const {
   util::MutexLock lock(mu_);
-  want = std::min(want, survivors.size());
-  std::vector<std::size_t> first(
-      survivors.begin(),
-      survivors.begin() + static_cast<std::ptrdiff_t>(want));
-  if (!helper_policy_) return first;
+  if (scheduler_ == nullptr) {
+    want = std::min(want, survivors.size());
+    return {survivors.begin(),
+            survivors.begin() + static_cast<std::ptrdiff_t>(want)};
+  }
   std::vector<HelperCandidate> candidates;
   candidates.reserve(survivors.size());
   for (std::size_t h : survivors)
     candidates.push_back(
         {h, home_of_locked(file_id, stripe, static_cast<std::uint32_t>(h))});
-  std::vector<std::size_t> picked;
-  try {
-    picked = helper_policy_(candidates, want, bytes_per_helper);
-  } catch (...) {
-    return first;  // a broken policy must not break repair
-  }
-  if (picked.size() != want) return first;
-  const std::set<std::size_t> allowed(survivors.begin(), survivors.end());
-  std::set<std::size_t> seen;
-  for (std::size_t h : picked)
-    if (!allowed.contains(h) || !seen.insert(h).second) return first;
-  return picked;
+  return scheduler_->select_helpers(candidates, want, bytes_per_helper);
 }
 
 std::uint64_t CarouselStore::repair_block_impl(
@@ -1115,7 +1062,7 @@ std::uint64_t CarouselStore::repair_block_impl(
     if (!plan)
       throw std::runtime_error("repair impossible: fewer than k blocks");
     if (plan->projected != was_projected) held.assign(n, {});
-    // Held sources stay; the helper policy picks the rest.
+    // Held sources stay; choose_helpers picks the rest.
     const std::size_t want = plan->sources.size();
     std::vector<std::size_t> rest;
     plan->sources.clear();

@@ -23,8 +23,8 @@
 // total (minted through one helper; check_invariants rule 7).
 //
 // Locking discipline: mu_ guards only in-memory lookups and mutations — the
-// manifest/placement tables, the servers_ vector, and the policy/observer/
-// scheduler hooks.  It is NEVER held across network I/O.  Every wire
+// manifest/placement tables, the servers_ vector, and the attached
+// scheduler.  It is NEVER held across network I/O.  Every wire
 // operation leases a connection from a per-server client pool (Server::idle,
 // guarded by the per-server pool_mu) and runs lock-free, so concurrent
 // read_file calls — and a background Scrubber or RepairScheduler healing
@@ -38,12 +38,19 @@
 // placement table mapping block index -> server id.  put_file seeds it with
 // the paper's rule (block i of every stripe on server i mod base fleet), but
 // the table is the truth from then on — add_server() registers spare
-// servers at runtime, and rehome_block()/rehome_server() drive the MSR
-// repair path with the rebuilt block re-uploaded to a *new* home (still
-// d/(d-k+1) block sizes of helper traffic) when a home server dies for
-// good.  This is the regenerate-onto-a-newcomer maintenance loop of
-// Dimakis et al.; the HealthMonitor (net/cluster.h) decides *when* a server
-// is dead, the Scrubber wires the two together.
+// servers at runtime, and rehome_block() drives the MSR repair path with
+// the rebuilt block re-uploaded to a *new* home (still d/(d-k+1) block
+// sizes of helper traffic) when a home server dies for good.  This is the
+// regenerate-onto-a-newcomer maintenance loop of Dimakis et al.; the
+// HealthMonitor (net/cluster.h) decides *when* a server is dead, the
+// Scrubber wires the two together, and RepairScheduler::enqueue_server
+// queues a whole dead server's blocks.
+//
+// Repair scheduling: attach_scheduler() is the store's one scheduler seam.
+// While a RepairScheduler is attached, the repair fan-in takes its helpers
+// from select_helpers() and every repair transfer is charged to it through
+// observe_traffic() — both called under mu_ (LockRank::kStore <
+// kScheduler).  Detached, a repair fans into the first survivors.
 //
 // Failure domains: every server carries a domain label (a rack, a power
 // feed).  The placement table is seeded and *maintained* under one hard
@@ -77,7 +84,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -172,36 +178,12 @@ class CarouselStore {
     std::uint32_t index = 0;
   };
 
-  /// Outcome of rehome_server(): per-block successes and failures plus the
-  /// helper traffic the successful heals cost.  With a RepairScheduler
-  /// attached nothing heals inline — the victims are enqueued instead and
-  /// only `enqueued` is set.
-  struct RehomeReport {
-    std::size_t rehomed = 0;
-    std::size_t failed = 0;
-    std::uint64_t bytes_read = 0;
-    std::size_t enqueued = 0;
-  };
-
   /// One eligible repair helper: a surviving block index and the server the
   /// placement table currently homes it on.
   struct HelperCandidate {
     std::size_t index = 0;
     std::size_t server = 0;
   };
-
-  /// Picks which `want` of `candidates` a repair fans into, given the bytes
-  /// each chosen helper will ship.  Must return `want` distinct candidate
-  /// indices; anything else falls back to the first `want` survivors.
-  using HelperPolicy = std::function<std::vector<std::size_t>(
-      const std::vector<HelperCandidate>& candidates, std::size_t want,
-      std::size_t bytes_per_helper)>;
-
-  /// Observes actual repair wire traffic per server: helper egress at
-  /// PROJECT/GET time, newcomer ingress at re-upload time.
-  using TrafficObserver = std::function<void(std::size_t server,
-                                             std::uint64_t egress_bytes,
-                                             std::uint64_t ingress_bytes)>;
 
   /// Remembers the given servers (connections are lazy).  The code must
   /// outlive the store.  Requires at least one server; one block per server
@@ -293,10 +275,6 @@ class CarouselStore {
   std::uint64_t rehome_block(std::uint32_t file_id, std::uint32_t stripe,
                              std::uint32_t index) EXCLUDES(mu_);
 
-  /// Re-homes every block currently placed on `server_id` (a server the
-  /// caller has declared dead).  Per-block failures are counted, not thrown.
-  RehomeReport rehome_server(std::size_t server_id) EXCLUDES(mu_);
-
   /// Audits one block without transferring it.
   BlockState verify_block(std::uint32_t file_id, std::uint32_t stripe,
                           std::uint32_t index);
@@ -327,19 +305,10 @@ class CarouselStore {
   /// one fleet to measure its tail-latency win in isolation).
   void set_hedge_policy(HedgePolicy policy) EXCLUDES(mu_);
 
-  /// Overrides which survivors the repair path fans into (null restores the
-  /// first-d default).  The policy is invoked under the store's mutex and
-  /// must not call back into the store.
-  void set_helper_policy(HelperPolicy policy) EXCLUDES(mu_);
-
-  /// Observes every repair/rehome wire transfer (null detaches).  Invoked
-  /// under the store's mutex; must not call back into the store.
-  void set_traffic_observer(TrafficObserver observer) EXCLUDES(mu_);
-
-  /// Attaches a RepairScheduler: rehome_server() then enqueues one kRehome
-  /// item per victim block (criticality = per-stripe victim count) instead
-  /// of healing inline.  Pass nullptr to detach; the scheduler does both
-  /// automatically over its lifetime.
+  /// Attaches a RepairScheduler, the store's one scheduler seam: repairs
+  /// then fan into its select_helpers() choice and report every wire
+  /// transfer to its observe_traffic().  Pass nullptr to detach; the
+  /// scheduler does both automatically over its lifetime.
   void attach_scheduler(RepairScheduler* scheduler) EXCLUDES(mu_);
 
   /// Outcome of one reconcile() pass over the intents a replay recovered.
@@ -432,7 +401,7 @@ class CarouselStore {
   /// Current hedge latency budget: the policy quantile of the range-GET
   /// histogram, floored, or `initial` while samples are scarce.
   std::chrono::milliseconds hedge_budget(const HedgePolicy& policy) const;
-  /// Invokes the traffic observer under mu_ (its documented contract).
+  /// Charges one repair transfer to the attached scheduler, under mu_.
   void observe_traffic(std::size_t server, std::uint64_t egress,
                        std::uint64_t ingress) EXCLUDES(mu_);
   std::size_t home_of_locked(std::uint32_t file_id, std::uint32_t stripe,
@@ -487,10 +456,9 @@ class CarouselStore {
                                   std::optional<std::size_t> target)
       EXCLUDES(mu_);
   std::chrono::steady_clock::time_point budget_deadline() const;
-  /// Survivor ordering for the repair fan-in: the helper policy's choice
-  /// (validated: `want` distinct members of `survivors`) or the first
-  /// `want` survivors when no policy is set or its answer is unusable.
-  /// Takes mu_ internally (the policy hook's contract).
+  /// Survivor ordering for the repair fan-in: the attached scheduler's
+  /// select_helpers() choice, or the first `want` survivors when none is
+  /// attached.  Takes mu_ internally.
   std::vector<std::size_t> choose_helpers(
       std::uint32_t file_id, std::uint32_t stripe,
       const std::vector<std::size_t>& survivors, std::size_t want,
@@ -526,8 +494,8 @@ class CarouselStore {
   std::vector<MetaLog::RehomeIntent> recovered_rehomes_
       GUARDED_BY(meta_mu_);
   // Lookups/mutations only; NEVER held across I/O.  First acquired of the
-  // store-side locks (LockRank::kStore), so it may nest the scheduler's
-  // mutex (hooks) and any Server::pool_mu, never the reverse.
+  // store-side locks (LockRank::kStore), so it may nest the attached
+  // scheduler's mutex and any Server::pool_mu, never the reverse.
   mutable util::Mutex mu_{util::LockRank::kStore};
   // The vector is guarded; the heap-allocated Servers it points at live as
   // long as the store, so an executor task may keep a Server* with no lock.
@@ -542,9 +510,8 @@ class CarouselStore {
   // catch two concurrent puts racing the same id, not only committed files.
   std::set<std::uint32_t> inflight_puts_ GUARDED_BY(mu_);
   HedgePolicy hedge_ GUARDED_BY(mu_);  // snapshotted per read
-  // Both hooks run under mu_ and touch only their owner's state.
-  HelperPolicy helper_policy_ GUARDED_BY(mu_);
-  TrafficObserver traffic_observer_ GUARDED_BY(mu_);
+  // Called under mu_; its select_helpers/observe_traffic touch only
+  // scheduler state.
   RepairScheduler* scheduler_ GUARDED_BY(mu_) = nullptr;
 
   // Cached instruments (constructor-resolved from registry_).

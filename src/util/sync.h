@@ -5,9 +5,9 @@
 // twin" pattern as the invariant linter + metric-name validation:
 //
 //   1. Clang Thread Safety Analysis.  Mutex is a CAPABILITY("mutex");
-//      MutexLock/ReleasableMutexLock are SCOPED_CAPABILITYs.  Members are
-//      annotated GUARDED_BY(mu_), *_locked() helpers REQUIRES(mu_), public
-//      entry points EXCLUDES(mu_).  The CAROUSEL_THREAD_SAFETY=ON build
+//      MutexLock is a SCOPED_CAPABILITY.  Members are annotated
+//      GUARDED_BY(mu_), *_locked() helpers REQUIRES(mu_), public entry
+//      points EXCLUDES(mu_).  The CAROUSEL_THREAD_SAFETY=ON build
 //      compiles with -Wthread-safety -Wthread-safety-beta -Werror, turning
 //      every "guarded by mu_" comment into a compile error when violated.
 //      On non-Clang compilers the macros expand to nothing.
@@ -86,13 +86,13 @@ enum class LockRank : int {
   // Held across the journal's local append+fsync, never across network I/O.
   kMetaLog = 15,
 
-  // CarouselStore::mu_ — placement/manifest lookups; acquires the repair
-  // scheduler's mu_ (rehome enqueues) and per-server pool_mu (counters)
-  // while held.
+  // CarouselStore::mu_ — placement/manifest lookups; acquires the attached
+  // repair scheduler's mu_ (helper selection, traffic charges) and
+  // per-server pool_mu (counters) while held.
   kStore = 20,
 
-  // RepairScheduler::mu_ — taken by the store's helper-selection and
-  // traffic-observer hooks while store.mu_ is held.
+  // RepairScheduler::mu_ — taken by select_helpers/observe_traffic, which
+  // the store calls on its attached scheduler while store.mu_ is held.
   kScheduler = 30,
 
   // CarouselStore::Server::pool_mu — per-server connection pool; innermost
@@ -104,10 +104,11 @@ enum class LockRank : int {
   kBlockServer = 50,
 
   // HealthMonitor::mu_ — tracked-server FSM state; taken under
-  // probe_serial_ during probe rounds.
+  // probe_serial_ during probe rounds.  Scrubber sweeps and scheduler
+  // dispatches read verdicts through it holding no other carousel lock.
   kMonitor = 55,
 
-  // Scrubber::mu_ — pass totals and loop wakeup; never held across store
+  // Scrubber::mu_ — cumulative sweep totals; never held across store
   // calls.
   kScrubber = 60,
 
@@ -120,6 +121,11 @@ enum class LockRank : int {
 
   // FaultPlan::mu_ — injected-fault state, leaf under the block server.
   kFaultPlan = 80,
+
+  // util::PeriodicThread::mu_ — loop handle and sleep; leaf: never held
+  // across the tick or while taking another lock.  RepairScheduler::start()
+  // takes it under the scheduler's mu_.
+  kPeriodicThread = 85,
 
   // obs::MetricsRegistry::mu_ — instrument maps; global leaf (instrument
   // creation happens under other subsystems' locks).
@@ -246,31 +252,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Scoped lock that can release early — for "mutate under the lock, then
-/// notify/join/IO outside it" sequences that would otherwise need an extra
-/// brace level.  release() may be called at most once.
-class SCOPED_CAPABILITY ReleasableMutexLock {
- public:
-  explicit ReleasableMutexLock(Mutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~ReleasableMutexLock() RELEASE() {
-    if (held_) mu_.unlock();
-  }
-
-  void release() RELEASE() {
-    held_ = false;
-    mu_.unlock();
-  }
-
-  ReleasableMutexLock(const ReleasableMutexLock&) = delete;
-  ReleasableMutexLock& operator=(const ReleasableMutexLock&) = delete;
-
- private:
-  Mutex& mu_;
-  bool held_ = true;
 };
 
 /// Condition variable over util::Mutex.  No predicate overloads on purpose:

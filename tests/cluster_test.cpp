@@ -23,6 +23,7 @@
 #include "net/cluster.h"
 #include "net/errors.h"
 #include "net/fault.h"
+#include "net/repair_scheduler.h"
 #include "net/scrubber.h"
 #include "net/store.h"
 #include "obs/metrics.h"
@@ -498,10 +499,14 @@ TEST_F(ClusterTest, RehomeServerMovesEveryBlockOfADeadServer) {
   store.put_file(8, file);
 
   kill(9);
-  auto report = store.rehome_server(9);
-  EXPECT_EQ(report.rehomed, 3u);  // block 9 of each stripe
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(report.bytes_read, std::uint64_t{3} * 2 * block);
+  RepairScheduler sched(store);
+  EXPECT_EQ(sched.enqueue_server(9), 3u);
+  while (sched.step() == RepairScheduler::StepResult::kDispatched) {
+  }
+  const auto stats = sched.stats();
+  EXPECT_EQ(stats.completed, 3u);  // block 9 of each stripe
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.bytes_moved, std::uint64_t{3} * 2 * block);
   EXPECT_EQ(store.blocks_on(9).size(), 0u);
   EXPECT_EQ(store.blocks_on(spare_id).size(), 3u);
   EXPECT_EQ(store.read_file(8, file.size()), file);

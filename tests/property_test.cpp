@@ -23,6 +23,7 @@
 #include "codes/carousel.h"
 #include "net/block_server.h"
 #include "net/client.h"
+#include "net/repair_scheduler.h"
 #include "net/store.h"
 #include "obs/metrics.h"
 #include "test_util.h"
@@ -357,7 +358,7 @@ TEST(PropertyGrid, DomainPlacementHoldsTheCapThroughRehomeChurn) {
   // r >= 2 satisfying (r - 1) * (n - k) >= n — the regime where even a
   // whole rack's blocks fit in the other racks — and demand that no rack
   // ever holds more than n - k blocks of one stripe: after seeding, and
-  // after a full rehome_server churn off a seeded victim (every one of
+  // after a full enqueue_server churn off a seeded victim (every one of
   // whose rehomes must succeed, by pigeonhole over the remaining racks).
   std::vector<std::unique_ptr<net::BlockServer>> servers;
   std::vector<std::uint16_t> ports;
@@ -401,8 +402,11 @@ TEST(PropertyGrid, DomainPlacementHoldsTheCapThroughRehomeChurn) {
     // candidate walk may stack blocks on survivors, but never past the cap.
     const std::size_t victim = rng() % e.n;
     servers[victim].reset();
-    auto report = store.rehome_server(victim);
-    EXPECT_EQ(report.failed, 0u)
+    net::RepairScheduler sched(store);
+    sched.enqueue_server(victim);
+    while (sched.step() == net::RepairScheduler::StepResult::kDispatched) {
+    }
+    EXPECT_EQ(sched.stats().failed, 0u)
         << "victim " << victim << " of (" << e.n << "," << e.k << ") over "
         << racks << " racks";
     EXPECT_TRUE(store.blocks_on(victim).empty());

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -330,40 +329,52 @@ TEST_F(RepairSchedulerTest, MsrRepairSpreadsChunksAndHonorsTheBudget) {
   EXPECT_EQ(store.read_file(2, file_b.size()), file_b);
 }
 
-TEST_F(RepairSchedulerTest, StoreHonorsACustomHelperChoice) {
-  // The policy seam itself: any d distinct survivors must work, so a
-  // policy that picks the *last* d still repairs at optimal traffic.
+TEST_F(RepairSchedulerTest, StoreFansIntoTheSchedulersHelperOrder) {
+  // The one seam: with a scheduler attached, the store's MSR fan-in takes
+  // the scheduler's least-charged-first order instead of the first d
+  // survivors, and still repairs at optimal traffic.
   make_fleet(12);
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 8;
   CarouselStore store(code, ports_, block, opts());
-  auto file = random_bytes(code.k() * block, 13);
-  store.put_file(1, file);
+  auto file_a = random_bytes(code.k() * block, 13);
+  auto file_b = random_bytes(code.k() * block, 17);
+  store.put_file(1, file_a);
+  store.put_file(2, file_b);
 
-  std::atomic<std::size_t> calls{0};
-  store.set_helper_policy(
-      [&](const std::vector<CarouselStore::HelperCandidate>& cands,
-          std::size_t want, std::size_t) {
-        ++calls;
-        std::vector<std::size_t> picked;
-        for (std::size_t i = cands.size(); i-- > 0 && picked.size() < want;)
-          picked.push_back(cands[i].index);
-        return picked;
-      });
+  RepairScheduler::Options ropts;  // unbounded egress budget
+  ropts.budget_window = std::chrono::hours(1);  // one window for both heals
+  RepairScheduler sched(store, ropts);
+  auto projects = [&](std::size_t server) -> std::uint64_t {
+    auto snap = servers_[server]->metrics().snapshot();
+    auto it =
+        snap.counters.find("carousel_server_requests_total{op=\"project\"}");
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+
   store.drop_block(1, 0, 0);
-  const std::uint64_t fetched = store.repair_block(1, 0, 0);
-  EXPECT_GE(calls.load(), 1u);
-  // Still the paper's optimal d/(d-k+1) = 2 block sizes on the wire.
-  EXPECT_EQ(fetched, std::uint64_t{2} * block);
-  EXPECT_EQ(store.read_file(1, file.size()), file);
+  store.drop_block(2, 0, 0);
+  sched.enqueue({1, 0, 0}, RepairScheduler::Kind::kRepair, 1);
+  sched.enqueue({2, 0, 0}, RepairScheduler::Kind::kRepair, 1);
 
-  // A broken policy must not break repair: fall back to the first d.
-  store.set_helper_policy(
-      [](const std::vector<CarouselStore::HelperCandidate>&, std::size_t,
-         std::size_t) { return std::vector<std::size_t>{0, 0, 0}; });
-  store.drop_block(1, 0, 3);
-  EXPECT_EQ(store.repair_block(1, 0, 3), std::uint64_t{2} * block);
-  EXPECT_EQ(store.read_file(1, file.size()), file);
+  // First heal: nothing is charged yet, so ties break by server id and the
+  // d = 10 helpers are servers 1..10.  Still the paper's optimal
+  // d/(d-k+1) = 2 block sizes on the wire.
+  EXPECT_EQ(sched.step(), RepairScheduler::StepResult::kDispatched);
+  EXPECT_EQ(sched.stats().bytes_moved, std::uint64_t{2} * block);
+  for (std::size_t s = 1; s <= 10; ++s) EXPECT_EQ(projects(s), 1u) << s;
+  EXPECT_EQ(projects(11), 0u);
+
+  // Second heal: server 11 is the one uncharged survivor, so it leads the
+  // fan-in and server 10 (the last of the equally charged) is skipped.
+  EXPECT_EQ(sched.step(), RepairScheduler::StepResult::kDispatched);
+  EXPECT_EQ(sched.stats().bytes_moved, std::uint64_t{4} * block);
+  for (std::size_t s = 1; s <= 9; ++s) EXPECT_EQ(projects(s), 2u) << s;
+  EXPECT_EQ(projects(10), 1u);
+  EXPECT_EQ(projects(11), 1u);
+  EXPECT_EQ(sched.stats().completed, 2u);
+  EXPECT_EQ(store.read_file(1, file_a.size()), file_a);
+  EXPECT_EQ(store.read_file(2, file_b.size()), file_b);
 }
 
 // ---- Admission control ----------------------------------------------------
@@ -435,11 +446,11 @@ TEST_F(RepairSchedulerTest, RehomeServerEnqueuesInsteadOfHealingInline) {
   RepairScheduler sched(store);
 
   kill(3);
-  auto report = store.rehome_server(3);
-  EXPECT_EQ(report.enqueued, 2u);  // block 3 of each file's stripe
-  EXPECT_EQ(report.rehomed, 0u);   // nothing healed inline
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(sched.stats().queue_depth, 2u);
+  EXPECT_EQ(sched.enqueue_server(3), 2u);  // block 3 of each file's stripe
+  auto queued = sched.stats();
+  EXPECT_EQ(queued.completed, 0u);  // nothing healed inline
+  EXPECT_EQ(queued.failed, 0u);
+  EXPECT_EQ(queued.queue_depth, 2u);
 
   while (sched.step() == RepairScheduler::StepResult::kDispatched) {
   }
@@ -527,6 +538,8 @@ TEST_F(RepairSchedulerTest, ScrubberEnqueuesDeadHomesAsRehomes) {
   auto sweep = scrubber.run_once();
   EXPECT_EQ(sweep.enqueued, 1u);
   EXPECT_EQ(sweep.rehomes, 0u);  // the sweep itself moved nothing
+  // The queued rehome still leaves the block on its dead home.
+  EXPECT_EQ(gauge("carousel_cluster_pending_rehomes"), 1.0);
   auto head = sched.peek();
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->kind, RepairScheduler::Kind::kRehome);
@@ -540,6 +553,7 @@ TEST_F(RepairSchedulerTest, ScrubberEnqueuesDeadHomesAsRehomes) {
   auto quiet = scrubber.run_once();
   EXPECT_EQ(quiet.ok, quiet.blocks_checked);
   EXPECT_EQ(quiet.enqueued, 0u);
+  EXPECT_EQ(gauge("carousel_cluster_pending_rehomes"), 0.0);
 }
 
 // ---- Shutdown discipline ---------------------------------------------------

@@ -36,6 +36,7 @@ TEST(SyncTest, IncreasingRankOrderPasses) {
   Mutex scheduler{LockRank::kScheduler};
   Mutex pool{LockRank::kServerPool};
   Mutex monitor{LockRank::kMonitor};
+  Mutex periodic{LockRank::kPeriodicThread};
   Mutex metrics{LockRank::kMetrics};
   {
     // probe_once(): probe serializer -> store lookups -> monitor FSM.
@@ -45,9 +46,15 @@ TEST(SyncTest, IncreasingRankOrderPasses) {
     MutexLock d(metrics);
   }
   {
-    // rehome_server() with a scheduler attached: store -> scheduler hooks.
+    // A repair with a scheduler attached: store -> select_helpers and
+    // observe_traffic.
     MutexLock a(store);
     MutexLock b(scheduler);
+  }
+  {
+    // RepairScheduler::start(): scheduler -> its PeriodicThread's leaf.
+    MutexLock a(scheduler);
+    MutexLock b(periodic);
   }
   {
     // bytes_received(): store -> per-server pool walk.
@@ -86,19 +93,6 @@ TEST(SyncTest, RanksAreTrackedPerThread) {
   });
   other.join();
   EXPECT_FALSE(store.held_by_current_thread());
-}
-
-TEST(SyncTest, ReleasableMutexLockReleasesEarly) {
-  Mutex mu;
-  {
-    ReleasableMutexLock lock(mu);
-    EXPECT_TRUE(mu.held_by_current_thread());
-    lock.release();
-    EXPECT_FALSE(mu.held_by_current_thread());
-    // Destructor must not unlock again.
-  }
-  MutexLock relock(mu);  // would deadlock if release()/dtor double-freed
-  EXPECT_TRUE(mu.held_by_current_thread());
 }
 
 TEST(SyncTest, CondVarWaitKeepsMutexAccountedAcrossSleep) {

@@ -104,6 +104,15 @@ Rules (see DESIGN.md "Correctness tooling"):
      for them would bring back a second copy of the repair math and a
      second set of benches comparing one code with itself.
 
+ 13. one background loop — `std::thread` (or `std::jthread`) appears in
+     src/ code only under src/util/ (the ThreadPool workers and the one
+     PeriodicThread loop) and in src/net/block_server.{h,cpp}, whose
+     acceptor and per-connection sessions are the allowed exceptions.
+     Background work elsewhere — scrubber sweeps, monitor probe rounds,
+     scheduler dispatch passes — runs on util::PeriodicThread, so the
+     start/stop/join discipline (claim the handle under the lock, join
+     outside it) is written once instead of once per component.
+
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -466,6 +475,23 @@ def check_one_mds_codec(problems: list[str]) -> None:
                     f"Carousel(n,k,d,k))")
 
 
+def check_one_background_loop(problems: list[str]) -> None:
+    """Rule 13: threads are spawned only in src/util/ and the BlockServer."""
+    thread = re.compile(r"\bstd::j?thread\b")
+    util = REPO / "src" / "util"
+    net = REPO / "src" / "net"
+    for path in src_files(".h", ".cpp"):
+        if path.parent == util or (
+                path.parent == net and path.stem == "block_server"):
+            continue
+        for i, line in enumerate(code_lines(path)):
+            if thread.search(line):
+                problems.append(
+                    f"{path.relative_to(REPO)}:{i + 1}: std::thread outside "
+                    f"src/util/ and src/net/block_server.* — run background "
+                    f"work on util::PeriodicThread")
+
+
 def main() -> int:
     problems: list[str] = []
     check_wire_casts(problems)
@@ -480,6 +506,7 @@ def main() -> int:
     check_meta_journal_provenance(problems)
     check_one_wire_executor(problems)
     check_one_mds_codec(problems)
+    check_one_background_loop(problems)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)

@@ -6,18 +6,20 @@
 #   2. static analysis — tools/lint.sh (clang-tidy when installed, plus the
 #      repo-specific invariant lints in tools/check_invariants.py);
 #   3. the networked fault-tolerance, observability, protocol-hardening,
-#      crash-persistence, metadata-journal and self-healing-cluster tests
-#      again under AddressSanitizer (abrupt server death, connection churn,
-#      malformed frames, torn-write recovery, re-homing races — where
-#      lifetime bugs hide);
-#   4. the net + observability + property tests under ThreadSanitizer
-#      (client counters and registry instruments are read while
-#      other threads mutate them; the parallel read fan-out, hedge races and
-#      concurrent read_file overlap live here), plus a short chaos schedule
-#      under TSan — the foreground hedged reader races kills, restarts and
-#      heals — and the whole-rack-down acceptance scenario under TSan (a
-#      3-rack fleet loses a full failure domain mid-traffic and must serve
-#      every acked byte while re-protecting within the per-rack cap);
+#      crash-persistence, metadata-journal, self-healing-cluster and util
+#      tests again under AddressSanitizer (abrupt server death, connection
+#      churn, malformed frames, torn-write recovery, re-homing races,
+#      background-loop shutdown — where lifetime bugs hide);
+#   4. the net + observability + property + cluster + repair-scheduler +
+#      util tests under ThreadSanitizer (client counters and registry
+#      instruments are read while other threads mutate them; the parallel
+#      read fan-out, hedge races, concurrent read_file overlap and the
+#      concurrent-stop() regressions of the background loops live here),
+#      plus a short chaos schedule under TSan — the foreground hedged
+#      reader races kills, restarts and heals — and the whole-rack-down
+#      acceptance scenario under TSan (a 3-rack fleet loses a full failure
+#      domain mid-traffic and must serve every acked byte while
+#      re-protecting within the per-rack cap);
 #   5. the full suite under UndefinedBehaviorSanitizer with recovery
 #      disabled (GF kernels, matrix pipeline, wire decode: where silent UB
 #      corrupts data without failing a test);
@@ -60,7 +62,7 @@ sh tools/lint.sh build
 cmake -B build-asan -S . -DCAROUSEL_SANITIZE=address
 cmake --build build-asan -j --target net_test obs_test protocol_test \
   protocol_fuzz_test persistence_test meta_log_test cluster_test \
-  repair_scheduler_test property_test
+  repair_scheduler_test property_test util_test
 ./build-asan/tests/net_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/protocol_test
@@ -70,13 +72,17 @@ cmake --build build-asan -j --target net_test obs_test protocol_test \
 ./build-asan/tests/cluster_test
 ./build-asan/tests/repair_scheduler_test
 ./build-asan/tests/property_test
+./build-asan/tests/util_test
 
 cmake -B build-tsan -S . -DCAROUSEL_SANITIZE=thread
 cmake --build build-tsan -j --target net_test obs_test property_test \
-  chaos_test
+  chaos_test cluster_test repair_scheduler_test util_test
 ./build-tsan/tests/net_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/property_test
+./build-tsan/tests/cluster_test
+./build-tsan/tests/repair_scheduler_test
+./build-tsan/tests/util_test
 CAROUSEL_CHAOS_SEED=20260805 CAROUSEL_CHAOS_EVENTS=60 \
   ./build-tsan/tests/chaos_test \
   --gtest_filter='Chaos.SeededFaultScheduleKeepsEveryInvariant'
