@@ -68,7 +68,7 @@ void build_history(const fs::path& dir, const BenchConfig& cfg,
   net::MetaLog log(dir, kConfigCrc, opts);
   log.add_server(40001, 0, true);
   log.add_server(40002, 1, true);
-  net::MetaLog::HedgeRecord hedge;
+  net::HedgePolicy hedge;
   hedge.enabled = true;
   log.set_hedge(hedge);
   for (std::uint32_t f = 1; f <= cfg.files; ++f) {

@@ -70,12 +70,12 @@ struct JobResult {
 /// Runs one job over `file` on `cluster` and reports task/job timings.
 ///
 /// Unavailable data-carrying blocks get *degraded* map tasks (the regime of
-/// the paper's related work [23]):
-///  - Carousel files with spare parity blocks: the task runs data-local ON a
-///    stand-in parity server — it reads the missing slot's k/p-of-a-block
-///    pattern from the local disk and only pays the decode CPU.
-///  - systematic files (p == k) or no spare parity: the task must fetch k
-///    whole blocks from surviving servers over the network and decode.
+/// the paper's related work [23]).  Each missing unit combines the matching
+/// units of k other blocks (§V.C, §VII), so the task pulls k/p of a block
+/// from each of the stripe's first k surviving blocks — the first from the
+/// local disk (the task runs beside it), the other k-1 over the network —
+/// and then pays the decode CPU.  For RS (p == k) that is k whole blocks,
+/// k-1 of them remote; Carousel's pieces are p/k times smaller.
 JobResult run_job(Cluster& cluster, const DfsFile& file,
                   const Workload& workload, const JobConfig& config);
 

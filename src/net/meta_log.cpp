@@ -185,20 +185,20 @@ MetaLog::SpareServer decode_spare(Reader& r) {
 }
 
 // u8 enabled, u64 percentile bits, u64 floor, u64 initial, u64 min samples.
-void encode(Writer& w, const MetaLog::HedgeRecord& h) {
+void encode(Writer& w, const HedgePolicy& h) {
   w.u8(h.enabled ? 1 : 0);
   w.u64(std::bit_cast<std::uint64_t>(h.percentile));
-  w.u64(static_cast<std::uint64_t>(h.floor_ms));
-  w.u64(static_cast<std::uint64_t>(h.initial_ms));
+  w.u64(static_cast<std::uint64_t>(h.floor.count()));
+  w.u64(static_cast<std::uint64_t>(h.initial.count()));
   w.u64(h.min_samples);
 }
 
-MetaLog::HedgeRecord decode_hedge(Reader& r) {
-  MetaLog::HedgeRecord h;
+HedgePolicy decode_hedge(Reader& r) {
+  HedgePolicy h;
   h.enabled = r.u8() != 0;
   h.percentile = std::bit_cast<double>(r.u64());
-  h.floor_ms = static_cast<std::int64_t>(r.u64());
-  h.initial_ms = static_cast<std::int64_t>(r.u64());
+  h.floor = std::chrono::milliseconds(static_cast<std::int64_t>(r.u64()));
+  h.initial = std::chrono::milliseconds(static_cast<std::int64_t>(r.u64()));
   h.min_samples = r.u64();
   return h;
 }
@@ -602,7 +602,7 @@ void MetaLog::add_server(std::uint16_t port, std::uint64_t domain,
   append_record(kRecAddServer, w.data());
 }
 
-void MetaLog::set_hedge(const HedgeRecord& hedge) {
+void MetaLog::set_hedge(const HedgePolicy& hedge) {
   Writer w;
   encode(w, hedge);
   append_record(kRecHedge, w.data());

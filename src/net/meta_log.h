@@ -19,7 +19,8 @@
 // may hold orphan blocks.  Rehomes work the same way.  Reconciliation
 // (CarouselStore::reconcile) probes those recovered intents and either
 // adopts the result (all blocks verify) or deletes the orphans and journals
-// an abort.
+// an abort, through the same commit and abort steps the live put and rehome
+// paths use.
 //
 // Replay on open loads the snapshot (if any), then the journal tail,
 // skipping records already folded into the snapshot (LSN filter — this is
@@ -38,6 +39,7 @@
 #ifndef CAROUSEL_NET_META_LOG_H
 #define CAROUSEL_NET_META_LOG_H
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -49,6 +51,26 @@
 #include "obs/metrics.h"
 
 namespace carousel::net {
+
+/// When and how CarouselStore::read_file hedges a straggling range-GET with
+/// a speculative §VII stand-in.  Disabled by default: hedging trades extra
+/// wire traffic for tail latency, so it is an explicit opt-in.  The journal
+/// stores this struct itself (durations as u64 milliseconds).
+struct HedgePolicy {
+  bool enabled = false;
+  /// The latency budget is this quantile of the store's own range-GET
+  /// latency histogram (carousel_store_range_get_seconds).  Must lie in
+  /// [0.5, 1.0): hedging below the median means racing most reads.
+  double percentile = 0.95;
+  /// The budget never drops below this, however fast the histogram says the
+  /// fleet is — guards against hedging every read on a quiet loopback.
+  std::chrono::milliseconds floor{5};
+  /// Budget used until the histogram holds min_samples observations (a cold
+  /// store has no quantile worth trusting).
+  std::chrono::milliseconds initial{50};
+  /// Must be > 0: a zero-sample quantile is undefined.
+  std::uint64_t min_samples = 32;
+};
 
 /// Where a simulated coordinator crash cuts the journal append path.  Armed
 /// per-append via MetaLog::arm_crash; firing throws MetaCrashError.
@@ -81,8 +103,9 @@ class MetaLog {
     obs::MetricsRegistry* registry = nullptr;
   };
 
-  /// Manifest entry as journaled: enough to rebuild CarouselStore::FileInfo
-  /// and, for a pending put, to probe every placement the intent named.
+  /// One manifest row, journaled and in memory alike: CarouselStore::FileInfo
+  /// is this type.  For a pending put it names every placement the intent
+  /// may have uploaded to.
   struct FileRecord {
     std::uint64_t file_bytes = 0;
     std::uint32_t stripes = 0;
@@ -106,16 +129,6 @@ class MetaLog {
     bool labeled = false;
   };
 
-  /// Hedge policy as journaled (field-for-field HedgePolicy, with the
-  /// duration knobs flattened to milliseconds).
-  struct HedgeRecord {
-    bool enabled = false;
-    double percentile = 0.95;
-    std::int64_t floor_ms = 5;
-    std::int64_t initial_ms = 50;
-    std::uint64_t min_samples = 32;
-  };
-
   /// The authoritative metadata state the journal describes.  MetaLog
   /// applies every append to its own copy so a snapshot is always a pure
   /// serialization of this struct.
@@ -124,7 +137,7 @@ class MetaLog {
     std::map<std::uint32_t, FileRecord> pending_puts;
     std::vector<RehomeIntent> pending_rehomes;
     std::vector<SpareServer> spares;
-    std::optional<HedgeRecord> hedge;
+    std::optional<HedgePolicy> hedge;
   };
 
   /// Outcome of the replay an open performs.
@@ -181,7 +194,7 @@ class MetaLog {
   void rehome_abort(std::uint32_t file, std::uint32_t stripe,
                     std::uint32_t index);
   void add_server(std::uint16_t port, std::uint64_t domain, bool labeled);
-  void set_hedge(const HedgeRecord& hedge);
+  void set_hedge(const HedgePolicy& hedge);
 
   /// Arms a one-shot crash: the `countdown`-th append from now (1 = the
   /// next) cuts the write path at `point` and throws MetaCrashError.

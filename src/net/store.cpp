@@ -64,16 +64,6 @@ void add_counters(Client::Counters& into, const Client::Counters& cc) {
   into.corrupt_blocks += cc.corrupt_blocks;
 }
 
-MetaLog::HedgeRecord to_hedge_record(const HedgePolicy& policy) {
-  MetaLog::HedgeRecord rec;
-  rec.enabled = policy.enabled;
-  rec.percentile = policy.percentile;
-  rec.floor_ms = policy.floor.count();
-  rec.initial_ms = policy.initial.count();
-  rec.min_samples = policy.min_samples;
-  return rec;
-}
-
 }  // namespace
 
 CarouselStore::Lease::Lease(Server& server, const RetryPolicy& policy,
@@ -118,7 +108,6 @@ CarouselStore::CarouselStore(const codes::Carousel& code,
       op_budget_(options.op_budget),
       policy_(options.policy),
       hedge_(options.hedge) {
-  if (ports.empty()) throw std::invalid_argument("need at least one server");
   if (block_bytes == 0 || block_bytes % code.s() != 0)
     throw std::invalid_argument(
         "block_bytes must be a positive multiple of the subpacketization");
@@ -133,22 +122,22 @@ CarouselStore::CarouselStore(const codes::Carousel& code,
   base_fleet_ = ports.size();
   servers_.reserve(ports.size());
   explicit_domains_ = !options.domains.empty();
+  std::set<std::size_t> distinct;
   for (std::size_t i = 0; i < ports.size(); ++i) {
     auto server = std::make_unique<Server>();
     server->port = ports[i];
     server->domain = explicit_domains_ ? options.domains[i] : i;
+    distinct.insert(server->domain);
     servers_.push_back(std::move(server));
   }
-  if (explicit_domains_) {
-    // Satisfiability: with D distinct domains and at most n-k blocks of a
-    // stripe per domain, a stripe's n blocks fit only when D*(n-k) >= n.
-    const std::set<std::size_t> distinct(options.domains.begin(),
-                                         options.domains.end());
-    if (distinct.size() * max_blocks_per_domain() < code.n())
-      throw std::invalid_argument(
-          "StoreOptions::domains unsatisfiable: need distinct domains * "
-          "(n-k) >= n to place a stripe under the per-domain cap");
-  }
+  // Satisfiability: with D distinct domains and at most n-k blocks of a
+  // stripe per domain, a stripe's n blocks fit only when D*(n-k) >= n.  An
+  // unlabeled server is its own domain.
+  if (distinct.size() * max_blocks_per_domain() < code.n())
+    throw std::invalid_argument(
+        "fleet unsatisfiable: need distinct domains * (n-k) >= n to place a "
+        "stripe under the per-domain cap (an unlabeled server is its own "
+        "domain)");
   put_seconds_ = &registry_->histogram("carousel_store_put_seconds");
   read_seconds_ = &registry_->histogram("carousel_store_read_seconds");
   range_get_seconds_ =
@@ -200,53 +189,31 @@ void CarouselStore::adopt_replayed_state() {
     for (const MetaLog::SpareServer& sp : state.spares)
       add_server_locked(sp.port, static_cast<std::size_t>(sp.domain),
                         sp.labeled);
+    // A journal must not resurrect a layout a live store would never have
+    // produced: every replayed row must pass the live placement predicate.
     for (const auto& [file_id, rec] : state.manifest) {
-      if (rec.placement.size() != rec.stripes)
-        throw MetaReplayError("replayed file " + std::to_string(file_id) +
-                              " has a malformed placement table");
-      for (const auto& row : rec.placement) {
-        if (row.size() != code_->n())
-          throw MetaReplayError("replayed file " + std::to_string(file_id) +
-                                " has a placement row of the wrong width");
-        // Re-verify the <= n-k blocks-per-domain invariant on the
-        // reconstructed placement: a journal must not resurrect a layout a
-        // live store would never have produced.
-        std::map<std::size_t, std::size_t> in_domain;
-        for (std::uint32_t sid : row) {
-          if (sid >= servers_.size())
-            throw MetaReplayError(
-                "replayed placement names a server outside the fleet: id " +
-                std::to_string(sid));
-          if (++in_domain[servers_[sid]->domain] > max_blocks_per_domain())
-            throw MetaReplayError(
-                "replayed placement violates the per-domain <= n-k "
-                "invariant for file " +
-                std::to_string(file_id));
-        }
-      }
-      manifest_[file_id] =
-          FileInfo{static_cast<std::size_t>(rec.file_bytes), rec.stripes,
-                   rec.placement};
+      bool legal = rec.placement.size() == rec.stripes;
+      for (const auto& row : rec.placement)
+        legal = legal && placement_fits_locked(row);
+      if (!legal)
+        throw MetaReplayError(
+            "replayed placement of file " + std::to_string(file_id) +
+            " is illegal on this fleet: a malformed table, a server outside "
+            "the fleet, or more than n-k blocks in one domain");
     }
+    manifest_ = state.manifest;
     if (state.hedge) {
-      HedgePolicy hp;
-      hp.enabled = state.hedge->enabled;
-      hp.percentile = state.hedge->percentile;
-      hp.floor = std::chrono::milliseconds(state.hedge->floor_ms);
-      hp.initial = std::chrono::milliseconds(state.hedge->initial_ms);
-      hp.min_samples = state.hedge->min_samples;
       try {
-        validate_hedge_policy(hp);
+        validate_hedge_policy(*state.hedge);
       } catch (const std::invalid_argument& e) {
         throw MetaReplayError(std::string("replayed hedge policy invalid: ") +
                               e.what());
       }
-      hedge_ = hp;
+      hedge_ = *state.hedge;
     }
   }
   // Intents a crashed coordinator left pending: reconcile() probes them.
-  for (const auto& [file_id, rec] : state.pending_puts)
-    recovered_puts_.emplace_back(file_id, rec);
+  recovered_puts_ = state.pending_puts;
   recovered_rehomes_ = state.pending_rehomes;
 }
 
@@ -382,22 +349,27 @@ std::vector<CarouselStore::BlockRef> CarouselStore::blocks_on(
   return out;
 }
 
+bool CarouselStore::placement_fits_locked(
+    const std::vector<std::uint32_t>& row) const {
+  if (row.size() != code_->n()) return false;
+  std::map<std::size_t, std::size_t> in_domain;
+  for (std::uint32_t sid : row)
+    if (sid >= servers_.size() ||
+        ++in_domain[servers_[sid]->domain] > max_blocks_per_domain())
+      return false;
+  return true;
+}
+
 bool CarouselStore::domain_fits_locked(std::size_t server_id,
                                        std::uint32_t file_id,
                                        std::uint32_t stripe,
                                        std::uint32_t index) const {
-  // Count the stripe's blocks already homed in the candidate's domain,
-  // excluding the slot being (re-)placed: the question is what the domain
-  // would hold once this block lands there.
-  const std::size_t domain = servers_[server_id]->domain;
-  std::size_t held = 0;
-  for (std::size_t i = 0; i < code_->n(); ++i) {
-    if (i == index) continue;
-    const std::size_t home =
-        home_of_locked(file_id, stripe, static_cast<std::uint32_t>(i));
-    if (home < servers_.size() && servers_[home]->domain == domain) ++held;
-  }
-  return held < max_blocks_per_domain();
+  // The question is what the row would be once this block lands there.
+  std::vector<std::uint32_t> row(code_->n());
+  for (std::uint32_t i = 0; i < row.size(); ++i)
+    row[i] = static_cast<std::uint32_t>(
+        i == index ? server_id : home_of_locked(file_id, stripe, i));
+  return placement_fits_locked(row);
 }
 
 std::vector<std::size_t> CarouselStore::placement_candidates_locked(
@@ -475,7 +447,7 @@ void CarouselStore::observe_traffic(std::size_t server, std::uint64_t egress,
 void CarouselStore::set_hedge_policy(HedgePolicy policy) {
   validate_hedge_policy(policy);
   util::MutexLock mlock(meta_mu_);
-  if (meta_) meta_->set_hedge(to_hedge_record(policy));
+  if (meta_) meta_->set_hedge(policy);
   util::MutexLock lock(mu_);
   hedge_ = policy;
 }
@@ -501,21 +473,14 @@ std::vector<std::vector<std::uint32_t>> CarouselStore::seed_placement(
     std::size_t stripes) const {
   std::vector<std::vector<std::uint32_t>> placement(
       stripes, std::vector<std::uint32_t>(code_->n()));
-  util::MutexLock lock(mu_);
-  if (!explicit_domains_) {
-    // The paper's verbatim rule: block i of every stripe on server
-    // i mod base fleet.
-    for (auto& row : placement)
-      for (std::size_t i = 0; i < code_->n(); ++i)
-        row[i] = static_cast<std::uint32_t>(server_of(i));
-    return placement;
-  }
   // Greedy rotation over the base fleet: block i prefers server i mod F
   // (the paper's rule) and walks forward from it to the least-loaded
   // eligible server, skipping any whose domain already holds n-k blocks of
-  // the stripe.  When every domain is a singleton wide enough, this lands
-  // exactly on the verbatim rule.  The constructor's satisfiability check
-  // (distinct domains * (n-k) >= n) makes the walk total by pigeonhole.
+  // the stripe.  With one domain per server (the unlabeled default) the
+  // preferred server always has room, so every block lands on i mod F.
+  // The constructor's satisfiability check (distinct domains * (n-k) >= n)
+  // makes the walk total by pigeonhole.
+  util::MutexLock lock(mu_);
   const std::size_t F = base_fleet_;
   for (auto& row : placement) {
     std::vector<std::size_t> count(F, 0);
@@ -550,10 +515,10 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
                                     std::span<const Byte> bytes) {
   obs::ScopedTimer timer(*put_seconds_);
   const std::size_t stripes = stripes_for(bytes.size());
-  // Seed the placement table (the domain-aware rotation; the paper's
-  // verbatim rule for default stores); re-homing rewrites individual
-  // entries later.  Uploads run on leased connections and the manifest
-  // commits last, after every block is stored.
+  // Seed the placement table (the paper's i mod F rule wherever the
+  // domains permit); re-homing rewrites individual entries later.  Uploads
+  // run on leased connections and the manifest commits last, after every
+  // block is stored.
   std::vector<std::vector<std::uint32_t>> placement = seed_placement(stripes);
   // A reused file id is rejected, never overwritten: overwriting the
   // manifest entry would strand the old stripes' blocks on their servers
@@ -616,42 +581,86 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
       }
     }
   } catch (...) {
-    // The put failed mid-upload: best-effort-delete what already landed,
-    // then journal the abandonment so nothing stays pending.
-    for (std::size_t b = 0; b < uploaded; ++b) {
-      const std::size_t s = b / code_->n();
-      const std::size_t i = b % code_->n();
-      try {
-        Lease c = lease(placement[s][i]);
-        c->remove(key(file_id, static_cast<std::uint32_t>(s),
-                      static_cast<std::uint32_t>(i)));
-      } catch (const Error&) {
-      }
-    }
-    {
-      util::MutexLock mlock(meta_mu_);
-      if (meta_) {
-        try {
-          meta_->put_abort(file_id);
-        } catch (const Error&) {
-        }
-      }
-      util::MutexLock lock(mu_);
-      inflight_puts_.erase(file_id);
+    // The put failed mid-upload: delete what already landed and journal
+    // the abandonment so nothing stays pending.  A journal error must not
+    // mask the upload's own.
+    try {
+      abort_put(file_id, placement, uploaded);
+    } catch (const Error&) {
     }
     throw;
   }
+  commit_put(file_id, {bytes.size(), static_cast<std::uint32_t>(stripes),
+                       std::move(placement)});
+  return stripes;
+}
+
+void CarouselStore::commit_put(std::uint32_t file_id, FileInfo info) {
+  // The commit record is durable before the manifest entry becomes
+  // visible; a crash in between leaves a pending intent whose every block
+  // verifies, which reconcile() adopts.
+  util::MutexLock mlock(meta_mu_);
+  if (meta_) meta_->put_commit(file_id);
+  util::MutexLock lock(mu_);
+  inflight_puts_.erase(file_id);
+  manifest_[file_id] = std::move(info);
+}
+
+std::size_t CarouselStore::abort_put(
+    std::uint32_t file_id,
+    const std::vector<std::vector<std::uint32_t>>& placement,
+    std::size_t count) {
+  // The deletes run with no store lock held: each may wait out a full op
+  // deadline on a sick server.
+  std::size_t removed = 0;
+  for (std::size_t s = 0; s < placement.size() && count > 0; ++s)
+    for (std::size_t i = 0; i < placement[s].size() && count > 0; ++i, --count)
+      removed += remove_copy(placement[s][i],
+                             key(file_id, static_cast<std::uint32_t>(s),
+                                 static_cast<std::uint32_t>(i)));
+  util::MutexLock mlock(meta_mu_);
   {
-    util::MutexLock mlock(meta_mu_);
-    // The commit record is durable before the manifest entry becomes
-    // visible; a crash in between leaves a pending intent whose every
-    // block verifies, which reconcile() adopts.
-    if (meta_) meta_->put_commit(file_id);
     util::MutexLock lock(mu_);
     inflight_puts_.erase(file_id);
-    manifest_[file_id] = FileInfo{bytes.size(), stripes, std::move(placement)};
   }
-  return stripes;
+  if (meta_) meta_->put_abort(file_id);
+  return removed;
+}
+
+bool CarouselStore::remove_copy(std::size_t server_id,
+                                const BlockKey& block_key) {
+  if (server_id >= server_count()) return false;
+  try {
+    Lease c = lease(server_id);
+    return c->remove(block_key);
+  } catch (const Error&) {
+    return false;  // unreachable: the copy stays until a later pass
+  }
+}
+
+bool CarouselStore::commit_rehome(std::uint32_t file_id, std::uint32_t stripe,
+                                  std::uint32_t index, std::size_t target) {
+  // meta_mu_ spans the re-check, the WAL commit and the in-memory flip;
+  // every placement mutation holds it across its own window, so the check
+  // cannot be invalidated between the append and the flip even though mu_
+  // is released around the (local) journal fsync.
+  util::MutexLock mlock(meta_mu_);
+  {
+    util::MutexLock lock(mu_);
+    if (!domain_fits_locked(target, file_id, stripe, index)) return false;
+  }
+  if (meta_)
+    meta_->rehome_commit(file_id, stripe, index,
+                         static_cast<std::uint32_t>(target));
+  util::MutexLock lock(mu_);
+  set_placement_locked(file_id, stripe, index, target);
+  return true;
+}
+
+void CarouselStore::abort_rehome(std::uint32_t file_id, std::uint32_t stripe,
+                                 std::uint32_t index) {
+  util::MutexLock mlock(meta_mu_);
+  if (meta_) meta_->rehome_abort(file_id, stripe, index);
 }
 
 // One per-block request of an executor round.
@@ -1138,42 +1147,19 @@ std::uint64_t CarouselStore::repair_block_impl(
           stored_crc != want_crc)
         throw Error("repaired block failed its post-repair audit");
     } catch (const BadRequestError&) {
-      if (t != home && meta_) {
-        util::MutexLock mlock(meta_mu_);
-        meta_->rehome_abort(file_id, stripe, index);
-      }
+      if (t != home) abort_rehome(file_id, stripe, index);
       throw;  // a malformed frame is a local bug on any target
     } catch (const Error&) {
-      if (t != home && meta_) {
-        util::MutexLock mlock(meta_mu_);
-        meta_->rehome_abort(file_id, stripe, index);
-      }
+      if (t != home) abort_rehome(file_id, stripe, index);
       continue;  // this home is dead or lying: try the next candidate
     }
-    if (t != home) {
-      // Commit the move atomically with a re-check of the invariant: a
-      // concurrent heal of a sibling block may have filled t's domain
-      // since the candidate walk.  Losing the race just moves on to the
-      // next candidate — the stray copy on t is garbage, not a placement.
-      // meta_mu_ spans the re-check, the WAL commit and the in-memory flip;
-      // every placement mutation holds it across its own window, so the
-      // check cannot be invalidated between the append and the flip even
-      // though mu_ is released around the (local) journal fsync.
-      util::MutexLock mlock(meta_mu_);
-      bool fits = false;
-      {
-        util::MutexLock lock(mu_);
-        fits = domain_fits_locked(t, file_id, stripe, index);
-      }
-      if (!fits) {
-        if (meta_) meta_->rehome_abort(file_id, stripe, index);
-        continue;
-      }
-      if (meta_)
-        meta_->rehome_commit(file_id, stripe, index,
-                             static_cast<std::uint32_t>(t));
-      util::MutexLock lock(mu_);
-      set_placement_locked(file_id, stripe, index, t);
+    // Commit the move with a re-check of the invariant: a concurrent heal
+    // of a sibling block may have filled t's domain since the candidate
+    // walk.  Losing the race just moves on to the next candidate — the
+    // stray copy on t is garbage, not a placement.
+    if (t != home && !commit_rehome(file_id, stripe, index, t)) {
+      abort_rehome(file_id, stripe, index);
+      continue;
     }
     observe_traffic(t, 0, rebuilt.size());
     repairs_->inc();
@@ -1198,7 +1184,7 @@ void CarouselStore::set_meta_crash_point(MetaCrashPoint point,
 
 CarouselStore::ReconcileReport CarouselStore::reconcile() {
   ReconcileReport report;
-  std::vector<std::pair<std::uint32_t, MetaLog::FileRecord>> puts;
+  std::map<std::uint32_t, FileInfo> puts;
   std::vector<MetaLog::RehomeIntent> rehomes;
   {
     util::MutexLock mlock(meta_mu_);
@@ -1214,116 +1200,63 @@ CarouselStore::ReconcileReport CarouselStore::reconcile() {
   // kOk keeps the conservative choice — a put is not adopted, a rehome not
   // flipped: kUnreachable means "could not tell", and reconciliation does
   // not guess about bytes it cannot see; kMissing and kCorrupt are absent.
+  // Callers pass only registered server ids.
   auto healthy = [this](std::size_t sid, std::uint32_t f, std::uint32_t s,
                         std::uint32_t i) {
-    return sid < server_count() &&
-           probe(server_at(sid), key(f, s, i)) == BlockState::kOk;
-  };
-  // Deletes the copy of (f, s, i) on `sid` if one landed there; counts it
-  // as an orphan removal only when a block was actually present.
-  auto scrub_copy = [this, &report](std::size_t sid, std::uint32_t f,
-                                    std::uint32_t s, std::uint32_t i) {
-    if (sid >= server_count()) return;
-    try {
-      Lease c = lease(sid);
-      if (c->remove(key(f, s, i))) ++report.orphans_deleted;
-    } catch (const Error&) {
-      // Unreachable server: the orphan stays until a later scrub pass.
-    }
+    return probe(server_at(sid), key(f, s, i)) == BlockState::kOk;
   };
 
+  // A put is adopted only when its rows still pass the live placement
+  // predicate (the fleet may have changed shape since the intent) and
+  // every block verifies; otherwise every copy it named is deleted.
   for (auto& [file, rec] : puts) {
     bool adoptable = rec.placement.size() == rec.stripes;
-    for (std::size_t s = 0; adoptable && s < rec.placement.size(); ++s) {
-      const auto& row = rec.placement[s];
-      if (row.size() != code_->n()) {
-        adoptable = false;
-        break;
-      }
-      for (std::size_t i = 0; adoptable && i < row.size(); ++i)
-        adoptable = healthy(row[i], file, static_cast<std::uint32_t>(s),
+    {
+      util::MutexLock lock(mu_);
+      for (const auto& row : rec.placement)
+        adoptable = adoptable && placement_fits_locked(row);
+    }
+    for (std::size_t s = 0; adoptable && s < rec.placement.size(); ++s)
+      for (std::size_t i = 0; adoptable && i < code_->n(); ++i)
+        adoptable = healthy(rec.placement[s][i], file,
+                            static_cast<std::uint32_t>(s),
                             static_cast<std::uint32_t>(i));
-    }
     if (adoptable) {
-      // Re-check the rack invariant against the live fleet before adopting:
-      // the intent predates the crash and the fleet may have changed shape.
-      util::MutexLock lock(mu_);
-      std::map<std::uint64_t, std::size_t> in_domain;
-      for (const auto& row : rec.placement) {
-        in_domain.clear();
-        for (std::uint32_t sid : row) {
-          if (sid >= servers_.size() ||
-              ++in_domain[servers_[sid]->domain] > max_blocks_per_domain()) {
-            adoptable = false;
-            break;
-          }
-        }
-        if (!adoptable) break;
-      }
-    }
-    util::MutexLock mlock(meta_mu_);
-    if (adoptable) {
-      meta_->put_commit(file);
-      util::MutexLock lock(mu_);
-      manifest_[file] =
-          FileInfo{static_cast<std::size_t>(rec.file_bytes),
-                   rec.stripes, std::move(rec.placement)};
+      commit_put(file, std::move(rec));
       ++report.puts_adopted;
     } else {
-      for (std::size_t s = 0; s < rec.placement.size(); ++s)
-        for (std::size_t i = 0; i < rec.placement[s].size(); ++i)
-          scrub_copy(rec.placement[s][i], file, static_cast<std::uint32_t>(s),
-                     static_cast<std::uint32_t>(i));
-      meta_->put_abort(file);
+      report.orphans_deleted += abort_put(file, rec.placement, SIZE_MAX);
       ++report.puts_aborted;
     }
   }
 
   for (const auto& rh : rehomes) {
-    std::uint32_t current = 0;
-    bool known = false;
+    std::optional<std::uint32_t> current;
     {
       util::MutexLock lock(mu_);
       auto it = manifest_.find(rh.file);
       if (it != manifest_.end() && rh.stripe < it->second.placement.size() &&
-          rh.index < it->second.placement[rh.stripe].size()) {
+          rh.index < it->second.placement[rh.stripe].size())
         current = it->second.placement[rh.stripe][rh.index];
-        known = true;
-      }
     }
-    if (!known || rh.target == current || rh.target >= server_count()) {
-      // Unknown file (its put never committed), a no-op flip, or a target
-      // that no longer exists: drop the intent.  The stray copy is only
-      // deleted when the target is a real server that is not the block's
-      // current home.
-      if (known && rh.target != current)
-        scrub_copy(rh.target, rh.file, rh.stripe, rh.index);
-      util::MutexLock mlock(meta_mu_);
-      meta_->rehome_abort(rh.file, rh.stripe, rh.index);
-      ++report.rehomes_aborted;
+    // An unknown file (its put never committed), a no-op flip or a target
+    // that no longer exists only drops the intent.  Otherwise the move is
+    // adopted when it is complete (the target verifies), still necessary
+    // (the old home does not) and still legal; if not, the pre-crash
+    // placement stands and the stray target copy is deleted.
+    const bool real = current && rh.target != *current &&
+                      rh.target < server_count();
+    if (real && healthy(rh.target, rh.file, rh.stripe, rh.index) &&
+        !healthy(*current, rh.file, rh.stripe, rh.index) &&
+        commit_rehome(rh.file, rh.stripe, rh.index, rh.target)) {
+      ++report.rehomes_adopted;
       continue;
     }
-    const bool target_ok = healthy(rh.target, rh.file, rh.stripe, rh.index);
-    const bool home_ok = healthy(current, rh.file, rh.stripe, rh.index);
-    // Adopt only when the move is both complete (target verifies) and still
-    // necessary (the old home does not) — otherwise the pre-crash placement
-    // is intact and the target copy is garbage.
-    util::MutexLock mlock(meta_mu_);
-    bool fits = false;
-    if (target_ok && !home_ok) {
-      util::MutexLock lock(mu_);
-      fits = domain_fits_locked(rh.target, rh.file, rh.stripe, rh.index);
-    }
-    if (target_ok && !home_ok && fits) {
-      meta_->rehome_commit(rh.file, rh.stripe, rh.index, rh.target);
-      util::MutexLock lock(mu_);
-      set_placement_locked(rh.file, rh.stripe, rh.index, rh.target);
-      ++report.rehomes_adopted;
-    } else {
-      scrub_copy(rh.target, rh.file, rh.stripe, rh.index);
-      meta_->rehome_abort(rh.file, rh.stripe, rh.index);
-      ++report.rehomes_aborted;
-    }
+    if (real)
+      report.orphans_deleted +=
+          remove_copy(rh.target, key(rh.file, rh.stripe, rh.index));
+    abort_rehome(rh.file, rh.stripe, rh.index);
+    ++report.rehomes_aborted;
   }
 
   util::MutexLock mlock(meta_mu_);

@@ -36,11 +36,12 @@
 //
 // Placement is explicit: every file's manifest entry carries a per-stripe
 // placement table mapping block index -> server id.  put_file seeds it with
-// the paper's rule (block i of every stripe on server i mod base fleet), but
-// the table is the truth from then on — add_server() registers spare
-// servers at runtime, and rehome_block() drives the MSR repair path with
-// the rebuilt block re-uploaded to a *new* home (still d/(d-k+1) block
-// sizes of helper traffic) when a home server dies for good.  This is the
+// the paper's rule (block i of every stripe on server i mod base fleet,
+// diverted only where a domain is full), but the table is the truth from
+// then on — add_server() registers spare servers at runtime, and
+// rehome_block() drives the MSR repair path with the rebuilt block
+// re-uploaded to a *new* home (still d/(d-k+1) block sizes of helper
+// traffic) when a home server dies for good.  This is the
 // regenerate-onto-a-newcomer maintenance loop of Dimakis et al.; the
 // HealthMonitor (net/cluster.h) decides *when* a server is dead, the
 // Scrubber wires the two together, and RepairScheduler::enqueue_server
@@ -55,16 +56,21 @@
 // Failure domains: every server carries a domain label (a rack, a power
 // feed).  The placement table is seeded and *maintained* under one hard
 // invariant — no domain ever holds more than n-k blocks of a stripe — so a
-// whole-domain outage never exceeds the code's erasure tolerance.  All
-// placement mutations flow through the one domain-checked chooser
-// (placement_candidates_locked) and the one row writer
-// (set_placement_locked), which rejects a violating move with RehomeError
-// rather than silently concentrating risk (check_invariants rule 9).  By
-// default every server is its own domain, which makes the invariant the
-// pre-existing one-block-per-server rule; passing StoreOptions::domains (or
-// add_server(port, domain)) opts into shared domains, where a rehome may
-// stack a second stripe block on a survivor as long as its *domain* stays
-// within n-k — the domain, not the box, is the failure unit being priced.
+// whole-domain outage never exceeds the code's erasure tolerance.  One
+// predicate, placement_fits_locked, decides whether a stripe's row is
+// legal; the candidate chooser, the row writer, every commit re-check and
+// journal replay all ask it, and a violating move is rejected with
+// RehomeError rather than silently concentrating risk (check_invariants
+// rule 9).  By default every server is its own domain; passing
+// StoreOptions::domains (or add_server(port, domain)) opts into shared
+// domains, where a rehome may stack a second stripe block on a survivor as
+// long as its *domain* stays within n-k — the domain, not the box, is the
+// failure unit being priced.
+//
+// Intent lifecycle: commit_put/abort_put and commit_rehome/abort_rehome are
+// the only code that journals a put or rehome outcome and publishes it.
+// put_file, repair_block and reconcile() all finish through them, so a
+// recovered intent is adopted or dropped exactly as a live one is.
 //
 // Failure model: a block that times out, arrives corrupt, or whose server is
 // down is an *erasure*, not an error.  read_file re-plans the stripe around
@@ -106,25 +112,6 @@ class RepairScheduler;
 /// Store-level view of one block's condition.
 enum class BlockState { kOk, kMissing, kCorrupt, kUnreachable };
 
-/// When and how read_file hedges a straggling range-GET with a speculative
-/// §VII stand-in.  Disabled by default: hedging trades extra wire traffic
-/// for tail latency, so it is an explicit opt-in.
-struct HedgePolicy {
-  bool enabled = false;
-  /// The latency budget is this quantile of the store's own range-GET
-  /// latency histogram (carousel_store_range_get_seconds).  Must lie in
-  /// [0.5, 1.0): hedging below the median means racing most reads.
-  double percentile = 0.95;
-  /// The budget never drops below this, however fast the histogram says the
-  /// fleet is — guards against hedging every read on a quiet loopback.
-  std::chrono::milliseconds floor{5};
-  /// Budget used until the histogram holds min_samples observations (a cold
-  /// store has no quantile worth trusting).
-  std::chrono::milliseconds initial{50};
-  /// Must be > 0: a zero-sample quantile is undefined.
-  std::uint64_t min_samples = 32;
-};
-
 struct StoreOptions {
   /// Applied to every server connection the store owns.
   RetryPolicy policy{};
@@ -137,14 +124,14 @@ struct StoreOptions {
   /// StoreDeadlineError — the already-running client op still finishes, so
   /// the worst case is budget + one per-op deadline, never a sum of them.
   std::chrono::milliseconds op_budget{0};
-  /// Hedged-read policy; see HedgePolicy.  Runtime-adjustable via
-  /// set_hedge_policy().
+  /// Hedged-read policy; see HedgePolicy (net/meta_log.h).  Runtime-
+  /// adjustable via set_hedge_policy().
   HedgePolicy hedge{};
   /// Failure-domain label per construction server (domains[i] labels
-  /// ports[i]).  Empty = one domain per server (today's behavior).  When
-  /// set it must match ports.size() and be satisfiable: the distinct
-  /// domains D must give D*(n-k) >= n, or no placement can honor the
-  /// per-domain invariant.
+  /// ports[i]).  Empty = one domain per server.  When set it must match
+  /// ports.size().  Labeled or not, the fleet must be satisfiable: the
+  /// distinct domains D must give D*(n-k) >= n, or no placement can honor
+  /// the per-domain invariant.
   std::vector<std::size_t> domains{};
   /// When non-empty, every manifest mutation is journaled (write-ahead,
   /// CRC-per-record, fsynced) to this directory before it is published in
@@ -186,8 +173,11 @@ class CarouselStore {
   };
 
   /// Remembers the given servers (connections are lazy).  The code must
-  /// outlive the store.  Requires at least one server; one block per server
-  /// when ports.size() >= n (the paper's placement), round-robin otherwise.
+  /// outlive the store.  Throws std::invalid_argument unless the fleet can
+  /// honor the per-domain cap: distinct domains * (n-k) >= n, where an
+  /// unlabeled server is its own domain.  Block i of a stripe goes to
+  /// server i mod fleet size (one block per server when ports.size() >= n,
+  /// the paper's placement) wherever the domains permit.
   CarouselStore(const codes::Carousel& code,
                 const std::vector<std::uint16_t>& ports,
                 std::size_t block_bytes, StoreOptions options = {});
@@ -279,13 +269,11 @@ class CarouselStore {
   BlockState verify_block(std::uint32_t file_id, std::uint32_t stripe,
                           std::uint32_t index);
 
-  /// Files this store has uploaded: id -> {bytes, stripes, placement}.
-  struct FileInfo {
-    std::size_t file_bytes = 0;
-    std::size_t stripes = 0;
-    /// placement[stripe][index] == server id hosting that block.
-    std::vector<std::vector<std::uint32_t>> placement;
-  };
+  /// One manifest row: {bytes, stripes, placement}, with
+  /// placement[stripe][index] the server id hosting that block.  The same
+  /// type the journal stores.
+  using FileInfo = MetaLog::FileRecord;
+  /// Files this store has uploaded, by id.
   std::map<std::uint32_t, FileInfo> files() const EXCLUDES(mu_);
 
   /// Total bytes received from all servers (traffic accounting).  Counts
@@ -406,10 +394,13 @@ class CarouselStore {
                        std::uint64_t ingress) EXCLUDES(mu_);
   std::size_t home_of_locked(std::uint32_t file_id, std::uint32_t stripe,
                              std::uint32_t index) const REQUIRES(mu_);
-  /// True when homing block (stripe, index) on `server_id` keeps its
-  /// domain's stripe-block count (excluding the block's own slot) under the
-  /// <= n-k invariant.  The one predicate every placement mutation
-  /// consults (check_invariants rule 9).
+  /// The one placement predicate (check_invariants rule 9): true when
+  /// `row` is n wide, names only registered servers, and puts no more than
+  /// n-k of its blocks in any one domain.
+  bool placement_fits_locked(const std::vector<std::uint32_t>& row) const
+      REQUIRES(mu_);
+  /// placement_fits_locked on the stripe's current row with block `index`
+  /// homed on `server_id` instead.
   bool domain_fits_locked(std::size_t server_id, std::uint32_t file_id,
                           std::uint32_t stripe, std::uint32_t index) const
       REQUIRES(mu_);
@@ -433,10 +424,9 @@ class CarouselStore {
   void set_placement_locked(std::uint32_t file_id, std::uint32_t stripe,
                             std::uint32_t index, std::size_t server_id)
       REQUIRES(mu_);
-  /// Seeds a fresh file's placement table.  Default-domain stores use the
-  /// paper's verbatim rule (block i -> server i mod base fleet); explicit-
-  /// domain stores run a greedy rotation that degenerates to the same rule
-  /// when domains permit and never seeds a domain past the n-k cap.
+  /// Seeds a fresh file's placement table: a greedy rotation that puts
+  /// block i on server i mod base fleet (the paper's rule) wherever the
+  /// domains permit, and never seeds a domain past the n-k cap.
   std::vector<std::vector<std::uint32_t>> seed_placement(std::size_t stripes)
       const EXCLUDES(mu_);
   /// Stripes a file of `file_bytes` occupies: ceil(bytes / (k*block_bytes)),
@@ -465,12 +455,43 @@ class CarouselStore {
       std::size_t bytes_per_helper) const EXCLUDES(mu_);
 
   /// Adopts the replayed journal state into the live tables (constructor
-  /// only): registers journaled spares, validates every replayed placement
-  /// against the fleet and the per-domain <= n-k invariant (violations
-  /// throw MetaReplayError — a journal must not resurrect an illegal
-  /// layout), restores the hedge policy, and stashes the pending intents
-  /// for reconcile().
+  /// only): registers journaled spares, validates every replayed row with
+  /// placement_fits_locked (a violation throws MetaReplayError — a journal
+  /// must not resurrect an illegal layout), restores the hedge policy, and
+  /// stashes the pending intents for reconcile().
   void adopt_replayed_state() REQUIRES(meta_mu_) EXCLUDES(mu_);
+
+  // The intent lifecycle (see the header; check_invariants rule 9b).  Each
+  // takes meta_mu_ for its journal append and publish; none holds a store
+  // lock across network I/O.
+
+  /// Journals the put's commit, then publishes `info` in the manifest and
+  /// clears the in-flight mark.  A journal error propagates unpublished.
+  void commit_put(std::uint32_t file_id, FileInfo info)
+      EXCLUDES(meta_mu_, mu_);
+  /// Best-effort REMOVEs the first `count` blocks of `placement` in upload
+  /// order (stripe by stripe), skipping server ids the fleet does not
+  /// have, with no store lock held; then clears the in-flight mark and
+  /// journals the abort.  Returns how many copies were removed.  A journal
+  /// error propagates after the mark is cleared.
+  std::size_t abort_put(
+      std::uint32_t file_id,
+      const std::vector<std::vector<std::uint32_t>>& placement,
+      std::size_t count) EXCLUDES(meta_mu_, mu_);
+  /// Best-effort REMOVE of one copy, with no store lock held: true when a
+  /// copy was there to delete.  Skips server ids the fleet does not have;
+  /// an unreachable server keeps its copy until a later pass.
+  bool remove_copy(std::size_t server_id, const BlockKey& block_key)
+      EXCLUDES(mu_);
+  /// Re-checks that `target` still fits the block's row, then journals the
+  /// commit and flips the placement, all under meta_mu_.  False, with
+  /// nothing journaled, when a concurrent move filled target's domain.
+  bool commit_rehome(std::uint32_t file_id, std::uint32_t stripe,
+                     std::uint32_t index, std::size_t target)
+      EXCLUDES(meta_mu_, mu_);
+  /// Journals that the block's pending rehome was dropped.
+  void abort_rehome(std::uint32_t file_id, std::uint32_t stripe,
+                    std::uint32_t index) EXCLUDES(meta_mu_);
 
   const codes::Carousel* code_;
   std::size_t block_bytes_;
@@ -481,7 +502,8 @@ class CarouselStore {
   // Serializes every manifest mutation's [journal append -> in-memory
   // publish] window (LockRank::kMetaLog, acquired before mu_), which pins
   // WAL order == apply order.  Held across the journal's local append +
-  // fsync — never across network I/O.  Mutation paths take it even on
+  // fsync — never across network I/O: reconcile() deletes orphans before
+  // it takes the lock to journal the abort.  Mutation paths take it even on
   // in-memory stores so the serialization argument holds everywhere.
   mutable util::Mutex meta_mu_{util::LockRank::kMetaLog};
   // Set once in the constructor, never reseated; the MetaLog object's
@@ -489,8 +511,7 @@ class CarouselStore {
   // annotations of its own).
   std::unique_ptr<MetaLog> meta_;
   // Intents recovered by the constructor's replay, consumed by reconcile().
-  std::vector<std::pair<std::uint32_t, MetaLog::FileRecord>> recovered_puts_
-      GUARDED_BY(meta_mu_);
+  std::map<std::uint32_t, FileInfo> recovered_puts_ GUARDED_BY(meta_mu_);
   std::vector<MetaLog::RehomeIntent> recovered_rehomes_
       GUARDED_BY(meta_mu_);
   // Lookups/mutations only; NEVER held across I/O.  First acquired of the
@@ -501,9 +522,8 @@ class CarouselStore {
   // long as the store, so an executor task may keep a Server* with no lock.
   std::vector<std::unique_ptr<Server>> servers_ GUARDED_BY(mu_);
   // True once any server carries a caller-chosen domain label (via
-  // StoreOptions::domains or add_server(port, domain)).  Default stores
-  // keep one-domain-per-server semantics, where tier-2 candidate stacking
-  // stays off and behavior is bit-identical to the pre-domain store.
+  // StoreOptions::domains or add_server(port, domain)).  Until then every
+  // server is its own domain and tier-2 candidate stacking stays off.
   bool explicit_domains_ GUARDED_BY(mu_) = false;
   std::map<std::uint32_t, FileInfo> manifest_ GUARDED_BY(mu_);
   // File ids with a put_file in flight: the duplicate-id check must also

@@ -191,12 +191,20 @@ TEST_F(ClusterTest, StoreRejectsMismatchedOrUnsatisfiableDomainLabels) {
   o = opts();
   o.domains.assign(12, 7);  // one rack: 1 * (n-k) = 6 < n, nothing fits
   EXPECT_THROW(CarouselStore(code, ports_, block, o), std::invalid_argument);
+  // Unlabeled, each server is its own domain: one server is one rack.
+  const std::vector<std::uint16_t> one{ports_[0]};
+  EXPECT_THROW(CarouselStore(code, one, block, opts()), std::invalid_argument);
 }
 
 TEST_F(ClusterTest, DefaultStoreGivesEachServerItsOwnDomain) {
   codes::Carousel code(12, 6, 10, 12);
-  CarouselStore store(code, ports_, code.s() * 4, opts());
+  const std::size_t block = code.s() * 4;
+  CarouselStore store(code, ports_, block, opts());
   for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(store.domain_of(i), i);
+  store.put_file(1, random_bytes(2 * code.k() * block, 66));  // two stripes
+  for (std::uint32_t s = 0; s < 2; ++s)
+    for (std::uint32_t i = 0; i < code.n(); ++i)
+      EXPECT_EQ(store.placement_of(1, s, i), i);  // the paper's layout
   BlockServer spare;
   const std::size_t id = store.add_server(spare.port());
   EXPECT_EQ(store.domain_of(id), id);  // unlabeled spare: its own domain

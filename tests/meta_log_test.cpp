@@ -12,11 +12,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "codes/carousel.h"
@@ -100,7 +102,7 @@ TEST_F(MetaLogTest, WalRoundtripSurvivesRestart) {
     log.rehome_commit(7, 1, 2, 3);
     log.rehome_intent(7, 0, 0, 2);  // stays pending
     log.add_server(41234, 5, true);
-    MetaLog::HedgeRecord h;
+    HedgePolicy h;
     h.enabled = true;
     h.percentile = 0.99;
     log.set_hedge(h);
@@ -431,11 +433,11 @@ TEST_F(MetaLogTest, JournalAndSnapshotBytesArePinned) {
     MetaLog log(dir_, kConfig, opts(/*fsync=*/false, /*snapshot_every=*/9));
     log.add_server(9001, 3, true);
     log.add_server(9002, 0, false);
-    MetaLog::HedgeRecord hedge;
+    HedgePolicy hedge;
     hedge.enabled = true;
     hedge.percentile = 0.99;
-    hedge.floor_ms = 7;
-    hedge.initial_ms = 40;
+    hedge.floor = std::chrono::milliseconds(7);
+    hedge.initial = std::chrono::milliseconds(40);
     hedge.min_samples = 16;
     log.set_hedge(hedge);
     log.put_intent(1, 1000, 2, {{0, 1, 2}, {3, 4, 5}});
@@ -612,6 +614,57 @@ TEST_F(MetaStoreTest, CrashMidUploadReconcilesByDeletion) {
   // The orphan blocks of file 2 are gone from every server.
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     Client c(ports_[i]);
+    for (std::uint32_t idx = 0; idx < code_.n(); ++idx)
+      EXPECT_EQ(c.verify(BlockKey{2, 0, idx}), BlockHealth::kMissing);
+  }
+}
+
+TEST_F(MetaStoreTest, ReconcileDeletesOrphansWithoutBlockingMutations) {
+  // Each orphan DELETE may take a full op deadline on a slow server, so
+  // reconcile() must issue them with no store lock held: an add_server
+  // (which journals under the metadata lock) must not wait behind one.
+  const std::size_t block = code_.s() * 64;
+  {
+    CarouselStore store(code_, ports_, block, meta_options());
+    store.put_file(1, random_bytes(code_.k() * block, 57));
+    store.set_meta_crash_point(MetaCrashPoint::kBeforeFsync, 2);
+    EXPECT_THROW(store.put_file(2, random_bytes(code_.k() * block, 58)),
+                 MetaCrashError);
+  }
+  {
+    Client c(ports_[0]);
+    c.remove(BlockKey{2, 0, 0});
+  }
+  // Server 1's first DELETE answers 800 ms late: inside the default 1 s
+  // io_timeout, so nothing retries.
+  auto plan = std::make_shared<FaultPlan>(1);
+  plan->add({.action = FaultAction::kDelay,
+             .op = Op::kDelete,
+             .max_hits = 1,
+             .delay_ms = 800});
+  servers_[1]->set_fault_plan(plan);
+  const obs::Counter& delays = servers_[1]->metrics().counter(
+      obs::labeled("carousel_server_fault_injections_total", "action",
+                   "delay"));
+
+  BlockServer spare;
+  CarouselStore store(code_, ports_, block, meta_options());
+  CarouselStore::ReconcileReport report;
+  std::jthread reconciler([&store, &report] { report = store.reconcile(); });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (delays.value() < 1 && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(delays.value(), 1u);  // the DELETE is stalled right now
+  const auto t0 = std::chrono::steady_clock::now();
+  store.add_server(spare.port());
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  reconciler.join();
+  EXPECT_LT(waited, std::chrono::milliseconds(200));
+
+  EXPECT_EQ(report.puts_aborted, 1u);
+  for (std::uint16_t port : ports_) {
+    Client c(port);
     for (std::uint32_t idx = 0; idx < code_.n(); ++idx)
       EXPECT_EQ(c.verify(BlockKey{2, 0, idx}), BlockHealth::kMissing);
   }

@@ -464,6 +464,8 @@ TEST_F(StoreTest, FewServersRoundRobinPlacement) {
   auto file = random_bytes(code.k() * block, 27);
   store.put_file(17, file);
   EXPECT_EQ(servers_[0]->block_count(), 4u);
+  for (std::uint32_t i = 0; i < code.n(); ++i)
+    EXPECT_EQ(store.placement_of(17, 0, i), i % 3);
   EXPECT_EQ(store.read_file(17, file.size()), file);
 }
 

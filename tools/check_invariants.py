@@ -71,14 +71,21 @@ Rules (see DESIGN.md "Correctness tooling"):
      "carousel_cluster_domain_" appears exactly once in src/net/cluster.cpp
      (inside that helper) and nowhere else in src/.  The domain rollup is
      one family; a literal spelled elsewhere would fork it away from its
-     dashboard.  (b) every placement write routes through the domain-
-     checked choke point: `set_placement_locked(` appears only in
-     src/net/store.{h,cpp}, and src/net/store.cpp references
-     domain_fits_locked at least three times (the definition, the candidate
-     walk, and the commit re-check).  A placement mutation that bypasses
-     the checked setter could stack more than n-k blocks of a stripe into
-     one rack — the exact loss a whole-rack failure then turns into data
-     loss.
+     dashboard.  (b) one placement rule and one placement writer:
+     `set_placement_locked(` appears only in src/net/store.{h,cpp}, and
+     src/net/store.cpp references the one predicate, placement_fits_locked,
+     at least four times (the definition, domain_fits_locked — which the
+     candidate walk, the row writer and the rehome commit re-check all
+     ask — journal replay, and reconcile's put adoption).  Each of
+     `meta_->put_commit(`, `meta_->put_abort(`, `meta_->rehome_commit(` and
+     `meta_->rehome_abort(` appears exactly once in src/net/store.cpp,
+     inside its lifecycle helper (commit_put, abort_put, commit_rehome,
+     abort_rehome), and `manifest_[` exactly once, in commit_put.  A
+     placement mutation that bypasses the checked setter could stack more
+     than n-k blocks of a stripe into one rack — the exact loss a
+     whole-rack failure then turns into data loss — and a second copy of a
+     commit or abort step drifts from the live one, for instance by doing
+     its network I/O under the metadata lock.
 
  10. metadata journal provenance — (a) every carousel_meta_* series is
      minted through MetaLog::metric(): the quoted prefix "carousel_meta_"
@@ -386,13 +393,41 @@ def check_domain_plumbing(problems: list[str]) -> None:
                 f"set_placement_locked outside src/net/store.{{h,cpp}} — "
                 f"placement writes belong to the store's domain-checked "
                 f"choke point")
-    uses = len(re.findall(r"\bdomain_fits_locked\b", store.read_text()))
-    if uses < 3:
+    code = code_lines(store)
+    uses = sum(len(re.findall(r"\bplacement_fits_locked\b", line))
+               for line in code)
+    if uses < 4:
         problems.append(
-            f"src/net/store.cpp: only {uses} domain_fits_locked "
-            f"reference(s); expected >= 3 (definition, candidate walk, "
-            f"commit re-check) — a placement path has stopped consulting "
-            f"the per-domain cap")
+            f"src/net/store.cpp: only {uses} placement_fits_locked "
+            f"reference(s); expected >= 4 (definition, domain_fits_locked, "
+            f"journal replay, reconcile) — a placement path has stopped "
+            f"consulting the per-domain cap")
+    # One intent lifecycle: each journaled put/rehome outcome, and the
+    # manifest's one row insert, has exactly one call site, in its helper.
+    owners = {
+        "meta_->put_commit(": "commit_put",
+        "meta_->put_abort(": "abort_put",
+        "meta_->rehome_commit(": "commit_rehome",
+        "meta_->rehome_abort(": "abort_rehome",
+        "manifest_[": "commit_put",
+    }
+    definition = re.compile(r"^\S.*?\bCarouselStore::(\w+)\s*\(")
+    enclosing: list[str | None] = []  # the function each line sits in
+    current = None
+    for line in code:
+        m = definition.match(line)
+        if m:
+            current = m.group(1)
+        enclosing.append(current)
+    for call, helper in owners.items():
+        hits = [i for i, line in enumerate(code) if call in line]
+        if len(hits) == 1 and enclosing[hits[0]] == helper:
+            continue
+        sites = ", ".join(f"{i + 1} (in {enclosing[i]})" for i in hits)
+        problems.append(
+            f"src/net/store.cpp: `{call}` must appear exactly once, in "
+            f"{helper}(); found at line(s) [{sites}] — journal and publish "
+            f"a put or rehome outcome only through its lifecycle helper")
 
 
 def check_meta_journal_provenance(problems: list[str]) -> None:

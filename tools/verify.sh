@@ -11,10 +11,11 @@
 #      churn, malformed frames, torn-write recovery, re-homing races,
 #      background-loop shutdown — where lifetime bugs hide);
 #   4. the net + observability + property + cluster + repair-scheduler +
-#      util tests under ThreadSanitizer (client counters and registry
-#      instruments are read while other threads mutate them; the parallel
-#      read fan-out, hedge races, concurrent read_file overlap and the
-#      concurrent-stop() regressions of the background loops live here),
+#      util + metadata-journal tests under ThreadSanitizer (client counters
+#      and registry instruments are read while other threads mutate them;
+#      the parallel read fan-out, hedge races, concurrent read_file overlap,
+#      the concurrent-stop() regressions of the background loops and
+#      reconcile() beside add_server live here),
 #      plus a short chaos schedule under TSan — the foreground hedged
 #      reader races kills, restarts and heals — and the whole-rack-down
 #      acceptance scenario under TSan (a 3-rack fleet loses a full failure
@@ -76,13 +77,14 @@ cmake --build build-asan -j --target net_test obs_test protocol_test \
 
 cmake -B build-tsan -S . -DCAROUSEL_SANITIZE=thread
 cmake --build build-tsan -j --target net_test obs_test property_test \
-  chaos_test cluster_test repair_scheduler_test util_test
+  chaos_test cluster_test repair_scheduler_test util_test meta_log_test
 ./build-tsan/tests/net_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/property_test
 ./build-tsan/tests/cluster_test
 ./build-tsan/tests/repair_scheduler_test
 ./build-tsan/tests/util_test
+./build-tsan/tests/meta_log_test
 CAROUSEL_CHAOS_SEED=20260805 CAROUSEL_CHAOS_EVENTS=60 \
   ./build-tsan/tests/chaos_test \
   --gtest_filter='Chaos.SeededFaultScheduleKeepsEveryInvariant'
