@@ -2,8 +2,9 @@
 //
 // The paper's repair-traffic argument (§I, §VI) prices one heal: MSR/
 // Carousel move d/(d-k+1) block sizes where RS moves k.  This scheduler
-// prices the *storm* — every heal a server death leaves behind — and turns
-// healing from a side effect of a scrubber sweep into first-class budgeted
+// prices the *storm* — every heal a server death leaves behind — and is the
+// store's one healer: every repair_block/rehome_block call in src/ is its
+// execute() (check_invariants rule 14), so healing is first-class budgeted
 // work, the framing of Dimakis et al.'s repair-bandwidth model:
 //
 //   Priority.  Work items are (block, kind, criticality) where criticality
@@ -36,8 +37,10 @@
 //   bypass admission and budget gates — at the erasure limit durability
 //   outranks politeness — but never the global cap.
 //
-// Work flows in from two places: Scrubber sweeps (Options::scheduler) and
-// direct enqueue() calls, enqueue_server() being the whole-server fan-in.
+// Work flows in from two places: Scrubber sweeps and direct enqueue()
+// calls, enqueue_server() being the whole-server fan-in.  A scrubber feeds
+// the scheduler passed as its Options::scheduler, or else a default one it
+// owns (these Options, no monitor) and drains at the end of each sweep.
 // Items drain either synchronously (step(), what the tests drive) or on a
 // small ThreadPool fed by a dispatch pass that a util::PeriodicThread runs
 // every Options::tick (start()/stop()).
@@ -152,7 +155,8 @@ class RepairScheduler {
   };
 
   /// Attaches itself to the store (attach_scheduler) for its lifetime.  The
-  /// store and monitor must outlive it; one scheduler per store.
+  /// store and monitor must outlive it; one scheduler per store (a second
+  /// throws std::logic_error).
   RepairScheduler(CarouselStore& store, Options options);
   explicit RepairScheduler(CarouselStore& store)
       : RepairScheduler(store, Options{}) {}

@@ -1,40 +1,39 @@
 // Background integrity scrubber for a CarouselStore.
 //
-// Sweeps every block of every file in the store's manifest with the VERIFY
-// op (no block bytes move for healthy blocks) and triggers repair_block on
-// anything missing or corrupt — the networked analogue of HDFS's block
-// scanner, closing the loop between the end-to-end checksums and the
-// paper's optimal-bandwidth repair: a scrub-detected corruption costs
-// d/(d-k+1) block sizes to heal when d helpers survive, not k.
-//
-// Runs either synchronously (run_once, what the tests drive) or on a
-// util::PeriodicThread at a fixed interval (start/stop).
+// Sweeps every stripe in the store's manifest with one probe_stripe round
+// (n VERIFYs at once; no block bytes move for healthy blocks) and enqueues
+// anything missing or corrupt into a RepairScheduler, the one healer — the
+// networked analogue of HDFS's block scanner, closing the loop between the
+// end-to-end checksums and the paper's optimal-bandwidth repair: a
+// scrub-detected corruption costs d/(d-k+1) block sizes to heal when d
+// helpers survive, not k.  Runs either synchronously (run_once, what the
+// tests drive) or on a util::PeriodicThread at a fixed interval.
 //
 // Unreachable blocks: without a HealthMonitor (Options::monitor), the sweep
 // records them and retries later — the home may just be rebooting, and a
 // rebuilt block could not be re-uploaded to a dead home anyway.  With a
-// monitor, the scrubber closes the self-healing loop: a block whose home
-// the monitor has declared kDead is re-homed onto a placement-eligible
-// spare via store.rehome_block (still the MSR-optimal d/(d-k+1) block
-// sizes of helper traffic).  kSuspect homes are left alone — acting on a
-// tentative verdict would churn placements for servers that come back.
+// monitor, a block whose home the monitor has declared kDead is enqueued
+// as a rehome onto a placement-eligible spare (the self-healing loop).
+// kSuspect homes are left alone — acting on a tentative verdict would
+// churn placements for servers that come back.
 //
-// Each sweep verifies a whole stripe before healing any of it, and every
-// unhealthy block is then handled independently (its own try/catch, its own
-// counter) — one block's failed heal never short-circuits its siblings.
-// With Options::scheduler set the sweep stops healing inline altogether:
-// unhealthy blocks (repairs and dead-home rehomes alike) are enqueued as
-// prioritized work items carrying the stripe's erasure count as
-// criticality, and the RepairScheduler's budgets and admission control
-// decide when they actually heal.  Without one, a monitor-driven sweep is
-// what moves a dead server's blocks inline.
+// Each item carries its stripe's erasure count as criticality and heals on
+// its own (one block's failed heal never stops a sibling's).  With
+// Options::scheduler set, that scheduler's budgets, admission control and
+// dispatcher decide when; without one, the scrubber owns a default one
+// (no budgets, no admission control, no monitor) and drains it at the end
+// of every sweep, so run_once returns with the sweep's heals done.  Each
+// heal is counted once, by the scheduler (completed, failed, bytes_moved)
+// and the store (carousel_store_repairs_total, carousel_cluster_rehome*).
 
 #ifndef CAROUSEL_NET_SCRUBBER_H
 #define CAROUSEL_NET_SCRUBBER_H
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 
+#include "net/repair_scheduler.h"
 #include "net/store.h"
 #include "util/periodic_thread.h"
 #include "util/sync.h"
@@ -42,7 +41,6 @@
 namespace carousel::net {
 
 class HealthMonitor;
-class RepairScheduler;
 
 class Scrubber {
  public:
@@ -50,12 +48,12 @@ class Scrubber {
     /// Pause between background sweeps.
     std::chrono::milliseconds interval{1000};
     /// When set, blocks whose home server the monitor has declared kDead
-    /// are re-homed onto spares instead of skipped.  The monitor must
-    /// outlive the scrubber.
+    /// are enqueued as rehomes onto spares instead of skipped.  The monitor
+    /// must outlive the scrubber.
     HealthMonitor* monitor = nullptr;
-    /// When set, sweeps enqueue unhealthy blocks into the scheduler
-    /// (criticality = the stripe's erasure count) instead of healing them
-    /// inline.  The scheduler must outlive the scrubber.
+    /// The scheduler sweeps feed; it must outlive the scrubber, and its own
+    /// step() or dispatcher heals.  When null, the scrubber owns one (a
+    /// std::logic_error if the store already has one: pass that here).
     RepairScheduler* scheduler = nullptr;
   };
 
@@ -65,13 +63,8 @@ class Scrubber {
     std::uint64_t ok = 0;
     std::uint64_t missing_found = 0;
     std::uint64_t corrupt_found = 0;
-    std::uint64_t unreachable = 0;
-    std::uint64_t repairs = 0;
-    std::uint64_t repair_failures = 0;
-    std::uint64_t repair_bytes = 0;  // helper traffic spent healing
-    std::uint64_t rehomes = 0;            // blocks moved off dead homes
-    std::uint64_t rehome_failures = 0;    // rehome attempts that failed
-    std::uint64_t enqueued = 0;  // handed to the RepairScheduler instead
+    std::uint64_t unreachable = 0;  // skipped: home down, not declared dead
+    std::uint64_t enqueued = 0;     // handed to the scheduler
   };
 
   /// The store must outlive the scrubber.
@@ -95,23 +88,22 @@ class Scrubber {
   /// Cumulative stats over every sweep so far.
   Stats stats() const EXCLUDES(mu_);
 
+  /// The scheduler sweeps feed: Options::scheduler, or the owned one.
+  RepairScheduler& scheduler() { return *options_.scheduler; }
+
  private:
   CarouselStore& store_;
-  Options options_;
+  Options options_;  // scheduler never null: the owned one when none passed
+  // Only when Options::scheduler is null; outlives loop_, which drains it.
+  std::unique_ptr<RepairScheduler> owned_;
 
   // Mirrors into the store's registry (constructor-resolved): cumulative
-  // sweep counters plus last-sweep repair-traffic/health gauges.
+  // sweep counters plus last-sweep health gauges.
   obs::Counter* sweeps_total_ = nullptr;
   obs::Counter* blocks_checked_total_ = nullptr;
-  obs::Counter* repairs_total_ = nullptr;
-  obs::Counter* repair_failures_total_ = nullptr;
-  obs::Counter* repair_bytes_total_ = nullptr;
-  obs::Counter* rehomes_total_ = nullptr;
-  obs::Counter* rehome_failures_total_ = nullptr;
   obs::Counter* enqueued_total_ = nullptr;
   obs::Histogram* sweep_seconds_ = nullptr;
   obs::Gauge* last_sweep_unhealthy_ = nullptr;
-  obs::Gauge* last_sweep_repair_bytes_ = nullptr;
   obs::Gauge* pending_rehomes_ = nullptr;
   mutable util::Mutex mu_{util::LockRank::kScrubber};
   Stats total_ GUARDED_BY(mu_);

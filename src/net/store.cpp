@@ -335,6 +335,15 @@ std::size_t CarouselStore::placement_of(std::uint32_t file_id,
   return home_of_locked(file_id, stripe, index);
 }
 
+std::vector<std::uint32_t> CarouselStore::row_of(std::uint32_t file_id,
+                                                 std::uint32_t stripe) const {
+  util::MutexLock lock(mu_);
+  std::vector<std::uint32_t> row(code_->n());
+  for (std::uint32_t i = 0; i < row.size(); ++i)
+    row[i] = static_cast<std::uint32_t>(home_of_locked(file_id, stripe, i));
+  return row;
+}
+
 std::vector<CarouselStore::BlockRef> CarouselStore::blocks_on(
     std::size_t server_id) const {
   util::MutexLock lock(mu_);
@@ -686,6 +695,7 @@ struct CarouselStore::Outcome {
   std::vector<std::size_t> positions;  // kUnits: the units `bytes` holds
   std::vector<Byte> bytes;
   bool ok = false;
+  BlockState state = BlockState::kUnreachable;  // kVerify: the verdict
 };
 
 // The remote executor (DESIGN.md §10): one round of a stripe op's
@@ -693,15 +703,17 @@ struct CarouselStore::Outcome {
 // placement snapshot, each resolving its own first-wins slot cell.
 class CarouselStore::Round {
  public:
-  // The snapshot may go stale mid-round (a concurrent re-home): that block
-  // surfaces as an erasure and the caller re-plans around it.
+  // Runs against `row`, a placement snapshot (block -> server id).  A
+  // snapshot of the manifest may go stale mid-round (a concurrent re-home):
+  // that block surfaces as an erasure and the caller re-plans around it.
   Round(CarouselStore& store, std::uint32_t file, std::uint32_t stripe,
+        std::vector<std::uint32_t> row,
         std::chrono::steady_clock::time_point deadline)
-      : st_(&store), file_(file), stripe_(stripe), deadline_(deadline) {
-    util::MutexLock lock(store.mu_);
-    for (std::uint32_t b = 0; b < store.code_->n(); ++b)
-      ids_.push_back(store.home_of_locked(file, stripe, b));
-  }
+      : st_(&store),
+        file_(file),
+        stripe_(stripe),
+        deadline_(deadline),
+        ids_(std::move(row)) {}
 
   // Launches `req` into a fresh slot (its index in collect()'s result).
   void launch(Request req) {
@@ -780,7 +792,7 @@ class CarouselStore::Round {
       try {
         // Deadline pre-check only: the coordinator owns budget reporting.
         out.ok = std::chrono::steady_clock::now() < deadline &&
-                 run(*st, *srv, bk, req, extent, out.bytes);
+                 run(*st, *srv, bk, req, extent, out);
         cell->resolve(std::move(out), nullptr);
       } catch (const BadRequestError&) {
         cell->resolve({}, std::current_exception());
@@ -793,9 +805,11 @@ class CarouselStore::Round {
   // The one place a stripe op reaches the wire (check_invariants rule 11).
   // False for an erasure: the block is missing, unhealthy or wrong-sized.
   static bool run(const CarouselStore& st, Server& srv, const BlockKey& bk,
-                  const Request& req, bool extent, std::vector<Byte>& bytes) {
-    if (req.kind == Request::kVerify)
-      return st.probe(srv, bk) == BlockState::kOk;
+                  const Request& req, bool extent, Outcome& out) {
+    if (req.kind == Request::kVerify) {
+      out.state = st.probe(srv, bk);
+      return out.state == BlockState::kOk;
+    }
     // The lease returns to the pool before the cell resolves, so counters()
     // read right after the op includes this connection's retries.
     Lease c(srv, st.policy_, st.registry_);
@@ -817,7 +831,7 @@ class CarouselStore::Round {
       resp = c->project(bk, static_cast<std::uint32_t>(ub), req.terms);
     }
     if (!resp || resp->size() != want) return false;
-    bytes = std::move(*resp);
+    out.bytes = std::move(*resp);
     return true;
   }
 
@@ -825,7 +839,7 @@ class CarouselStore::Round {
   std::uint32_t file_;
   std::uint32_t stripe_;
   std::chrono::steady_clock::time_point deadline_;
-  std::vector<std::size_t> ids_;  // the placement snapshot, by block
+  std::vector<std::uint32_t> ids_;  // the placement snapshot, by block
   std::vector<std::shared_ptr<SlotCell>> cells_;
   std::vector<std::future<Outcome>> pending_;
 };
@@ -845,6 +859,24 @@ BlockState CarouselStore::probe(Server& server,
   } catch (const Error&) {
   }
   return BlockState::kUnreachable;
+}
+
+std::vector<BlockState> CarouselStore::probe_stripe(std::uint32_t file_id,
+                                                   std::uint32_t stripe) {
+  return probe_stripe(file_id, stripe, row_of(file_id, stripe), std::nullopt,
+                      std::chrono::steady_clock::time_point::max());
+}
+
+std::vector<BlockState> CarouselStore::probe_stripe(
+    std::uint32_t file_id, std::uint32_t stripe,
+    std::vector<std::uint32_t> row, std::optional<std::size_t> skip,
+    std::chrono::steady_clock::time_point deadline) {
+  Round round(*this, file_id, stripe, std::move(row), deadline);
+  for (std::size_t b = 0; b < code_->n(); ++b)
+    if (b != skip) round.launch({Request::kVerify, b});
+  std::vector<BlockState> states(code_->n(), BlockState::kMissing);
+  for (const Outcome& o : round.collect()) states[o.block] = o.state;
+  return states;
 }
 
 std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
@@ -904,7 +936,8 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
       if (!plan)
         throw std::runtime_error("stripe unrecoverable: fewer than k blocks");
 
-      Round round(*this, file_id, static_cast<std::uint32_t>(s), deadline);
+      const auto stripe = static_cast<std::uint32_t>(s);
+      Round round(*this, file_id, stripe, row_of(file_id, stripe), deadline);
       for (std::size_t b : blocks)
         round.launch({Request::kUnits, b, missing[b]});
 
@@ -1022,6 +1055,9 @@ std::uint64_t CarouselStore::rehome_block(std::uint32_t file_id,
 
 void CarouselStore::attach_scheduler(RepairScheduler* scheduler) {
   util::MutexLock lock(mu_);
+  if (scheduler != nullptr && scheduler_ != nullptr)
+    throw std::logic_error("store already has a RepairScheduler: pass it to "
+                           "the Scrubber (Options::scheduler)");
   scheduler_ = scheduler;
 }
 
@@ -1052,17 +1088,16 @@ std::uint64_t CarouselStore::repair_block_impl(
   const std::size_t ub = block_bytes_ / code_->s();
   std::uint64_t fetched = 0;
 
-  // read_file's plan loop: VERIFY every other block at once (no block bytes
+  // read_file's plan loop: probe every other block at once (no block bytes
   // move), so no helper chunk is wasted on a block that cannot serve; plan
   // over the verified blocks, fetch every source not yet held, drop each
   // failed one and re-plan, reusing what is held.  plan_repair alone picks
   // d projecting helpers (d/(d-k+1) block sizes) or k whole blocks.
+  const std::vector<BlockState> states = probe_stripe(
+      file_id, stripe, row_of(file_id, stripe), index, deadline);
   std::vector<std::size_t> usable;
-  Round probes(*this, file_id, stripe, deadline);
   for (std::size_t h = 0; h < n; ++h)
-    if (h != index) probes.launch({Request::kVerify, h});
-  for (const Outcome& o : probes.collect())
-    if (o.ok) usable.push_back(o.block);
+    if (states[h] == BlockState::kOk) usable.push_back(h);
   std::vector<std::vector<Byte>> held(n);  // by block; empty = not held
   std::optional<codes::Carousel::RepairPlan> plan;
   while (true) {
@@ -1084,7 +1119,7 @@ std::uint64_t CarouselStore::repair_block_impl(
              plan->projected ? code_->helper_chunk_units() * ub : block_bytes_))
       plan->sources.push_back(h);
     check_budget(deadline, budget_exhausted_, "repair_block");
-    Round round(*this, file_id, stripe, deadline);
+    Round round(*this, file_id, stripe, row_of(file_id, stripe), deadline);
     for (std::size_t i = have; i < plan->sources.size(); ++i) {
       const std::size_t h = plan->sources[i];
       if (!plan->projected) {
@@ -1208,7 +1243,8 @@ CarouselStore::ReconcileReport CarouselStore::reconcile() {
 
   // A put is adopted only when its rows still pass the live placement
   // predicate (the fleet may have changed shape since the intent) and
-  // every block verifies; otherwise every copy it named is deleted.
+  // every block verifies, one probe round per stripe of the unpublished
+  // rows; otherwise every copy it named is deleted.
   for (auto& [file, rec] : puts) {
     bool adoptable = rec.placement.size() == rec.stripes;
     {
@@ -1216,11 +1252,11 @@ CarouselStore::ReconcileReport CarouselStore::reconcile() {
       for (const auto& row : rec.placement)
         adoptable = adoptable && placement_fits_locked(row);
     }
-    for (std::size_t s = 0; adoptable && s < rec.placement.size(); ++s)
-      for (std::size_t i = 0; adoptable && i < code_->n(); ++i)
-        adoptable = healthy(rec.placement[s][i], file,
-                            static_cast<std::uint32_t>(s),
-                            static_cast<std::uint32_t>(i));
+    for (std::uint32_t s = 0; adoptable && s < rec.placement.size(); ++s)
+      adoptable = std::ranges::all_of(
+          probe_stripe(file, s, rec.placement[s], std::nullopt,
+                       std::chrono::steady_clock::time_point::max()),
+          [](BlockState b) { return b == BlockState::kOk; });
     if (adoptable) {
       commit_put(file, std::move(rec));
       ++report.puts_adopted;

@@ -11,6 +11,8 @@
 //     phi-projections server-side (PROJECT), all at once, so only Fig. 7's
 //     d/(d-k+1) block sizes travel (k whole blocks when fewer than d are
 //     usable); the newcomer rebuilds and re-PUTs.
+// probe_stripe, one VERIFY round reporting each block's BlockState, is the
+// one stripe probe: sweeps, repairs and reconcile() all ask it.
 //
 // Hedged reads: with StoreOptions::hedge enabled, a slot whose range-GET has
 // not answered within a latency budget (a quantile of the store's own
@@ -44,8 +46,8 @@
 // traffic) when a home server dies for good.  This is the
 // regenerate-onto-a-newcomer maintenance loop of Dimakis et al.; the
 // HealthMonitor (net/cluster.h) decides *when* a server is dead, the
-// Scrubber wires the two together, and RepairScheduler::enqueue_server
-// queues a whole dead server's blocks.
+// Scrubber finds what to heal, and the RepairScheduler — the one healer —
+// runs every repair_block/rehome_block a sweep or enqueue_server asks for.
 //
 // Repair scheduling: attach_scheduler() is the store's one scheduler seam.
 // While a RepairScheduler is attached, the repair fan-in takes its helpers
@@ -265,9 +267,14 @@ class CarouselStore {
   std::uint64_t rehome_block(std::uint32_t file_id, std::uint32_t stripe,
                              std::uint32_t index) EXCLUDES(mu_);
 
-  /// Audits one block without transferring it.
+  /// Audits one block without transferring it (no src/ caller: rule 14).
   BlockState verify_block(std::uint32_t file_id, std::uint32_t stripe,
                           std::uint32_t index);
+
+  /// VERIFYs the stripe's n blocks as one executor round on its current
+  /// placement row; returns each block's state by index.  No op budget.
+  std::vector<BlockState> probe_stripe(std::uint32_t file_id,
+                                       std::uint32_t stripe) EXCLUDES(mu_);
 
   /// One manifest row: {bytes, stripes, placement}, with
   /// placement[stripe][index] the server id hosting that block.  The same
@@ -295,8 +302,8 @@ class CarouselStore {
 
   /// Attaches a RepairScheduler, the store's one scheduler seam: repairs
   /// then fan into its select_helpers() choice and report every wire
-  /// transfer to its observe_traffic().  Pass nullptr to detach; the
-  /// scheduler does both automatically over its lifetime.
+  /// transfer to its observe_traffic().  One per store: std::logic_error
+  /// while another is attached.  nullptr detaches; the scheduler does both.
   void attach_scheduler(RepairScheduler* scheduler) EXCLUDES(mu_);
 
   /// Outcome of one reconcile() pass over the intents a replay recovered.
@@ -312,14 +319,15 @@ class CarouselStore {
 
   /// Resolves the pending intents a crashed coordinator left behind (the
   /// journal replay recovers them; this probes the fleet).  A pending put
-  /// whose every block VERIFYs intact is adopted into the manifest — the
-  /// upload finished, only the commit record was lost; otherwise its
-  /// already-landed blocks are deleted as orphans.  A pending rehome whose
-  /// target copy is intact while the old home is not adopts the flip
-  /// (domain invariant permitting); otherwise the stray target copy is
-  /// deleted.  Either way the decision is journaled (commit/abort), so a
-  /// crash *during* reconciliation just reconciles again.  Idempotent and
-  /// cheap when nothing is pending — the Scrubber calls it every sweep.
+  /// whose every block VERIFYs intact (one probe round per stripe) is
+  /// adopted into the manifest — the upload finished, only the commit
+  /// record was lost; otherwise its already-landed blocks are deleted as
+  /// orphans.  A pending rehome whose target copy is intact while the old
+  /// home is not adopts the flip (domain invariant permitting); otherwise
+  /// the stray target copy is deleted.  Either way the decision is
+  /// journaled (commit/abort), so a crash *during* reconciliation just
+  /// reconciles again.  Idempotent and cheap when nothing is pending — the
+  /// Scrubber calls it every sweep.
   ReconcileReport reconcile() EXCLUDES(mu_);
 
   /// True when this store journals its metadata (StoreOptions::meta_dir).
@@ -394,6 +402,9 @@ class CarouselStore {
                        std::uint64_t ingress) EXCLUDES(mu_);
   std::size_t home_of_locked(std::uint32_t file_id, std::uint32_t stripe,
                              std::uint32_t index) const REQUIRES(mu_);
+  /// The stripe's placement row: home_of_locked of every block.
+  std::vector<std::uint32_t> row_of(std::uint32_t file_id,
+                                    std::uint32_t stripe) const EXCLUDES(mu_);
   /// The one placement predicate (check_invariants rule 9): true when
   /// `row` is n wide, names only registered servers, and puts no more than
   /// n-k of its blocks in any one domain.
@@ -438,6 +449,13 @@ class CarouselStore {
   /// The one VERIFY -> BlockState mapping (a transport failure is
   /// kUnreachable).  Takes no store lock: executor pool tasks call it.
   BlockState probe(Server& server, const BlockKey& block_key) const;
+  /// probe_stripe on an explicit row of registered ids (reconcile probes
+  /// unpublished ones): block `skip`, the one being rebuilt, reads kMissing
+  /// unprobed, and a probe launched past `deadline` reads kUnreachable.
+  std::vector<BlockState> probe_stripe(
+      std::uint32_t file_id, std::uint32_t stripe,
+      std::vector<std::uint32_t> row, std::optional<std::size_t> skip,
+      std::chrono::steady_clock::time_point deadline) EXCLUDES(mu_);
   /// The repair engine.  Takes mu_ only for lookups and the final placement
   /// update — all probes, projections and uploads run on leased connections
   /// with no store lock held.

@@ -54,18 +54,6 @@ void ErasureFile::fail_block_index(std::size_t index) {
   for (std::size_t s = 0; s < stripes_; ++s) set_block_available(s, index, false);
 }
 
-DataExtent ErasureFile::data_extent(std::size_t stripe,
-                                    std::size_t index) const {
-  const std::size_t len = code_->data_extent_bytes(index, block_bytes_);
-  if (len == 0) return {};
-  // Block `index` holds message units [index*K, (index+1)*K), i.e. the
-  // contiguous stripe byte range starting at index * len.
-  const std::size_t off = stripe * code_->k() * block_bytes_ + index * len;
-  // Clip the final stripe's padding.
-  if (off >= file_bytes_) return {};
-  return {off, std::min(len, file_bytes_ - off)};
-}
-
 std::vector<Byte> ErasureFile::read_all(IoStats* stats) const {
   const std::size_t stripe_data = code_->k() * block_bytes_;
   std::vector<Byte> out(stripes_ * stripe_data);

@@ -21,13 +21,6 @@ using codes::Byte;
 using codes::Carousel;
 using codes::IoStats;
 
-/// A contiguous range of original-file bytes held verbatim inside a block —
-/// what a data-local map task reads.
-struct DataExtent {
-  std::size_t file_offset = 0;
-  std::size_t length = 0;
-};
-
 class ErasureFile {
  public:
   /// Encodes `file` with `code` into ceil(size / (k*block_bytes)) stripes of
@@ -51,9 +44,6 @@ class ErasureFile {
   /// Fails block `index` of every stripe (a node loss in the paper's
   /// one-block-per-server placement).
   void fail_block_index(std::size_t index);
-
-  /// Original-data extent of a block (empty when the block is pure parity).
-  DataExtent data_extent(std::size_t stripe, std::size_t index) const;
 
   /// Reads the whole file back, each stripe through the code's read planner
   /// over its available blocks (decode_stripe): the p data extents, §VII

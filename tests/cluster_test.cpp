@@ -598,13 +598,14 @@ TEST_F(ClusterTest, ScrubberHealsDeadServersBlocksOntoSpare) {
   // One sweep heals every block the dead server held — block 5 of all
   // three stripes — at exactly d/(d-k+1) block sizes per block.
   auto sweep = scrubber.run_once();
-  EXPECT_EQ(sweep.rehomes, 3u);
-  EXPECT_EQ(sweep.rehome_failures, 0u);
+  const auto healed = scrubber.scheduler().stats();
+  EXPECT_EQ(healed.completed, 3u);
+  EXPECT_EQ(counter("carousel_cluster_rehome_failures_total"), 0u);
   EXPECT_EQ(sweep.unreachable, 0u);
-  EXPECT_EQ(sweep.repair_bytes, std::uint64_t{3} * 2 * block);
+  EXPECT_EQ(healed.bytes_moved, std::uint64_t{3} * 2 * block);
   EXPECT_EQ(store.blocks_on(5).size(), 0u);
   EXPECT_EQ(store.blocks_on(spare_id).size(), 3u);
-  EXPECT_EQ(counter("carousel_scrubber_rehomes_total"), 3u);
+  EXPECT_EQ(counter("carousel_repair_completed_total"), 3u);
   EXPECT_EQ(counter("carousel_cluster_rehomes_total"), 3u);
   EXPECT_EQ(counter("carousel_cluster_rehome_bytes_read_total"),
             std::uint64_t{3} * 2 * block);
@@ -614,7 +615,7 @@ TEST_F(ClusterTest, ScrubberHealsDeadServersBlocksOntoSpare) {
   // both files read back bit-exact with the server still gone.
   auto quiet = scrubber.run_once();
   EXPECT_EQ(quiet.ok, quiet.blocks_checked);
-  EXPECT_EQ(quiet.rehomes, 0u);
+  EXPECT_EQ(counter("carousel_cluster_rehomes_total"), 3u);  // none more
   EXPECT_EQ(store.read_file(1, file_a.size()), file_a);
   EXPECT_EQ(store.read_file(2, file_b.size()), file_b);
 }
@@ -643,11 +644,12 @@ TEST_F(ClusterTest, SweepHealsSiblingsAfterARehomeFailure) {
   ASSERT_TRUE(servers_[5]->corrupt_block(BlockKey{4, 0, 5}, 7));
 
   auto sweep = scrubber.run_once();
-  EXPECT_EQ(sweep.rehome_failures, 2u);  // blocks 2 and 3: nowhere to go
-  EXPECT_EQ(sweep.rehomes, 0u);
+  // Blocks 2 and 3 have nowhere to go; block 5 heals despite its siblings.
+  EXPECT_EQ(counter("carousel_cluster_rehome_failures_total"), 2u);
+  EXPECT_EQ(counter("carousel_cluster_rehomes_total"), 0u);
   EXPECT_EQ(sweep.corrupt_found, 1u);
-  EXPECT_EQ(sweep.repairs, 1u);  // block 5 healed despite its siblings
-  EXPECT_EQ(sweep.repair_failures, 0u);
+  EXPECT_EQ(scrubber.scheduler().stats().completed, 1u);  // the repair
+  EXPECT_EQ(scrubber.scheduler().stats().failed, 2u);     // the rehomes
   EXPECT_EQ(store.verify_block(4, 0, 5), BlockState::kOk);
   EXPECT_EQ(store.read_file(4, file.size()), file);
 
@@ -657,9 +659,9 @@ TEST_F(ClusterTest, SweepHealsSiblingsAfterARehomeFailure) {
   BlockServer spare_b;
   store.add_server(spare_a.port());
   store.add_server(spare_b.port());
-  auto heal = scrubber.run_once();
-  EXPECT_EQ(heal.rehomes, 2u);
-  EXPECT_EQ(heal.rehome_failures, 0u);
+  scrubber.run_once();
+  EXPECT_EQ(counter("carousel_cluster_rehomes_total"), 2u);
+  EXPECT_EQ(counter("carousel_cluster_rehome_failures_total"), 2u);  // no new
   EXPECT_EQ(store.blocks_on(2).size(), 0u);
   EXPECT_EQ(store.blocks_on(3).size(), 0u);
 }
@@ -677,7 +679,7 @@ TEST_F(ClusterTest, ScrubberWithoutMonitorKeepsWaitingForTheServer) {
   kill(1);
   auto sweep = scrubber.run_once();
   EXPECT_EQ(sweep.unreachable, 1u);
-  EXPECT_EQ(sweep.rehomes, 0u);
+  EXPECT_EQ(counter("carousel_cluster_rehomes_total"), 0u);
   EXPECT_EQ(store.placement_of(6, 0, 1), 1u);  // untouched
   EXPECT_EQ(gauge("carousel_cluster_pending_rehomes"), 1.0);
 }
@@ -702,7 +704,7 @@ TEST_F(ClusterTest, ScrubberLeavesSuspectHomesAlone) {
   ASSERT_EQ(monitor.state_of(8), ServerState::kSuspect);
   auto sweep = scrubber.run_once();
   EXPECT_EQ(sweep.unreachable, 1u);  // tentative verdict: no churn
-  EXPECT_EQ(sweep.rehomes, 0u);
+  EXPECT_EQ(counter("carousel_cluster_rehomes_total"), 0u);
   EXPECT_EQ(store.placement_of(7, 0, 8), 8u);
 }
 

@@ -827,18 +827,19 @@ TEST_F(StoreTest, ScrubberDetectsAndRepairsCorruption) {
   ASSERT_TRUE(servers_[8]->corrupt_block(BlockKey{27, 0, 8}, 0));
   Scrubber scrubber(store);
   auto sweep = scrubber.run_once();
+  const auto healed = scrubber.scheduler().stats();
   EXPECT_EQ(sweep.blocks_checked, std::uint64_t(code.n()));
   EXPECT_EQ(sweep.corrupt_found, 1u);
-  EXPECT_EQ(sweep.repairs, 1u);
-  EXPECT_EQ(sweep.repair_failures, 0u);
+  EXPECT_EQ(healed.completed, 1u);
+  EXPECT_EQ(healed.failed, 0u);
   // All helpers survived, so the heal used the MSR path: d/(d-k+1) = 2
   // block sizes, not k = 6.
-  EXPECT_EQ(sweep.repair_bytes, 2u * block);
+  EXPECT_EQ(healed.bytes_moved, 2u * block);
   EXPECT_EQ(store.verify_block(27, 0, 8), BlockState::kOk);
   // A second sweep finds a fully healthy stripe.
   auto again = scrubber.run_once();
   EXPECT_EQ(again.ok, std::uint64_t(code.n()));
-  EXPECT_EQ(again.repairs, 0u);
+  EXPECT_EQ(scrubber.scheduler().stats().completed, healed.completed);
 }
 
 TEST_F(StoreTest, BackgroundScrubberHealsWhileRunning) {
@@ -853,12 +854,12 @@ TEST_F(StoreTest, BackgroundScrubberHealsWhileRunning) {
   scrubber.start();
   EXPECT_TRUE(scrubber.running());
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (scrubber.stats().repairs < 1 &&
+  while (scrubber.scheduler().stats().completed < 1 &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   scrubber.stop();
   EXPECT_FALSE(scrubber.running());
-  EXPECT_GE(scrubber.stats().repairs, 1u);
+  EXPECT_GE(scrubber.scheduler().stats().completed, 1u);
   EXPECT_EQ(store.verify_block(29, 0, 6), BlockState::kOk);
   EXPECT_EQ(store.read_file(29, file.size()), file);
 }
@@ -879,6 +880,70 @@ TEST_F(StoreTest, ScrubberRecordsSweepDuration) {
   EXPECT_GT(hist.sum, 0.0);   // wall time, not zero-cost
 }
 
+// A sweep probes each stripe in one round.  Every server stalls VERIFY by
+// D, so a sweep over S stripes takes about S D, where probing block by
+// block takes S n D.
+TEST_F(StoreTest, SweepProbesEachStripeInOneRound) {
+  codes::Carousel code(12, 6, 10, 12);
+  const std::size_t block = code.s() * 16;
+  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  const std::size_t stripes = 3;
+  auto file = random_bytes(stripes * code.k() * block, 51);
+  ASSERT_EQ(store.put_file(41, file), stripes);
+
+  const std::chrono::milliseconds stall(100);  // io_timeout is 250 ms
+  for (auto& s : servers_) {
+    auto plan = std::make_shared<FaultPlan>(23);
+    plan->add({.action = FaultAction::kDelay,
+               .op = Op::kVerify,
+               .max_hits = 1000,
+               .delay_ms = static_cast<std::uint32_t>(stall.count())});
+    s->set_fault_plan(plan);
+  }
+  Scrubber scrubber(store);
+  const auto start = std::chrono::steady_clock::now();
+  const auto sweep = scrubber.run_once();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  for (auto& s : servers_) s->set_fault_plan(nullptr);
+
+  EXPECT_LT(elapsed, static_cast<int>(stripes + 1) * stall);
+  EXPECT_EQ(sweep.blocks_checked, stripes * code.n());
+  EXPECT_EQ(sweep.ok, stripes * code.n());
+}
+
+// probe_stripe reports each block's own state, from one VERIFY per block.
+TEST_F(StoreTest, ProbeStripeReportsEveryBlockState) {
+  codes::Carousel code(12, 6, 10, 12);
+  const std::size_t block = code.s() * 16;
+  obs::MetricsRegistry reg;
+  CarouselStore store(code, ports_, block, StoreOptions{fast_policy(), &reg});
+  auto file = random_bytes(code.k() * block, 52);
+  store.put_file(43, file);
+
+  ASSERT_TRUE(store.drop_block(43, 0, 2));
+  ASSERT_TRUE(servers_[5]->corrupt_block(BlockKey{43, 0, 5}, 3));
+  servers_[9]->stop();
+  test::ClosedPort held(ports_[9]);  // no other process answers for it
+
+  auto verifies = [&reg] {
+    const obs::Snapshot snap = reg.snapshot();
+    auto it = snap.histograms.find(
+        obs::labeled("carousel_client_op_seconds", "op", "verify"));
+    return it == snap.histograms.end() ? std::uint64_t{0} : it->second.count;
+  };
+  const std::uint64_t before = verifies();
+  const std::vector<BlockState> states = store.probe_stripe(43, 0);
+  EXPECT_EQ(verifies() - before, code.n());
+  ASSERT_EQ(states.size(), code.n());
+  for (std::size_t i = 0; i < code.n(); ++i) {
+    BlockState want = BlockState::kOk;
+    if (i == 2) want = BlockState::kMissing;
+    if (i == 5) want = BlockState::kCorrupt;
+    if (i == 9) want = BlockState::kUnreachable;
+    EXPECT_EQ(states[i], want) << "block " << i;
+  }
+}
+
 TEST_F(StoreTest, ScrubberRetriesUnreachableServerAfterItReturns) {
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 128;
@@ -895,19 +960,20 @@ TEST_F(StoreTest, ScrubberRetriesUnreachableServerAfterItReturns) {
   Scrubber scrubber(store);
   auto sweep = scrubber.run_once();
   EXPECT_EQ(sweep.unreachable, 1u);
-  EXPECT_EQ(sweep.repairs, 0u);
-  EXPECT_EQ(sweep.repair_bytes, 0u);
+  EXPECT_EQ(scrubber.scheduler().stats().completed, 0u);
+  EXPECT_EQ(scrubber.scheduler().stats().bytes_moved, 0u);
 
   // The server returns (same port, empty store).  The next sweep sees a
   // plain missing block and heals it at the optimal d/(d-k+1) = 2 blocks.
   held.reset();
   servers_[3] = std::make_unique<BlockServer>(ports_[3]);
   auto next = scrubber.run_once();
+  const auto healed = scrubber.scheduler().stats();
   EXPECT_EQ(next.unreachable, 0u);
   EXPECT_EQ(next.missing_found, 1u);
-  EXPECT_EQ(next.repairs, 1u);
-  EXPECT_EQ(next.repair_failures, 0u);
-  EXPECT_EQ(next.repair_bytes, 2u * block);
+  EXPECT_EQ(healed.completed, 1u);
+  EXPECT_EQ(healed.failed, 0u);
+  EXPECT_EQ(healed.bytes_moved, 2u * block);
   EXPECT_EQ(store.verify_block(35, 0, 3), BlockState::kOk);
   EXPECT_EQ(store.read_file(35, file.size()), file);
 }
@@ -957,29 +1023,28 @@ TEST_F(StoreTest, KilledServerPlusCorruptBlockReadAndScrubRoundTrip) {
 
   Scrubber scrubber(store);
   auto sweep = scrubber.run_once();
+  const auto healed = scrubber.scheduler().stats();
   EXPECT_EQ(sweep.missing_found, 1u);  // block 4 on the replacement server
   EXPECT_EQ(sweep.corrupt_found, 1u);  // block 7 behind its checksum
-  EXPECT_EQ(sweep.repairs, 2u);
-  EXPECT_EQ(sweep.repair_failures, 0u);
+  EXPECT_EQ(healed.completed, 2u);
+  EXPECT_EQ(healed.failed, 0u);
   // Both heals ran the optimal MSR path: 2 block sizes each — repair
   // traffic 4 blocks total, vs 12 for two whole-block decodes.
-  EXPECT_EQ(sweep.repair_bytes, 2u * 2u * block);
+  EXPECT_EQ(healed.bytes_moved, 2u * 2u * block);
 
-  // The scrubber reports the same sweep into the store's registry: counters
-  // accumulate, gauges hold the last sweep's numbers.
+  // The sweep and its heals report into the store's registry: the scrubber
+  // counts what it checked, the scheduler and the store count each heal.
   {
     obs::Snapshot snap = reg.snapshot();
     EXPECT_EQ(snap.counters.at("carousel_scrubber_sweeps_total"), 1u);
     EXPECT_EQ(snap.counters.at("carousel_scrubber_blocks_checked_total"),
               std::uint64_t(code.n()));
-    EXPECT_EQ(snap.counters.at("carousel_scrubber_repairs_total"), 2u);
-    EXPECT_EQ(snap.counters.at("carousel_scrubber_repair_failures_total"), 0u);
-    EXPECT_EQ(snap.counters.at("carousel_scrubber_repair_bytes_total"),
+    EXPECT_EQ(snap.counters.at("carousel_repair_completed_total"), 2u);
+    EXPECT_EQ(snap.counters.at("carousel_repair_failed_total"), 0u);
+    EXPECT_EQ(snap.counters.at("carousel_repair_bytes_moved_total"),
               2u * 2u * block);
     EXPECT_EQ(snap.gauges.at("carousel_scrubber_last_sweep_unhealthy"),
               2.0);
-    EXPECT_EQ(snap.gauges.at("carousel_scrubber_last_sweep_repair_bytes"),
-              double(2u * 2u * block));
     EXPECT_EQ(snap.counters.at("carousel_store_repairs_total"), 2u);
     EXPECT_EQ(snap.counters.at("carousel_store_repair_bytes_read_total"),
               2u * 2u * block);

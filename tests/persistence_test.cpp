@@ -467,11 +467,12 @@ TEST_F(PersistenceTest, KillAndRestartWithTornWriteHealsAtOptimalTraffic) {
   // d/(d-k+1) = 2 block sizes for (12,6,10), not k = 6.
   Scrubber scrubber(store);
   auto sweep = scrubber.run_once();
+  const auto healed = scrubber.scheduler().stats();
   EXPECT_EQ(sweep.corrupt_found, 1u);
   EXPECT_EQ(sweep.missing_found, 0u);
-  EXPECT_EQ(sweep.repairs, 1u);
-  EXPECT_EQ(sweep.repair_failures, 0u);
-  EXPECT_EQ(sweep.repair_bytes, 2u * block);
+  EXPECT_EQ(healed.completed, 1u);
+  EXPECT_EQ(healed.failed, 0u);
+  EXPECT_EQ(healed.bytes_moved, 2u * block);
 
   // The heal is durable: restart the same server once more and everything
   // verifies clean, no quarantine, bit-exact read.

@@ -173,7 +173,7 @@ TEST_F(RepairSchedulerTest, StepHealsTheMostCriticalStripeFirst) {
 
   auto sweep = scrubber.run_once();
   EXPECT_EQ(sweep.enqueued, 3u);  // the sweep heals nothing inline
-  EXPECT_EQ(sweep.repairs, 0u);
+  EXPECT_EQ(sched.stats().completed, 0u);
   EXPECT_EQ(sweep.missing_found, 3u);
   EXPECT_EQ(counter("carousel_scrubber_enqueued_total"), 3u);
 
@@ -537,7 +537,8 @@ TEST_F(RepairSchedulerTest, ScrubberEnqueuesDeadHomesAsRehomes) {
 
   auto sweep = scrubber.run_once();
   EXPECT_EQ(sweep.enqueued, 1u);
-  EXPECT_EQ(sweep.rehomes, 0u);  // the sweep itself moved nothing
+  // The sweep itself moved nothing.
+  EXPECT_EQ(counter("carousel_cluster_rehomes_total"), 0u);
   // The queued rehome still leaves the block on its dead home.
   EXPECT_EQ(gauge("carousel_cluster_pending_rehomes"), 1.0);
   auto head = sched.peek();
@@ -554,6 +555,26 @@ TEST_F(RepairSchedulerTest, ScrubberEnqueuesDeadHomesAsRehomes) {
   EXPECT_EQ(quiet.ok, quiet.blocks_checked);
   EXPECT_EQ(quiet.enqueued, 0u);
   EXPECT_EQ(gauge("carousel_cluster_pending_rehomes"), 0.0);
+}
+
+// One scheduler per store: a second would take over the store's helper
+// choice and budgets, and detach the first when it went.
+TEST_F(RepairSchedulerTest, OneSchedulerPerStore) {
+  make_fleet(6);
+  codes::Carousel code(6, 4, 4, 6);
+  CarouselStore store(code, ports_, code.s() * 16, opts());
+  {
+    RepairScheduler sched(store);
+    EXPECT_THROW(RepairScheduler{store}, std::logic_error);
+    EXPECT_THROW(Scrubber{store}, std::logic_error);  // would own a second
+    Scrubber::Options sopts;
+    sopts.scheduler = &sched;
+    Scrubber scrubber(store, sopts);
+    EXPECT_EQ(&scrubber.scheduler(), &sched);
+  }
+  // The store's scheduler is gone: a bare scrubber now owns the one.
+  Scrubber scrubber(store);
+  EXPECT_THROW(RepairScheduler{store}, std::logic_error);
 }
 
 // ---- Shutdown discipline ---------------------------------------------------

@@ -46,45 +46,6 @@ TEST(ErasureFile, RejectsMisalignedBlockSize) {
   EXPECT_THROW(ErasureFile(code, file, 0), std::invalid_argument);
 }
 
-TEST(ErasureFile, DataExtentsTileTheFile) {
-  Carousel code(12, 6, 10, 10);
-  const std::size_t block = code.s() * 12;
-  auto file = random_bytes(6 * block * 2);  // two stripes
-  ErasureFile ef(code, file, block);
-  // Extents of data-carrying blocks must partition [0, file size).
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  for (std::size_t s = 0; s < ef.stripes(); ++s)
-    for (std::size_t i = 0; i < code.n(); ++i) {
-      auto e = ef.data_extent(s, i);
-      if (i >= code.p()) {
-        EXPECT_EQ(e.length, 0u);
-      }
-      if (e.length) ranges.emplace_back(e.file_offset, e.length);
-    }
-  std::sort(ranges.begin(), ranges.end());
-  std::size_t cursor = 0;
-  for (auto [off, len] : ranges) {
-    EXPECT_EQ(off, cursor);
-    cursor = off + len;
-  }
-  EXPECT_EQ(cursor, file.size());
-}
-
-TEST(ErasureFile, ExtentBytesMatchOriginalData) {
-  Carousel code(6, 3, 4, 6);
-  const std::size_t block = code.s() * 10;
-  auto file = random_bytes(3 * block);
-  ErasureFile ef(code, file, block);
-  for (std::size_t i = 0; i < code.p(); ++i) {
-    auto e = ef.data_extent(0, i);
-    ASSERT_GT(e.length, 0u);
-    auto b = ef.block(0, i);
-    EXPECT_TRUE(std::equal(b.begin(), b.begin() + e.length,
-                           file.begin() + e.file_offset))
-        << "block " << i;
-  }
-}
-
 TEST(ErasureFile, ReadWithFailuresUsesParityStandIns) {
   Carousel code(12, 6, 10, 10);
   const std::size_t block = code.s() * 8;

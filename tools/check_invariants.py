@@ -120,6 +120,19 @@ Rules (see DESIGN.md "Correctness tooling"):
      start/stop/join discipline (claim the handle under the lock, join
      outside it) is written once instead of once per component.
 
+ 14. one healer, one stripe probe — `.repair_block(` and `.rehome_block(`
+     (or `->`) calls appear in src/ code only in
+     src/net/repair_scheduler.cpp, inside RepairScheduler::execute: the
+     RepairScheduler is the one healer, and a Scrubber sweep only enqueues
+     (into the scheduler it owns when none is attached).  `verify_block(`
+     has no caller in src/ at all (its declaration and definition stay; it
+     is public for tests and external audits): a sweep, a repair's probe
+     round and reconcile() ask which blocks of a stripe are healthy
+     through CarouselStore::probe_stripe, one VERIFY round per stripe.  A
+     second heal site drifts from the scheduler's ordering, budgets and
+     counters; a block-by-block verify walk costs n serial round trips per
+     stripe where one round does.
+
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -527,6 +540,37 @@ def check_one_background_loop(problems: list[str]) -> None:
                     f"work on util::PeriodicThread")
 
 
+def check_one_healer(problems: list[str]) -> None:
+    """Rule 14: heals run only in RepairScheduler::execute; no verify_block
+    caller in src/."""
+    heal = re.compile(r"(?:\.|->)(repair_block|rehome_block)\s*\(")
+    # A call: not the definition (CarouselStore::verify_block) and not the
+    # declaration (a return type in front of the name).
+    verify = re.compile(r"(?<![:\w])verify_block\s*\(")
+    declaration = re.compile(r"^\s*BlockState\s+verify_block\s*\(")
+    definition = re.compile(r"^\S.*?\b\w+::(\w+)\s*\(")
+    healer = REPO / "src" / "net" / "repair_scheduler.cpp"
+    for path in src_files(".h", ".cpp"):
+        current = None  # the out-of-line member each line sits in
+        for i, line in enumerate(code_lines(path)):
+            m = definition.match(line)
+            if m:
+                current = m.group(1)
+            where = f"{path.relative_to(REPO)}:{i + 1}"
+            for m in heal.finditer(line):
+                if path == healer and current == "execute":
+                    continue
+                problems.append(
+                    f"{where}: {m.group(1)}() called outside "
+                    f"RepairScheduler::execute — enqueue the block into the "
+                    f"RepairScheduler, the one healer")
+            if verify.search(line) and not declaration.match(line):
+                problems.append(
+                    f"{where}: verify_block() called in src/ — probe the "
+                    f"stripe with CarouselStore::probe_stripe (one VERIFY "
+                    f"round) instead of block by block")
+
+
 def main() -> int:
     problems: list[str] = []
     check_wire_casts(problems)
@@ -542,6 +586,7 @@ def main() -> int:
     check_one_wire_executor(problems)
     check_one_mds_codec(problems)
     check_one_background_loop(problems)
+    check_one_healer(problems)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
