@@ -198,7 +198,6 @@ LiveResult run_live(const StormConfig& cfg) {
 
   net::RepairScheduler::Options ropts;
   ropts.max_concurrent = 2;
-  ropts.workers = 2;
   ropts.server_egress_budget = std::uint64_t{64} * block;
   ropts.server_ingress_budget = std::uint64_t{64} * block;
   ropts.budget_window = std::chrono::milliseconds(250);
@@ -341,7 +340,6 @@ RackDownResult run_rack_down(const StormConfig& cfg) {
 
   net::RepairScheduler::Options ropts;
   ropts.max_concurrent = 2;
-  ropts.workers = 2;
   ropts.server_egress_budget = std::uint64_t{64} * block;
   ropts.server_ingress_budget = std::uint64_t{64} * block;
   ropts.budget_window = std::chrono::milliseconds(250);

@@ -36,10 +36,8 @@ int main() {
     std::printf("day %zu: lost block %2zu on every stripe; reads still "
                 "correct: %s\n",
                 day + 1, victim, readable ? "yes" : "NO");
-    for (std::size_t s = 0; s < ef.stripes(); ++s) {
-      auto stats = ef.repair_block(s, victim);
-      total_repair_blocks += double(stats.bytes_read) / double(block_bytes);
-    }
+    total_repair_blocks +=
+        double(ef.repair_block_index(victim).bytes_read) / double(block_bytes);
     std::printf("        repaired at %.2f block sizes per block (optimal "
                 "d/(d-k+1) = %.2f; RS would pay %zu)\n",
                 double(code.params().repair_traffic_blocks()),
@@ -56,6 +54,6 @@ int main() {
   std::printf("catastrophe drill: 6 of 12 blocks gone, file still decodes: "
               "%s\n", ok ? "yes" : "NO");
   std::printf("integrity after all repairs: %s\n",
-              ef.verify() ? "clean" : "CORRUPT");
+              ef.verify(object) ? "clean" : "CORRUPT");
   return ok ? 0 : 1;
 }

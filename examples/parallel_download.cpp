@@ -51,7 +51,7 @@ int main() {
   std::printf("background repair of block 2: %.2f block sizes of traffic "
               "from %zu helpers; integrity check: %s\n",
               double(repair.bytes_read) / double(block_bytes), repair.sources,
-              ef.verify() ? "clean" : "CORRUPT");
+              ef.verify(object) ? "clean" : "CORRUPT");
 
   // --- Simulated wall-clock on a 300 Mbps-capped cluster -------------------
   hdfs::ClusterConfig cfg;

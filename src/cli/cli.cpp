@@ -34,34 +34,43 @@ std::string block_name(std::size_t i) {
   return buf;
 }
 
-/// Loads the archive: manifest plus whichever block files exist and have the
-/// right size.  Returns the per-block byte buffers (empty when missing).
-struct Archive {
-  Manifest manifest;
-  std::vector<std::vector<Byte>> blocks;  // n entries
-  std::size_t present = 0;
-};
-
-Archive load_archive(const fs::path& dir) {
-  Archive a;
+Manifest read_manifest(const fs::path& dir) {
   const auto text = net::durable::read_file(dir / "MANIFEST");
   if (!text) throw std::runtime_error("no MANIFEST in " + dir.string());
-  a.manifest = Manifest::parse(std::string(text->begin(), text->end()));
-  const auto& m = a.manifest;
-  const std::uint64_t per_block_file = m.block_bytes * m.stripes;
-  a.blocks.resize(m.params.n);
-  for (std::size_t i = 0; i < m.params.n; ++i) {
+  return Manifest::parse(std::string(text->begin(), text->end()));
+}
+
+/// Block files 0..n-1 of the archive in `dir`, an empty one where missing.
+std::vector<std::vector<Byte>> read_block_files(const fs::path& dir,
+                                                std::size_t n) {
+  std::vector<std::vector<Byte>> files(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const fs::path p = dir / block_name(i);
     std::error_code ec;
     if (!fs::exists(p, ec)) continue;
     auto bytes = net::durable::read_file(p);
     if (!bytes) throw std::runtime_error("cannot open " + p.string());
-    if (bytes->size() != per_block_file) continue;  // truncated: treat as lost
-    a.blocks[i] = std::move(*bytes);
-    ++a.present;
+    files[i] = std::move(*bytes);
   }
-  return a;
+  return files;
 }
+
+/// The archive in `dir` as an ErasureFile: a missing or wrong-sized
+/// (truncated) block file is a lost block.
+struct Archive {
+  explicit Archive(const fs::path& dir)
+      : manifest(read_manifest(dir)),
+        code(manifest.params.n, manifest.params.k, manifest.params.d,
+             manifest.params.p),
+        file(code, manifest.file_bytes, manifest.block_bytes,
+             read_block_files(dir, manifest.params.n)) {}
+  Archive(const Archive&) = delete;  // `file` points at `code`
+  Archive& operator=(const Archive&) = delete;
+
+  Manifest manifest;
+  codes::Carousel code;
+  storage::ErasureFile file;
+};
 
 }  // namespace
 
@@ -124,75 +133,33 @@ void encode_file(const fs::path& input, const fs::path& dir,
       dir / "MANIFEST",
       {reinterpret_cast<const Byte*>(text.data()), text.size()});
 
-  std::vector<Byte> per_block(m.block_bytes * m.stripes);
-  for (std::size_t i = 0; i < params.n; ++i) {
-    for (std::size_t s = 0; s < ef.stripes(); ++s) {
-      auto b = ef.block(s, i);
-      std::copy(b.begin(), b.end(),
-                per_block.begin() +
-                    static_cast<std::ptrdiff_t>(s * m.block_bytes));
-    }
-    net::durable::write_file(dir / block_name(i), per_block);
-  }
+  for (std::size_t i = 0; i < params.n; ++i)
+    net::durable::write_file(dir / block_name(i), ef.block_file(i));
 }
-
-namespace {
-
-/// Stripe `s` of every block file, an empty span for each missing one.
-std::vector<std::span<const Byte>> stripe_views(const Archive& a,
-                                               std::size_t s) {
-  std::vector<std::span<const Byte>> views(a.blocks.size());
-  for (std::size_t i = 0; i < a.blocks.size(); ++i)
-    if (!a.blocks[i].empty())
-      views[i] = {a.blocks[i].data() + s * a.manifest.block_bytes,
-                  a.manifest.block_bytes};
-  return views;
-}
-
-}  // namespace
 
 std::size_t decode_file(const fs::path& dir, const fs::path& output) {
-  Archive a = load_archive(dir);
-  const auto& m = a.manifest;
-  codes::Carousel code(m.params.n, m.params.k, m.params.d, m.params.p);
-
-  const std::size_t stripe_data = m.params.k * m.block_bytes;
-  std::vector<Byte> file(m.stripes * stripe_data);
-  std::size_t used = 0;
-  for (std::size_t s = 0; s < m.stripes; ++s)
-    used = std::max(
-        used, code.decode_stripe(stripe_views(a, s),
-                                 std::span<Byte>(file.data() + s * stripe_data,
-                                                 stripe_data))
-                  .sources);
-  file.resize(m.file_bytes);
-  if (util::crc32(file) != m.checksum)
+  const Archive a(dir);
+  codes::IoStats stats;
+  const std::vector<Byte> file = a.file.read_all(&stats);
+  if (util::crc32(file) != a.manifest.checksum)
     throw std::runtime_error("decoded data fails the manifest checksum");
   net::durable::write_file(output, file);
-  return used;
+  // Every stripe has the same available blocks, so the same read plan.
+  return stats.sources / a.file.stripes();
 }
 
 std::uint64_t repair_block_file(const fs::path& dir, std::size_t index) {
-  Archive a = load_archive(dir);
-  const auto& m = a.manifest;
-  if (index >= m.params.n) throw std::invalid_argument("block out of range");
-  codes::Carousel code(m.params.n, m.params.k, m.params.d, m.params.p);
-  std::vector<Byte> rebuilt(m.block_bytes * m.stripes);
-  std::uint64_t traffic = 0;
-  for (std::size_t s = 0; s < m.stripes; ++s)
-    traffic += code.repair_stripe(index, stripe_views(a, s),
-                                  std::span<Byte>(rebuilt.data() +
-                                                      s * m.block_bytes,
-                                                  m.block_bytes))
-                   .bytes_read;
-  net::durable::write_file(dir / block_name(index), rebuilt);
+  Archive a(dir);
+  if (index >= a.manifest.params.n)
+    throw std::invalid_argument("block out of range");
+  const std::uint64_t traffic = a.file.repair_block_index(index).bytes_read;
+  net::durable::write_file(dir / block_name(index), a.file.block_file(index));
   return traffic;
 }
 
 std::string describe(const fs::path& dir) {
-  Archive a = load_archive(dir);
+  const Archive a(dir);
   const auto& m = a.manifest;
-  codes::Carousel code(m.params.n, m.params.k, m.params.d, m.params.p);
   std::ostringstream out;
   out << "Carousel archive " << m.params.to_string() << "\n";
   out << "  file bytes:   " << m.file_bytes << " (crc32 " << m.checksum
@@ -200,13 +167,16 @@ std::string describe(const fs::path& dir) {
   out << "  stripes:      " << m.stripes << " x " << m.params.n
       << " blocks of " << m.block_bytes << " bytes\n";
   out << "  parallelism:  " << m.params.p << " blocks carry original data ("
-      << code.data_units_per_block() << "/" << code.s() << " of each)\n";
+      << a.code.data_units_per_block() << "/" << a.code.s() << " of each)\n";
   out << "  repair:       " << m.params.d << " helpers, "
       << m.params.repair_traffic_blocks() << " block sizes of traffic\n";
   out << "  blocks:      ";
-  for (std::size_t i = 0; i < m.params.n; ++i)
-    out << ' ' << (a.blocks[i].empty() ? '-' : 'o');
-  out << "  (" << a.present << "/" << m.params.n << " present)\n";
+  std::size_t present = 0;
+  for (std::size_t i = 0; i < m.params.n; ++i) {
+    present += a.file.block_available(0, i);
+    out << ' ' << (a.file.block_available(0, i) ? 'o' : '-');
+  }
+  out << "  (" << present << "/" << m.params.n << " present)\n";
   return out.str();
 }
 

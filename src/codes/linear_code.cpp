@@ -68,6 +68,33 @@ void LinearCode::encode(std::span<const Byte> data,
   ins.encode_bytes->inc(n() * block_bytes);
 }
 
+std::size_t LinearCode::stripes_for(std::size_t file_bytes,
+                                    std::size_t block_bytes) const {
+  if (block_bytes == 0 || block_bytes % s_ != 0)
+    throw std::invalid_argument(
+        "block_bytes must be a positive multiple of the code's "
+        "subpacketization");
+  const std::size_t stripe_data = k() * block_bytes;
+  return std::max<std::size_t>(1, (file_bytes + stripe_data - 1) / stripe_data);
+}
+
+void LinearCode::encode_stripe(std::span<const Byte> file, std::size_t stripe,
+                               std::span<const std::span<Byte>> blocks,
+                               std::vector<Byte>& pad) const {
+  const std::size_t stripe_data =
+      k() * (blocks.empty() ? 0 : blocks.front().size());
+  std::span<const Byte> data =
+      file.subspan(std::min(file.size(), stripe * stripe_data));
+  if (data.size() >= stripe_data) {
+    data = data.first(stripe_data);
+  } else {
+    pad.assign(stripe_data, 0);
+    std::copy(data.begin(), data.end(), pad.begin());
+    data = pad;
+  }
+  encode(data, blocks);
+}
+
 void LinearCode::encode_block(std::size_t id, std::span<const Byte> data,
                               std::span<Byte> out) const {
   const std::size_t ub = data.size() / message_units();

@@ -80,6 +80,20 @@ class LinearCode {
   void encode(std::span<const Byte> data,
               std::span<const std::span<Byte>> blocks) const;
 
+  /// The one file -> stripe layout: a file of `file_bytes` occupies
+  /// ceil(bytes / (k*block_bytes)) stripes, and an empty file one
+  /// zero-padded stripe.  Throws std::invalid_argument unless block_bytes is
+  /// a positive multiple of s().
+  std::size_t stripes_for(std::size_t file_bytes,
+                          std::size_t block_bytes) const;
+
+  /// Encodes stripe `stripe` of `file` into the n `blocks` (one block size
+  /// each) straight from the caller's bytes; only a short last stripe is
+  /// copied, zero-padded, into `pad` first.
+  void encode_stripe(std::span<const Byte> file, std::size_t stripe,
+                     std::span<const std::span<Byte>> blocks,
+                     std::vector<Byte>& pad) const;
+
   /// Encodes only block `id` (used by reconstruction and by targeted tests).
   void encode_block(std::size_t id, std::span<const Byte> data,
                     std::span<Byte> out) const;

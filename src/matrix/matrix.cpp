@@ -110,12 +110,6 @@ bool Matrix::is_identity() const {
   return true;
 }
 
-bool Matrix::is_zero() const {
-  for (Byte b : data_)
-    if (b != 0) return false;
-  return true;
-}
-
 Matrix Matrix::transpose() const {
   Matrix out(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)

@@ -61,7 +61,6 @@ class Matrix {
 
   bool is_square() const { return rows_ == cols_; }
   bool is_identity() const;
-  bool is_zero() const;
 
   Matrix transpose() const;
 

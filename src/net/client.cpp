@@ -60,10 +60,7 @@ void Client::ensure_connected(std::chrono::steady_clock::time_point deadline) {
   }
   conn_ = TcpConn::connect(port_, timeout);
   conn_.set_io_timeout(policy_.io_timeout);
-  if (ever_connected_) {
-    counters_.reconnects.fetch_add(1, std::memory_order_relaxed);
-    reconnects_total_->inc();
-  }
+  if (ever_connected_) reconnects_total_->inc();
   ever_connected_ = true;
 }
 
@@ -120,12 +117,10 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
       if (status == Status::kCorrupt) {
         if (opts.corrupt_retryable) {
           // PUT: our request was mangled in flight; resend it.
-          counters_.wire_corruptions.fetch_add(1, std::memory_order_relaxed);
           wire_corruptions_total_->inc();
           throw WireCorruption{};
         }
         if (!opts.corrupt_returns) {
-          counters_.corrupt_blocks.fetch_add(1, std::memory_order_relaxed);
           corrupt_blocks_total_->inc();
           throw CorruptBlockError("block failed its checksum at rest");
         }
@@ -136,14 +131,12 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
         std::uint32_t declared = read_le32(body);
         body.erase(body.begin(), body.begin() + 4);
         if (util::crc32(body) != declared) {
-          counters_.wire_corruptions.fetch_add(1, std::memory_order_relaxed);
           wire_corruptions_total_->inc();
           throw WireCorruption{};
         }
       }
       return {status, std::move(body)};
     } catch (const TimeoutError& e) {
-      counters_.timeouts.fetch_add(1, std::memory_order_relaxed);
       timeouts_total_->inc();
       last_failure = e.what();
       drop_connection();
@@ -164,7 +157,6 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
       throw TransportError("op failed after " +
                            std::to_string(policy_.max_attempts) +
                            " attempts; last: " + last_failure);
-    counters_.retries.fetch_add(1, std::memory_order_relaxed);
     retries_total_->inc();
     backoff(attempt, deadline);
   }

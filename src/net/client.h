@@ -13,7 +13,10 @@
 //   - responses carry CRC-32s end to end: a mismatch on the wire is counted
 //     and retried, while Status::kCorrupt (block bad at rest) throws
 //     CorruptBlockError so callers can fail over to a parity path.
-// Counters expose how often each of those happened.
+// The registry's carousel_client_{retries,reconnects,timeouts,
+// wire_corruptions,corrupt_blocks}_total series count how often each of
+// those happened: one count per event, shared by every client of that
+// registry.
 
 #ifndef CAROUSEL_NET_CLIENT_H
 #define CAROUSEL_NET_CLIENT_H
@@ -63,8 +66,8 @@ class Client {
   /// Remembers the server's port; the connection is established lazily on
   /// the first request (so a client can outlive server restarts and even be
   /// created while its server is down).  Failure counters and per-op latency
-  /// histograms are mirrored into `registry` (the process-global registry
-  /// when null); tests pass their own registry for isolated numbers.
+  /// histograms go to `registry` (the process-global registry when null);
+  /// tests pass their own registry for isolated numbers.
   explicit Client(std::uint16_t port, RetryPolicy policy = {},
                   obs::MetricsRegistry* registry = nullptr);
 
@@ -97,24 +100,6 @@ class Client {
   /// followed by its process-global registry.
   std::string metrics_text();
 
-  /// Failure-handling telemetry, cumulative over the client's life.
-  struct Counters {
-    std::uint64_t retries = 0;           // attempts beyond the first
-    std::uint64_t reconnects = 0;        // connections after the first
-    std::uint64_t timeouts = 0;          // socket timeouts observed
-    std::uint64_t wire_corruptions = 0;  // checksum mismatches in flight
-    std::uint64_t corrupt_blocks = 0;    // Status::kCorrupt answers
-  };
-  /// Consistent-enough snapshot: each field is read atomically, so another
-  /// thread may observe counts mid-operation but never torn values.
-  Counters counters() const {
-    auto ld = [](const std::atomic<std::uint64_t>& a) {
-      return a.load(std::memory_order_relaxed);
-    };
-    return {ld(counters_.retries), ld(counters_.reconnects),
-            ld(counters_.timeouts), ld(counters_.wire_corruptions),
-            ld(counters_.corrupt_blocks)};
-  }
   const RetryPolicy& policy() const { return policy_; }
 
   std::uint64_t bytes_sent() const {
@@ -151,28 +136,18 @@ class Client {
   void backoff(int attempt,
                std::chrono::steady_clock::time_point deadline);
 
-  // Live counters: relaxed atomics so counters()/bytes_sent() are safe to
-  // read from other threads while an operation is in flight (the old plain
-  // fields raced the sent_before_ fold in drop_connection()).
-  struct AtomicCounters {
-    std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> reconnects{0};
-    std::atomic<std::uint64_t> timeouts{0};
-    std::atomic<std::uint64_t> wire_corruptions{0};
-    std::atomic<std::uint64_t> corrupt_blocks{0};
-  };
-
   std::uint16_t port_;
   RetryPolicy policy_;
   TcpConn conn_;
   bool ever_connected_ = false;
-  AtomicCounters counters_;
   std::minstd_rand jitter_rng_;
-  std::atomic<std::uint64_t> sent_before_{0};  // counters of prior connections
+  // Byte counts of prior connections: relaxed atomics, so bytes_sent() and
+  // bytes_received() are safe to read while an operation is in flight.
+  std::atomic<std::uint64_t> sent_before_{0};
   std::atomic<std::uint64_t> received_before_{0};
 
-  // Registry mirrors (see constructor): per-op latency plus the same failure
-  // taxonomy as Counters, shared across every client of the registry.
+  // Registry instruments (see constructor): per-op latency plus the failure
+  // taxonomy, shared across every client of the registry.
   std::array<obs::Histogram*, kOpCount> op_seconds_{};
   obs::Counter* retries_total_ = nullptr;
   obs::Counter* reconnects_total_ = nullptr;

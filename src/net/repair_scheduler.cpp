@@ -34,10 +34,6 @@ RepairScheduler::RepairScheduler(CarouselStore& store, Options options)
     throw std::invalid_argument(
         "RepairScheduler max_concurrent must be >= 1 (zero can never "
         "dispatch)");
-  if (options_.workers == 0)
-    throw std::invalid_argument(
-        "RepairScheduler workers must be >= 1 (zero starves background "
-        "mode)");
   if (options_.budget_window.count() <= 0)
     throw std::invalid_argument("RepairScheduler budget_window must be > 0");
   if (options_.admission_interval.count() <= 0)
@@ -392,7 +388,10 @@ void RepairScheduler::start() {
   // the admission clock of a running pass.
   util::MutexLock lock(mu_);
   if (dispatcher_.running()) return;
-  if (!pool_) pool_ = std::make_unique<util::ThreadPool>(options_.workers);
+  // One thread per in-flight slot: every item dispatch_pass counts as
+  // running is executing, never queued behind another.
+  if (!pool_)
+    pool_ = std::make_unique<util::ThreadPool>(options_.max_concurrent);
   last_admission_ = std::chrono::steady_clock::now();
   dispatcher_.start();
 }

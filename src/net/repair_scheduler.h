@@ -42,8 +42,9 @@
 // the scheduler passed as its Options::scheduler, or else a default one it
 // owns (these Options, no monitor) and drains at the end of each sweep.
 // Items drain either synchronously (step(), what the tests drive) or on a
-// small ThreadPool fed by a dispatch pass that a util::PeriodicThread runs
-// every Options::tick (start()/stop()).
+// ThreadPool of max_concurrent threads, so every item counted as running
+// executes, fed by a dispatch pass that a util::PeriodicThread runs every
+// Options::tick (start()/stop()).
 //
 // Lock order: store.mu_ -> scheduler.mu_ (the store calls select_helpers/
 // observe_traffic while holding its mutex).  The scheduler therefore never
@@ -85,16 +86,14 @@ class RepairScheduler {
   enum class Kind : std::uint8_t { kRepair, kRehome };
 
   /// Structural knobs are validated at construction (std::invalid_argument
-  /// for zero concurrency/workers or non-positive windows): a scheduler
+  /// for zero concurrency or non-positive windows): a scheduler
   /// that can never dispatch is a misconfiguration, not a quiet no-op.
   /// Byte-budget magnitudes are deliberately NOT validated — tests and
   /// benches pin tiny budgets to exercise deferral.
   struct Options {
-    /// Global cap on in-flight heals; nothing ever exceeds it.  Must be
-    /// >= 1.
+    /// Global cap on in-flight heals; nothing ever exceeds it, and
+    /// background mode runs that many at once.  Must be >= 1.
     std::size_t max_concurrent = 2;
-    /// Worker threads draining the queue in background mode.  Must be >= 1.
-    std::size_t workers = 2;
     /// Per-server byte budgets over one budget_window (0 = unbounded).
     /// Meaningful budgets are >= block_bytes: one whole-block fetch is the
     /// smallest indivisible charge the repair path can make.

@@ -111,21 +111,7 @@ Scrubber::Stats Scrubber::run_once() {
     stranded += store_.placement_of(block.file, block.stripe, block.index) ==
                 home;
   pending_rehomes_->set(static_cast<double>(stranded));
-
-  util::MutexLock lock(mu_);
-  total_.sweeps += sweep.sweeps;
-  total_.blocks_checked += sweep.blocks_checked;
-  total_.ok += sweep.ok;
-  total_.missing_found += sweep.missing_found;
-  total_.corrupt_found += sweep.corrupt_found;
-  total_.unreachable += sweep.unreachable;
-  total_.enqueued += sweep.enqueued;
   return sweep;
-}
-
-Scrubber::Stats Scrubber::stats() const {
-  util::MutexLock lock(mu_);
-  return total_;
 }
 
 }  // namespace carousel::net

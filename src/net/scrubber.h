@@ -36,7 +36,6 @@
 #include "net/repair_scheduler.h"
 #include "net/store.h"
 #include "util/periodic_thread.h"
-#include "util/sync.h"
 
 namespace carousel::net {
 
@@ -81,12 +80,9 @@ class Scrubber {
   void stop() { loop_.stop(); }
   bool running() const { return loop_.running(); }
 
-  /// One full synchronous sweep; returns that sweep's stats (also folded
-  /// into the cumulative ones).
-  Stats run_once() EXCLUDES(mu_);
-
-  /// Cumulative stats over every sweep so far.
-  Stats stats() const EXCLUDES(mu_);
+  /// One full synchronous sweep; returns that sweep's stats (the
+  /// carousel_scrubber_* series accumulate them).
+  Stats run_once();
 
   /// The scheduler sweeps feed: Options::scheduler, or the owned one.
   RepairScheduler& scheduler() { return *options_.scheduler; }
@@ -105,8 +101,6 @@ class Scrubber {
   obs::Histogram* sweep_seconds_ = nullptr;
   obs::Gauge* last_sweep_unhealthy_ = nullptr;
   obs::Gauge* pending_rehomes_ = nullptr;
-  mutable util::Mutex mu_{util::LockRank::kScrubber};
-  Stats total_ GUARDED_BY(mu_);
   // Declared last: destroyed (and joined) before the state run_once uses.
   util::PeriodicThread loop_;
 };

@@ -55,15 +55,6 @@ std::uint32_t meta_config_fingerprint(const codes::Carousel& code,
   return util::crc32(w.data());
 }
 
-/// Adds one client's failure telemetry into a running total.
-void add_counters(Client::Counters& into, const Client::Counters& cc) {
-  into.retries += cc.retries;
-  into.reconnects += cc.reconnects;
-  into.timeouts += cc.timeouts;
-  into.wire_corruptions += cc.wire_corruptions;
-  into.corrupt_blocks += cc.corrupt_blocks;
-}
-
 }  // namespace
 
 CarouselStore::Lease::Lease(Server& server, const RetryPolicy& policy,
@@ -82,8 +73,8 @@ CarouselStore::Lease::Lease(Server& server, const RetryPolicy& policy,
 
 CarouselStore::Lease::~Lease() {
   // Cap the pool so a burst of hedges does not pin file descriptors forever;
-  // an over-cap client folds its telemetry into the server's retired totals
-  // so bytes_received()/counters() stay exact.
+  // an over-cap client folds its byte count into the server's retired total
+  // so bytes_received() stays exact.
   static constexpr std::size_t kMaxIdleClients = 8;
   std::unique_ptr<Client> discard;
   {
@@ -91,7 +82,6 @@ CarouselStore::Lease::~Lease() {
     if (server_->idle.size() < kMaxIdleClients) {
       server_->idle.push_back(std::move(client_));
     } else {
-      add_counters(server_->retired, client_->counters());
       server_->retired_bytes += client_->bytes_received();
       discard = std::move(client_);  // socket closes outside the lock
     }
@@ -108,9 +98,7 @@ CarouselStore::CarouselStore(const codes::Carousel& code,
       op_budget_(options.op_budget),
       policy_(options.policy),
       hedge_(options.hedge) {
-  if (block_bytes == 0 || block_bytes % code.s() != 0)
-    throw std::invalid_argument(
-        "block_bytes must be a positive multiple of the subpacketization");
+  code.stripes_for(0, block_bytes);  // throws on a misaligned block size
   if (options.op_budget.count() < 0)
     throw std::invalid_argument(
         "StoreOptions::op_budget must be >= 0 (zero = unbounded)");
@@ -515,15 +503,10 @@ std::vector<std::vector<std::uint32_t>> CarouselStore::seed_placement(
   return placement;
 }
 
-std::size_t CarouselStore::stripes_for(std::size_t file_bytes) const {
-  const std::size_t stripe_data = code_->k() * block_bytes_;
-  return std::max<std::size_t>(1, (file_bytes + stripe_data - 1) / stripe_data);
-}
-
 std::size_t CarouselStore::put_file(std::uint32_t file_id,
                                     std::span<const Byte> bytes) {
   obs::ScopedTimer timer(*put_seconds_);
-  const std::size_t stripes = stripes_for(bytes.size());
+  const std::size_t stripes = code_->stripes_for(bytes.size(), block_bytes_);
   // Seed the placement table (the paper's i mod F rule wherever the
   // domains permit); re-homing rewrites individual entries later.  Uploads
   // run on leased connections and the manifest commits last, after every
@@ -558,29 +541,18 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
     }
   }
   put_bytes_->inc(bytes.size());
-  // One stripe at a time: each is encoded straight from `bytes` into one
-  // n-block scratch buffer and uploaded before the next is encoded.  Only a
-  // short last stripe is copied, zero-padded.
+  // One stripe at a time: each is encoded (encode_stripe) into one n-block
+  // scratch buffer and uploaded before the next is encoded.
   const std::size_t n = code_->n();
-  const std::size_t stripe_data = code_->k() * block_bytes_;
   std::size_t uploaded = 0;
   try {
     std::vector<Byte> scratch(n * block_bytes_);
     std::vector<std::span<Byte>> blocks;
     for (std::size_t i = 0; i < n; ++i)
       blocks.emplace_back(scratch.data() + i * block_bytes_, block_bytes_);
-    std::vector<Byte> padded;
+    std::vector<Byte> pad;
     for (std::size_t s = 0; s < stripes; ++s) {
-      std::span<const Byte> data =
-          bytes.subspan(std::min(bytes.size(), s * stripe_data));
-      if (data.size() >= stripe_data) {
-        data = data.first(stripe_data);
-      } else {
-        padded.assign(stripe_data, 0);
-        std::copy(data.begin(), data.end(), padded.begin());
-        data = padded;
-      }
-      code_->encode(data, blocks);
+      code_->encode_stripe(bytes, s, blocks, pad);
       for (std::size_t i = 0; i < n; ++i) {
         Lease c = lease(placement[s][i]);
         c->put(key(file_id, static_cast<std::uint32_t>(s),
@@ -810,8 +782,9 @@ class CarouselStore::Round {
       out.state = st.probe(srv, bk);
       return out.state == BlockState::kOk;
     }
-    // The lease returns to the pool before the cell resolves, so counters()
-    // read right after the op includes this connection's retries.
+    // The lease returns to the pool before the cell resolves, so
+    // bytes_received() read right after the op includes this connection's
+    // bytes.
     Lease c(srv, st.policy_, st.registry_);
     const std::size_t ub = st.block_bytes_ / st.code_->s();
     std::size_t want = st.block_bytes_;
@@ -887,7 +860,7 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
   const std::size_t n = code_->n();
   const std::size_t ub = block_bytes_ / code_->s();
   const std::size_t stripe_data = code_->k() * block_bytes_;
-  const std::size_t stripes = stripes_for(file_bytes);
+  const std::size_t stripes = code_->stripes_for(file_bytes, block_bytes_);
 
   HedgePolicy hedge;
   {
@@ -1315,17 +1288,6 @@ std::uint64_t CarouselStore::bytes_received() const {
     util::MutexLock pool_lock(s->pool_mu);
     total += s->retired_bytes;
     for (const auto& c : s->idle) total += c->bytes_received();
-  }
-  return total;
-}
-
-Client::Counters CarouselStore::counters() const {
-  util::MutexLock lock(mu_);
-  Client::Counters total;
-  for (const auto& s : servers_) {
-    util::MutexLock pool_lock(s->pool_mu);
-    add_counters(total, s->retired);
-    for (const auto& c : s->idle) add_counters(total, c->counters());
   }
   return total;
 }

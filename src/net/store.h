@@ -175,11 +175,13 @@ class CarouselStore {
   };
 
   /// Remembers the given servers (connections are lazy).  The code must
-  /// outlive the store.  Throws std::invalid_argument unless the fleet can
-  /// honor the per-domain cap: distinct domains * (n-k) >= n, where an
-  /// unlabeled server is its own domain.  Block i of a stripe goes to
-  /// server i mod fleet size (one block per server when ports.size() >= n,
-  /// the paper's placement) wherever the domains permit.
+  /// outlive the store.  Throws std::invalid_argument unless block_bytes
+  /// passes code.stripes_for's check and the fleet can honor the
+  /// per-domain cap: distinct domains * (n-k) >= n, where an unlabeled
+  /// server is its own domain.  Files are striped by code.stripes_for and
+  /// code.encode_stripe, as storage::ErasureFile is.  Block i of a stripe
+  /// goes to server i mod fleet size (one block per server when
+  /// ports.size() >= n, the paper's placement) wherever the domains permit.
   CarouselStore(const codes::Carousel& code,
                 const std::vector<std::uint16_t>& ports,
                 std::size_t block_bytes, StoreOptions options = {});
@@ -288,10 +290,6 @@ class CarouselStore {
   /// a connection leased by an op in flight is counted once it returns.
   std::uint64_t bytes_received() const EXCLUDES(mu_);
 
-  /// Aggregated failure-handling telemetry across every server connection
-  /// (same in-flight caveat as bytes_received()).
-  Client::Counters counters() const EXCLUDES(mu_);
-
   /// The registry this store (and its clients, and any Scrubber sweeping it)
   /// reports into — StoreOptions::registry, or the process-global one.
   obs::MetricsRegistry& metrics() const { return *registry_; }
@@ -351,12 +349,10 @@ class CarouselStore {
     std::uint16_t port = 0;
     bool spare = false;
     std::size_t domain = 0;  // fixed at registration, like port
-    // Guards idle/retired; never held across I/O.  Ranked after the store's
-    // mu_ because bytes_received()/counters() walk the pools under mu_.
+    // Guards idle/retired_bytes; never held across I/O.  Ranked after the
+    // store's mu_ because bytes_received() walks the pools under mu_.
     util::Mutex pool_mu{util::LockRank::kServerPool};
     std::vector<std::unique_ptr<Client>> idle GUARDED_BY(pool_mu);
-    // Telemetry of discarded clients.
-    Client::Counters retired GUARDED_BY(pool_mu){};
     // bytes_received of discarded clients.
     std::uint64_t retired_bytes GUARDED_BY(pool_mu) = 0;
   };
@@ -440,9 +436,6 @@ class CarouselStore {
   /// domains permit, and never seeds a domain past the n-k cap.
   std::vector<std::vector<std::uint32_t>> seed_placement(std::size_t stripes)
       const EXCLUDES(mu_);
-  /// Stripes a file of `file_bytes` occupies: ceil(bytes / (k*block_bytes)),
-  /// and one zero-padded stripe for an empty file.
-  std::size_t stripes_for(std::size_t file_bytes) const;
   class Round;  // the remote executor (DESIGN.md §10), in store.cpp
   struct Request;
   struct Outcome;

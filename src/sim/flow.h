@@ -44,12 +44,6 @@ class FlowNetwork {
   /// Current max-min rate of an in-flight flow (bytes/s); 0 if unknown id.
   double flow_rate(FlowId id) const;
 
-  /// Active flow count (for tests).
-  std::size_t active_flows() const { return flows_.size(); }
-
-  double resource_capacity(ResourceId r) const {
-    return resources_[r].capacity;
-  }
   const std::string& resource_name(ResourceId r) const {
     return resources_[r].name;
   }

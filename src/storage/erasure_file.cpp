@@ -7,33 +7,47 @@ namespace carousel::storage {
 
 ErasureFile::ErasureFile(const Carousel& code, std::span<const Byte> file,
                          std::size_t block_bytes)
-    : code_(&code), file_bytes_(file.size()), block_bytes_(block_bytes) {
-  if (block_bytes == 0 || block_bytes % code.s() != 0)
-    throw std::invalid_argument(
-        "block_bytes must be a positive multiple of the code's "
-        "subpacketization");
-  const std::size_t stripe_data = code.k() * block_bytes;
-  stripes_ = (file.size() + stripe_data - 1) / stripe_data;
-  if (stripes_ == 0) stripes_ = 1;  // an empty file still occupies one stripe
-  padded_file_.assign(stripes_ * stripe_data, 0);
-  std::copy(file.begin(), file.end(), padded_file_.begin());
-  store_.assign(stripes_ * code.n() * block_bytes, 0);
-  available_.assign(stripes_ * code.n(), true);
+    : code_(&code),
+      file_bytes_(file.size()),
+      block_bytes_(block_bytes),
+      stripes_(code.stripes_for(file.size(), block_bytes)),
+      store_(stripes_ * code.n() * block_bytes),
+      available_(stripes_ * code.n(), true) {
+  std::vector<std::span<Byte>> blocks(code.n());
+  std::vector<Byte> pad;
   for (std::size_t s = 0; s < stripes_; ++s) {
-    std::vector<std::span<Byte>> blocks;
-    blocks.reserve(code_->n());
-    for (std::size_t i = 0; i < code_->n(); ++i)
-      blocks.push_back(block_mut(s, i));
-    code_->encode(
-        std::span<const Byte>(padded_file_.data() + s * stripe_data,
-                              stripe_data),
-        blocks);
+    for (std::size_t i = 0; i < code.n(); ++i) blocks[i] = block_mut(s, i);
+    code.encode_stripe(file, s, blocks, pad);
+  }
+}
+
+ErasureFile::ErasureFile(const Carousel& code, std::size_t file_bytes,
+                         std::size_t block_bytes,
+                         std::span<const std::vector<Byte>> block_files)
+    : code_(&code),
+      file_bytes_(file_bytes),
+      block_bytes_(block_bytes),
+      stripes_(code.stripes_for(file_bytes, block_bytes)),
+      store_(stripes_ * code.n() * block_bytes),
+      available_(stripes_ * code.n(), false) {
+  const std::size_t per_file = stripes_ * block_bytes;
+  for (std::size_t i = 0; i < std::min(code.n(), block_files.size()); ++i) {
+    if (block_files[i].size() != per_file) continue;
+    std::copy(block_files[i].begin(), block_files[i].end(),
+              store_.begin() + static_cast<std::ptrdiff_t>(i * per_file));
+    std::fill_n(available_.begin() + static_cast<std::ptrdiff_t>(i * stripes_),
+                stripes_, true);
   }
 }
 
 std::span<const Byte> ErasureFile::block(std::size_t stripe,
                                          std::size_t index) const {
   return {store_.data() + slot(stripe, index) * block_bytes_, block_bytes_};
+}
+
+std::span<const Byte> ErasureFile::block_file(std::size_t index) const {
+  return {store_.data() + slot(0, index) * block_bytes_,
+          stripes_ * block_bytes_};
 }
 
 std::span<Byte> ErasureFile::block_mut(std::size_t stripe, std::size_t index) {
@@ -79,6 +93,17 @@ IoStats ErasureFile::repair_block(std::size_t stripe, std::size_t index) {
   return stats;
 }
 
+IoStats ErasureFile::repair_block_index(std::size_t index) {
+  fail_block_index(index);
+  IoStats total;
+  for (std::size_t s = 0; s < stripes_; ++s) {
+    const IoStats st = repair_block(s, index);
+    total.bytes_read += st.bytes_read;
+    total.sources += st.sources;
+  }
+  return total;
+}
+
 std::vector<std::span<const Byte>> ErasureFile::stripe_views(
     std::size_t stripe) const {
   std::vector<std::span<const Byte>> views(code_->n());
@@ -87,24 +112,18 @@ std::vector<std::span<const Byte>> ErasureFile::stripe_views(
   return views;
 }
 
-bool ErasureFile::verify() const {
-  const std::size_t stripe_data = code_->k() * block_bytes_;
+bool ErasureFile::verify(std::span<const Byte> file) const {
+  if (file.size() != file_bytes_) return false;
   std::vector<Byte> fresh(code_->n() * block_bytes_);
+  std::vector<std::span<Byte>> blocks;
+  for (std::size_t i = 0; i < code_->n(); ++i)
+    blocks.emplace_back(fresh.data() + i * block_bytes_, block_bytes_);
+  std::vector<Byte> pad;
   for (std::size_t s = 0; s < stripes_; ++s) {
-    std::vector<std::span<Byte>> blocks;
+    code_->encode_stripe(file, s, blocks, pad);
     for (std::size_t i = 0; i < code_->n(); ++i)
-      blocks.emplace_back(fresh.data() + i * block_bytes_, block_bytes_);
-    code_->encode(std::span<const Byte>(padded_file_.data() + s * stripe_data,
-                                        stripe_data),
-                  blocks);
-    for (std::size_t i = 0; i < code_->n(); ++i) {
-      if (!block_available(s, i)) continue;
-      auto stored = block(s, i);
-      if (!std::equal(stored.begin(), stored.end(),
-                      fresh.begin() + static_cast<std::ptrdiff_t>(
-                                          i * block_bytes_)))
+      if (block_available(s, i) && !std::ranges::equal(block(s, i), blocks[i]))
         return false;
-    }
   }
   return true;
 }

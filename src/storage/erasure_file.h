@@ -4,9 +4,13 @@
 // data and parity data in each block" (§VIII-A).
 //
 // A file is split into stripes of k * block_bytes original bytes (the last
-// stripe zero-padded), each stripe encoded into n blocks.  Because
-// Carousel(n, k, k, k) is exactly the systematic RS code, this one type
-// covers both the paper's RS baseline and every Carousel configuration.
+// stripe zero-padded), each stripe encoded into n blocks — the layout
+// LinearCode::stripes_for/encode_stripe define once for this type and the
+// networked store alike.  Blocks are kept block-major: block i of every
+// stripe back to back is block_file(i), the unit a server (or carouselctl's
+// block_<i>.bin) holds.  Because Carousel(n, k, k, k) is exactly the
+// systematic RS code, this one type covers both the paper's RS baseline and
+// every Carousel configuration.
 
 #ifndef CAROUSEL_STORAGE_ERASURE_FILE_H
 #define CAROUSEL_STORAGE_ERASURE_FILE_H
@@ -23,11 +27,19 @@ using codes::IoStats;
 
 class ErasureFile {
  public:
-  /// Encodes `file` with `code` into ceil(size / (k*block_bytes)) stripes of
-  /// n blocks each.  block_bytes must be a positive multiple of code.s().
-  /// The code must outlive this object.
+  /// Encodes `file` with `code` into code.stripes_for(size, block_bytes)
+  /// stripes of n blocks each (which throws unless block_bytes is a positive
+  /// multiple of code.s()).  Keeps no copy of `file`.  The code must outlive
+  /// this object.
   ErasureFile(const Carousel& code, std::span<const Byte> file,
               std::size_t block_bytes);
+
+  /// An encoded file of `file_bytes` from its block files: block_files[i]
+  /// is block_file(i) of the original encode.  Block i is unavailable in
+  /// every stripe when that entry is empty, wrong-sized or absent.
+  ErasureFile(const Carousel& code, std::size_t file_bytes,
+              std::size_t block_bytes,
+              std::span<const std::vector<Byte>> block_files);
 
   const Carousel& code() const { return *code_; }
   std::size_t file_bytes() const { return file_bytes_; }
@@ -37,6 +49,8 @@ class ErasureFile {
   std::size_t stored_bytes() const { return store_.size(); }
 
   std::span<const Byte> block(std::size_t stripe, std::size_t index) const;
+  /// Block `index` of every stripe, back to back (stripes() * block_bytes()).
+  std::span<const Byte> block_file(std::size_t index) const;
 
   /// Marks a block unavailable / available again (failure injection).
   void set_block_available(std::size_t stripe, std::size_t index, bool ok);
@@ -56,16 +70,20 @@ class ErasureFile {
   /// restoring its availability.  Returns the repair traffic.
   IoStats repair_block(std::size_t stripe, std::size_t index);
 
-  /// Verifies every available block against a fresh encode (integrity
-  /// check used by tests and the failure-injection example).
-  bool verify() const;
+  /// A replaced node: rebuilds block `index` of every stripe from the other
+  /// blocks, available or not before, and returns the summed traffic.
+  IoStats repair_block_index(std::size_t index);
+
+  /// True when every available block equals a fresh encode of `file`, the
+  /// original this object was encoded from.
+  bool verify(std::span<const Byte> file) const;
 
  private:
   std::span<Byte> block_mut(std::size_t stripe, std::size_t index);
   /// The stripe's n blocks, an empty span for each unavailable one.
   std::vector<std::span<const Byte>> stripe_views(std::size_t stripe) const;
   std::size_t slot(std::size_t stripe, std::size_t index) const {
-    return stripe * code_->n() + index;
+    return index * stripes_ + stripe;
   }
 
   const Carousel* code_;
@@ -73,9 +91,8 @@ class ErasureFile {
   std::size_t block_bytes_ = 0;
   std::size_t stripes_ = 0;
 
-  std::vector<Byte> store_;        // stripes * n * block_bytes
-  std::vector<bool> available_;    // per block
-  std::vector<Byte> padded_file_;  // original data, zero-padded per stripe
+  std::vector<Byte> store_;      // block-major: n * stripes * block_bytes
+  std::vector<bool> available_;  // per block, by slot()
 };
 
 }  // namespace carousel::storage

@@ -88,7 +88,7 @@ enum class LockRank : int {
 
   // CarouselStore::mu_ — placement/manifest lookups; acquires the attached
   // repair scheduler's mu_ (helper selection, traffic charges) and
-  // per-server pool_mu (counters) while held.
+  // per-server pool_mu (bytes_received) while held.
   kStore = 20,
 
   // RepairScheduler::mu_ — taken by select_helpers/observe_traffic, which
@@ -96,7 +96,7 @@ enum class LockRank : int {
   kScheduler = 30,
 
   // CarouselStore::Server::pool_mu — per-server connection pool; innermost
-  // of the store trio (store counters nest mu_ -> pool_mu).
+  // of the store trio (bytes_received nests mu_ -> pool_mu).
   kServerPool = 40,
 
   // BlockServer::mu_ — per-op block map + session list; deliberately held
@@ -107,10 +107,6 @@ enum class LockRank : int {
   // probe_serial_ during probe rounds.  Scrubber sweeps and scheduler
   // dispatches read verdicts through it holding no other carousel lock.
   kMonitor = 55,
-
-  // Scrubber::mu_ — cumulative sweep totals; never held across store
-  // calls.
-  kScrubber = 60,
 
   // util::ThreadPool::mu_ — task queue; tasks run with no pool lock held,
   // so anything may submit() while holding nothing.

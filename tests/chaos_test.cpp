@@ -774,7 +774,6 @@ TEST(Chaos, CorrelatedFailureStormReprotectsEveryStripe) {
 
   RepairScheduler::Options ropts;
   ropts.max_concurrent = 2;
-  ropts.workers = 2;
   ropts.server_egress_budget = std::uint64_t{64} * block;
   ropts.server_ingress_budget = std::uint64_t{64} * block;
   ropts.budget_window = std::chrono::milliseconds(250);
@@ -937,7 +936,6 @@ TEST(Chaos, RackDownSurvivesWithZeroDataLoss) {
 
   RepairScheduler::Options ropts;
   ropts.max_concurrent = 2;
-  ropts.workers = 2;
   ropts.server_egress_budget = std::uint64_t{64} * block;
   ropts.server_ingress_budget = std::uint64_t{64} * block;
   ropts.budget_window = std::chrono::milliseconds(250);

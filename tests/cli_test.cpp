@@ -131,6 +131,24 @@ TEST_F(CliTest, ChecksumGuardsCorruption) {
                std::runtime_error);
 }
 
+TEST_F(CliTest, ArchiveBytesArePinned) {
+  // The archive format, byte for byte: three (6,3,4,6) stripes of 1 KiB
+  // blocks, the last stripe short.  A change to the MANIFEST text or to any
+  // block file's layout (block i of every stripe, back to back) moves a CRC.
+  auto input = write_input(2 * 3 * 1024 + 1000, 29);
+  encode_file(input, dir_ / "arc", {6, 3, 4, 6}, 1024);
+  const std::pair<const char*, std::uint32_t> pinned[] = {
+      {"MANIFEST", 0x0c036be2u},      {"block_000.bin", 0xe0ab032du},
+      {"block_001.bin", 0x55706435u}, {"block_002.bin", 0xe44b3b94u},
+      {"block_003.bin", 0xed1809a2u}, {"block_004.bin", 0x6353a717u},
+      {"block_005.bin", 0xd525d8cfu}};
+  for (const auto& [name, crc] : pinned) {
+    const auto bytes = slurp(dir_ / "arc" / name);
+    EXPECT_EQ(bytes.size(), name[0] == 'M' ? 101u : 3 * 1024u) << name;
+    EXPECT_EQ(util::crc32(bytes), crc) << name;
+  }
+}
+
 TEST_F(CliTest, ManifestRoundTrip) {
   Manifest m;
   m.params = {12, 6, 10, 8};

@@ -142,7 +142,7 @@ TEST(Fuzz, RandomFailureChurnOnErasureFile) {
   for (std::size_t s = 0; s < ef.stripes(); ++s)
     for (std::size_t i = 0; i < code.n(); ++i)
       if (!ef.block_available(s, i)) ef.repair_block(s, i);
-  EXPECT_TRUE(ef.verify());
+  EXPECT_TRUE(ef.verify(file));
   EXPECT_EQ(ef.read_all(), file);
 }
 

@@ -32,6 +32,13 @@ namespace {
 using codes::Byte;
 using test::random_bytes;
 
+/// `reg`'s carousel_client_<what>_total: the one count of a client failure
+/// event, shared by every client (and store) reporting into `reg`.
+std::uint64_t client_count(obs::MetricsRegistry& reg,
+                           const std::string& what) {
+  return reg.counter("carousel_client_" + what + "_total").value();
+}
+
 TEST(Socket, ConnectSendReceive) {
   TcpListener listener = TcpListener::bind(0);
   ASSERT_TRUE(listener.valid());
@@ -138,7 +145,8 @@ TEST(BlockServerTest, RangeValidation) {
 
 TEST(BlockServerTest, RangeEdgeCases) {
   BlockServer server;
-  Client client(server.port());
+  obs::MetricsRegistry reg;
+  Client client(server.port(), {}, &reg);
   BlockKey key{6, 0, 0};
   auto data = random_bytes(100, 6);
   client.put(key, data);
@@ -159,7 +167,7 @@ TEST(BlockServerTest, RangeEdgeCases) {
   // rejection after exactly one attempt, never retried as if transient.
   EXPECT_THROW(client.get_range(key, 91, 10), ServerError);
   EXPECT_THROW(client.get_range(key, 100, 1), ServerError);
-  EXPECT_EQ(client.counters().retries, 0u);
+  EXPECT_EQ(client_count(reg, "retries"), 0u);
   // The rejections left the connection frame-aligned: the next request on
   // this same client parses cleanly.
   auto again = client.get_range(key, 0, 100);
@@ -500,7 +508,8 @@ TEST(Checksum, VerifyAuditsWithoutTransfer) {
 
 TEST(Checksum, AtRestCorruptionSurfacesAsCorruptBlockError) {
   BlockServer server;
-  Client client(server.port(), fast_policy());
+  obs::MetricsRegistry reg;
+  Client client(server.port(), fast_policy(), &reg);
   BlockKey key{2, 0, 0};
   auto data = random_bytes(1024, 32);
   client.put(key, data);
@@ -509,7 +518,7 @@ TEST(Checksum, AtRestCorruptionSurfacesAsCorruptBlockError) {
   EXPECT_THROW(client.get(key), CorruptBlockError);
   EXPECT_THROW(client.get_range(key, 0, 10), CorruptBlockError);
   EXPECT_THROW(client.project(key, 256, {{{0, 1}}}), CorruptBlockError);
-  EXPECT_GE(client.counters().corrupt_blocks, 3u);
+  EXPECT_GE(client_count(reg, "corrupt_blocks"), 3u);
   // A fresh PUT heals the block.
   client.put(key, data);
   EXPECT_EQ(client.verify(key), BlockHealth::kOk);
@@ -521,9 +530,10 @@ TEST(FaultInjection, RefusalIsServerErrorNotRetried) {
   auto plan = std::make_shared<FaultPlan>(1);
   plan->add({.action = FaultAction::kRefuse, .op = Op::kPing, .max_hits = 1});
   server.set_fault_plan(plan);
-  Client client(server.port(), fast_policy());
+  obs::MetricsRegistry reg;
+  Client client(server.port(), fast_policy(), &reg);
   EXPECT_THROW(client.ping(), ServerError);
-  EXPECT_EQ(client.counters().retries, 0u);  // refusals are never retried
+  EXPECT_EQ(client_count(reg, "retries"), 0u);  // refusals are never retried
   client.ping();  // rule exhausted: server healthy again
   EXPECT_EQ(plan->injected(), 1u);
 }
@@ -565,12 +575,13 @@ TEST(FaultInjection, DroppedConnectionIsRetriedTransparently) {
              .op = Op::kPut,
              .max_hits = 1});
   server.set_fault_plan(plan);
-  Client client(server.port(), fast_policy());
+  obs::MetricsRegistry reg;
+  Client client(server.port(), fast_policy(), &reg);
   BlockKey key{3, 0, 0};
   auto data = random_bytes(512, 33);
   client.put(key, data);  // first attempt dropped unanswered; retry lands
-  EXPECT_GE(client.counters().retries, 1u);
-  EXPECT_GE(client.counters().reconnects, 1u);
+  EXPECT_GE(client_count(reg, "retries"), 1u);
+  EXPECT_GE(client_count(reg, "reconnects"), 1u);
   EXPECT_EQ(*client.get(key), data);
 }
 
@@ -584,15 +595,16 @@ TEST(FaultInjection, StalledResponseTimesOutAndRetries) {
   server.set_fault_plan(plan);
   RetryPolicy policy = fast_policy();
   policy.io_timeout = std::chrono::milliseconds(60);
-  Client client(server.port(), policy);
+  obs::MetricsRegistry reg;
+  Client client(server.port(), policy, &reg);
   BlockKey key{4, 0, 0};
   auto data = random_bytes(256, 34);
   client.put(key, data);
   auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(*client.get(key), data);  // times out once, then succeeds
   auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(client.counters().timeouts, 1u);
-  EXPECT_GE(client.counters().retries, 1u);
+  EXPECT_GE(client_count(reg, "timeouts"), 1u);
+  EXPECT_GE(client_count(reg, "retries"), 1u);
   // The stall never runs its full 2 s: the timeout cut it off.
   EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
 }
@@ -605,12 +617,13 @@ TEST(FaultInjection, WireCorruptionDetectedByChecksumAndRetried) {
              .max_hits = 1,
              .corrupt_offset = 37});
   server.set_fault_plan(plan);
-  Client client(server.port(), fast_policy());
+  obs::MetricsRegistry reg;
+  Client client(server.port(), fast_policy(), &reg);
   BlockKey key{5, 0, 0};
   auto data = random_bytes(1024, 35);
   client.put(key, data);
   EXPECT_EQ(*client.get(key), data);  // flipped byte caught, clean on retry
-  EXPECT_EQ(client.counters().wire_corruptions, 1u);
+  EXPECT_EQ(client_count(reg, "wire_corruptions"), 1u);
 }
 
 TEST(ClientErrors, ProtocolViolationsAreNotBlindlyRetried) {
@@ -663,7 +676,8 @@ TEST(BlockServerTest, ReapsFinishedConnections) {
 TEST_F(StoreTest, ReadFailsOverWhenServerKilledMidRead) {
   codes::Carousel code(12, 6, 10, 10);
   const std::size_t block = code.s() * 128;
-  StoreOptions opts{fast_policy()};
+  obs::MetricsRegistry reg;
+  StoreOptions opts{fast_policy(), &reg};
   CarouselStore store(code, ports_, block, opts);
   auto file = random_bytes(2 * code.k() * block, 41);  // two stripes
   store.put_file(21, file);
@@ -673,20 +687,21 @@ TEST_F(StoreTest, ReadFailsOverWhenServerKilledMidRead) {
   // connection-refused / EOF, and the store re-plans onto the §VII path.
   servers_[3]->stop();
   EXPECT_EQ(store.read_file(21, file.size()), file);
-  EXPECT_GE(store.counters().retries, 1u);
+  EXPECT_GE(client_count(reg, "retries"), 1u);
 }
 
 TEST_F(StoreTest, ReadFailsOverOnAtRestCorruption) {
   codes::Carousel code(12, 6, 10, 10);
   const std::size_t block = code.s() * 128;
-  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  obs::MetricsRegistry reg;
+  CarouselStore store(code, ports_, block, StoreOptions{fast_policy(), &reg});
   auto file = random_bytes(code.k() * block, 42);
   store.put_file(23, file);
   // Flip a byte of block 1 behind the checksum: the degraded read must treat
   // it as an erasure and still return byte-identical contents.
   ASSERT_TRUE(servers_[1]->corrupt_block(BlockKey{23, 0, 1}, 5));
   EXPECT_EQ(store.read_file(23, file.size()), file);
-  EXPECT_GE(store.counters().corrupt_blocks, 1u);
+  EXPECT_GE(client_count(reg, "corrupt_blocks"), 1u);
   EXPECT_EQ(store.verify_block(23, 0, 1), BlockState::kCorrupt);
 }
 
@@ -1116,7 +1131,6 @@ TEST_F(StoreTest, StalledServerCountsTimeoutsInRegistry) {
   obs::Snapshot snap = reg.snapshot();
   EXPECT_GE(snap.counters.at("carousel_client_timeouts_total"), 1u);
   EXPECT_GE(snap.counters.at("carousel_client_retries_total"), 1u);
-  EXPECT_GE(store.counters().timeouts, 1u);
 }
 
 // ---- Hedged, truly parallel reads -----------------------------------------
@@ -1168,7 +1182,7 @@ TEST_F(StoreTest, HedgedReadWinsOverStraggler) {
   EXPECT_EQ(store.read_file(41, file.size()), file);
   std::this_thread::sleep_for(std::chrono::milliseconds(900));
   EXPECT_EQ(store.read_file(41, file.size()), file);
-  EXPECT_EQ(store.counters().wire_corruptions, 0u);
+  EXPECT_EQ(client_count(reg, "wire_corruptions"), 0u);
 }
 
 TEST_F(StoreTest, HedgeRacesNeverDoubleDecode) {
@@ -1207,7 +1221,7 @@ TEST_F(StoreTest, HedgeRacesNeverDoubleDecode) {
             snap.counters.at("carousel_store_hedged_reads_total"));
   EXPECT_LE(snap.counters.at("carousel_store_hedged_reads_total"),
             snap.counters.at("carousel_store_range_gets_total"));
-  EXPECT_EQ(store.counters().wire_corruptions, 0u);
+  EXPECT_EQ(client_count(reg, "wire_corruptions"), 0u);
 }
 
 TEST_F(StoreTest, HedgeLosersStayReadableWhenTheStripeNeedsThem) {
@@ -1245,7 +1259,7 @@ TEST_F(StoreTest, HedgeLosersStayReadableWhenTheStripeNeedsThem) {
   obs::Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("carousel_store_hedged_reads_total"), 2u);
   EXPECT_EQ(snap.counters.at("carousel_store_hedge_wins_total"), 2u);
-  EXPECT_EQ(store.counters().wire_corruptions, 0u);
+  EXPECT_EQ(client_count(reg, "wire_corruptions"), 0u);
 }
 
 TEST_F(StoreTest, ConcurrentReadsOverlapInWallClock) {
@@ -1307,10 +1321,11 @@ TEST_F(StoreTest, ConcurrentReadsOverlapInWallClock) {
   EXPECT_LT(concurrent, serial * 8 / 10);
 }
 
-// Regression for the Counters read-while-mutated race: counters(),
-// bytes_sent() and bytes_received() must be safe to call from another thread
-// while operations (including connection drops, which fold the per-connection
-// byte counts) are in flight.  Run under TSan by tools/verify.sh.
+// Regression for the read-while-mutated race: the client's failure counts
+// (its registry's carousel_client_* series), bytes_sent() and
+// bytes_received() must be safe to read from another thread while
+// operations (including connection drops, which fold the per-connection byte
+// counts) are in flight.  Run under TSan by tools/verify.sh.
 TEST(ClientCounters, ReadableWhileOpsAndReconnectsAreInFlight) {
   BlockServer server;
   auto plan = std::make_shared<FaultPlan>(17);
@@ -1319,7 +1334,11 @@ TEST(ClientCounters, ReadableWhileOpsAndReconnectsAreInFlight) {
              .max_hits = 1000,
              .probability = 0.2});
   server.set_fault_plan(plan);
-  Client client(server.port(), fast_policy());
+  obs::MetricsRegistry reg;
+  Client client(server.port(), fast_policy(), &reg);
+  const obs::Counter& retries = reg.counter("carousel_client_retries_total");
+  const obs::Counter& reconnects =
+      reg.counter("carousel_client_reconnects_total");
   auto data = random_bytes(256, 53);
 
   std::atomic<bool> done{false};
@@ -1336,18 +1355,19 @@ TEST(ClientCounters, ReadableWhileOpsAndReconnectsAreInFlight) {
   });
   std::uint64_t last_retries = 0, last_reconnects = 0;
   while (!done.load()) {
-    Client::Counters c = client.counters();
     // Counters are monotonic: a torn or racy read would go backwards.
-    EXPECT_GE(c.retries, last_retries);
-    EXPECT_GE(c.reconnects, last_reconnects);
-    last_retries = c.retries;
-    last_reconnects = c.reconnects;
+    const std::uint64_t r = retries.value();
+    const std::uint64_t c = reconnects.value();
+    EXPECT_GE(r, last_retries);
+    EXPECT_GE(c, last_reconnects);
+    last_retries = r;
+    last_reconnects = c;
     (void)client.bytes_sent();
     (void)client.bytes_received();
   }
   writer.join();
-  EXPECT_GE(client.counters().retries, 1u);
-  EXPECT_GE(client.counters().reconnects, 1u);
+  EXPECT_GE(retries.value(), 1u);
+  EXPECT_GE(reconnects.value(), 1u);
   EXPECT_GT(client.bytes_sent(), 0u);
 }
 

@@ -17,6 +17,7 @@
 #include "net/errors.h"
 #include "net/protocol.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "util/crc32.h"
 #include "test_util.h"
 
@@ -281,7 +282,8 @@ TEST(MalformedFrames, BoundaryLengthIsNotRejected) {
 
 TEST(MalformedFrames, ClientSurfacesBadRequestAsTypedError) {
   BlockServer server;
-  Client client(server.port());
+  obs::MetricsRegistry reg;
+  Client client(server.port(), {}, &reg);
   // A PROJECT whose promised response breaks the frame cap is rejected
   // structurally by the server; the client must see BadRequestError (not a
   // retry storm, not ServerError).
@@ -291,7 +293,7 @@ TEST(MalformedFrames, ClientSurfacesBadRequestAsTypedError) {
   auto snap = server.metrics().snapshot();
   EXPECT_EQ(snap.counters.at("carousel_server_bad_requests_total"), 1u);
   // Still one attempt only.
-  EXPECT_EQ(client.counters().retries, 0u);
+  EXPECT_EQ(reg.snapshot().counters.at("carousel_client_retries_total"), 0u);
 }
 
 TEST(MalformedFrames, SemanticErrorsStayServerError) {

@@ -19,6 +19,7 @@
 #include "net/client.h"
 #include "net/cluster.h"
 #include "net/errors.h"
+#include "net/fault.h"
 #include "net/repair_scheduler.h"
 #include "net/scrubber.h"
 #include "net/store.h"
@@ -96,9 +97,6 @@ TEST_F(RepairSchedulerTest, RejectsNonsenseOptionsAtConstruction) {
   CarouselStore store(code, ports_, code.s() * 8, opts());
   RepairScheduler::Options bad;
   bad.max_concurrent = 0;  // a scheduler that may never repair
-  EXPECT_THROW(RepairScheduler(store, bad), std::invalid_argument);
-  bad = {};
-  bad.workers = 0;  // a background drain with nobody to drain it
   EXPECT_THROW(RepairScheduler(store, bad), std::invalid_argument);
   bad = {};
   bad.budget_window = std::chrono::milliseconds(0);
@@ -461,6 +459,52 @@ TEST_F(RepairSchedulerTest, RehomeServerEnqueuesInsteadOfHealingInline) {
   EXPECT_EQ(store.read_file(2, file_b.size()), file_b);
 }
 
+TEST_F(RepairSchedulerTest, BackgroundModeExecutesEveryHealItCountsAsRunning) {
+  // Every server stalls every PROJECT by one fixed delay, so a heal takes
+  // about one stall.  With max_concurrent = 3, all three heals run at once
+  // and the drain takes about one stall, not two: a pool smaller than the
+  // cap would hold the third back.  (6,3,4,6) repairs through d = 4
+  // PROJECTs, so the three heals are 12 PROJECTs, one wave of the store's
+  // max(8, 2n) = 12 pool threads.
+  make_fleet(6);
+  codes::Carousel code(6, 3, 4, 6);
+  const std::size_t block = code.s() * 16;
+  StoreOptions o = opts();
+  o.policy.io_timeout = std::chrono::milliseconds(2000);  // outlasts a stall
+  CarouselStore store(code, ports_, block, o);
+  std::vector<std::vector<Byte>> files;
+  for (std::uint32_t f = 1; f <= 3; ++f) {
+    files.push_back(random_bytes(code.k() * block, 40 + f));
+    store.put_file(f, files.back());
+    ASSERT_TRUE(store.drop_block(f, 0, 0));
+  }
+  constexpr auto kStall = std::chrono::milliseconds(300);
+  auto plan = std::make_shared<FaultPlan>(5);
+  plan->add({.action = FaultAction::kDelay,
+             .op = Op::kProject,
+             .max_hits = 1'000'000,
+             .delay_ms = static_cast<std::uint32_t>(kStall.count())});
+  for (const auto& s : servers_) s->set_fault_plan(plan);
+
+  RepairScheduler::Options ropts;
+  ropts.max_concurrent = 3;
+  RepairScheduler sched(store, ropts);
+  for (std::uint32_t f = 1; f <= 3; ++f)
+    sched.enqueue({f, 0, 0}, RepairScheduler::Kind::kRepair, 1);
+  const auto start = std::chrono::steady_clock::now();
+  sched.start();
+  ASSERT_TRUE(sched.wait_idle(std::chrono::seconds(10)));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  sched.stop();
+  for (const auto& s : servers_) s->set_fault_plan(nullptr);
+
+  EXPECT_EQ(sched.stats().completed, 3u);
+  EXPECT_EQ(plan->injected(), 12u);  // each heal's d PROJECTs stalled
+  EXPECT_LT(elapsed, kStall * 3 / 2);
+  for (std::uint32_t f = 1; f <= 3; ++f)
+    EXPECT_EQ(store.read_file(f, files[f - 1].size()), files[f - 1]);
+}
+
 TEST_F(RepairSchedulerTest, AddServerRacesAnActiveDrain) {
   make_fleet(6);
   codes::Carousel code(6, 4, 4, 6);
@@ -474,7 +518,6 @@ TEST_F(RepairSchedulerTest, AddServerRacesAnActiveDrain) {
 
   RepairScheduler::Options ropts;
   ropts.max_concurrent = 2;
-  ropts.workers = 2;
   RepairScheduler sched(store, ropts);
 
   // Kill a server and start draining its rehomes *before* any spare

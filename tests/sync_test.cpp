@@ -176,8 +176,8 @@ TEST(SyncDeathTest, SameRankReacquisitionAborts) {
   // bug: the order is "strictly increasing", not "non-decreasing".
   EXPECT_DEATH(
       {
-        Mutex a{LockRank::kScrubber};
-        Mutex b{LockRank::kScrubber};
+        Mutex a{LockRank::kMonitor};
+        Mutex b{LockRank::kMonitor};
         MutexLock la(a);
         MutexLock lb(b);
       },

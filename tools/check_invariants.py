@@ -133,6 +133,17 @@ Rules (see DESIGN.md "Correctness tooling"):
      counters; a block-by-block verify walk costs n serial round trips per
      stripe where one round does.
 
+ 15. one file layer — a file's stripes are counted, split, padded and
+     encoded only in src/codes/: outside it, src/ code makes no `.encode(`
+     or `->encode(` call (LinearCode::encode_stripe is how a file stripe is
+     encoded) and defines no `stripes_for(` (LinearCode::stripes_for is the
+     one stripe count and block-size check).  CarouselStore::put_file and
+     read_file, storage::ErasureFile and carouselctl all go through those
+     two.  A free function named encode (MetaLog's record framing,
+     `encode(w, ...)`) is not a call on a code and does not match.  A
+     second stripe loop drifts from the first: its own padding, its own
+     empty-file rule, its own block-size check.
+
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -571,6 +582,29 @@ def check_one_healer(problems: list[str]) -> None:
                     f"round) instead of block by block")
 
 
+def check_one_file_layer(problems: list[str]) -> None:
+    """Rule 15: file stripes are counted and encoded only in src/codes/."""
+    encode = re.compile(r"(?:\.|->)encode\s*\(")
+    # A definition: out of line (`Type::stripes_for(` opening a line) or
+    # with its body on the line; declarations and calls are neither.
+    out_of_line = re.compile(r"^\S.*?\b\w+::stripes_for\s*\(")
+    inline = re.compile(r"(?<![.>\w])stripes_for\s*\(.*\{")
+    codes = REPO / "src" / "codes"
+    for path in src_files(".h", ".cpp"):
+        if path.parent == codes:
+            continue
+        for i, line in enumerate(code_lines(path)):
+            where = f"{path.relative_to(REPO)}:{i + 1}"
+            if encode.search(line):
+                problems.append(
+                    f"{where}: encode() on a code outside src/codes/ — "
+                    f"encode a file's stripes with LinearCode::encode_stripe")
+            if out_of_line.match(line) or inline.search(line):
+                problems.append(
+                    f"{where}: stripes_for() defined outside src/codes/ — "
+                    f"LinearCode::stripes_for is the one stripe count")
+
+
 def main() -> int:
     problems: list[str] = []
     check_wire_casts(problems)
@@ -587,6 +621,7 @@ def main() -> int:
     check_one_mds_codec(problems)
     check_one_background_loop(problems)
     check_one_healer(problems)
+    check_one_file_layer(problems)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)

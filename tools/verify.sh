@@ -11,11 +11,11 @@
 #      churn, malformed frames, torn-write recovery, re-homing races,
 #      background-loop shutdown — where lifetime bugs hide);
 #   4. the net + observability + property + cluster + repair-scheduler +
-#      util + metadata-journal tests under ThreadSanitizer (client counters
-#      and registry instruments are read while other threads mutate them;
-#      the parallel read fan-out, hedge races, concurrent read_file overlap,
-#      the concurrent-stop() regressions of the background loops and
-#      reconcile() beside add_server live here),
+#      util + metadata-journal tests under ThreadSanitizer (registry
+#      instruments and client byte counts are read while other threads
+#      mutate them; the parallel read fan-out, hedge races, concurrent
+#      read_file overlap, the concurrent-stop() regressions of the
+#      background loops and reconcile() beside add_server live here),
 #      plus a short chaos schedule under TSan — the foreground hedged
 #      reader races kills, restarts and heals — and the whole-rack-down
 #      acceptance scenario under TSan (a 3-rack fleet loses a full failure
