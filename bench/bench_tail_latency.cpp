@@ -84,8 +84,7 @@ std::vector<double> run(const Layout& lay, std::uint32_t seed) {
     const double off =
         std::uniform_real_distribution<double>(0, stripe_data - kRange)(rng);
     // Every reader has its own downlink.
-    auto reader_link =
-        net.add_resource(hdfs::mbps(1000), "rd" + std::to_string(r));
+    auto reader_link = net.add_resource(hdfs::mbps(1000));
     cluster.simulation().at(start, [&, r, off, reader_link, start] {
       // Fan the range out over the blocks whose extents it intersects.
       auto outstanding = std::make_shared<std::size_t>(0);

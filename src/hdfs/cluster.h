@@ -5,7 +5,6 @@
 #ifndef CAROUSEL_HDFS_CLUSTER_H
 #define CAROUSEL_HDFS_CLUSTER_H
 
-#include <string>
 #include <vector>
 
 #include "sim/flow.h"

@@ -90,7 +90,8 @@ void Client::backoff(int attempt,
 }
 
 std::pair<Status, std::vector<std::uint8_t>> Client::call(
-    Op op, const std::vector<std::uint8_t>& payload, CallOpts opts) {
+    Op op, std::span<const std::uint8_t> header, CallOpts opts,
+    std::span<const std::uint8_t> body) {
   using clock = std::chrono::steady_clock;
   obs::ScopedTimer timer(*op_seconds_[static_cast<std::size_t>(op)]);
   const auto deadline = policy_.op_deadline.count() > 0
@@ -107,13 +108,13 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
                           " attempts; last: " + last_failure);
     try {
       ensure_connected(deadline);
-      auto [status, body] = call_once(op, payload);
+      auto [status, resp] = call_once(op, header, body);
       if (status == Status::kError)
         throw ServerError("server error: " +
-                          std::string(body.begin(), body.end()));
+                          std::string(resp.begin(), resp.end()));
       if (status == Status::kBadRequest)
         throw BadRequestError("server rejected request as malformed: " +
-                              std::string(body.begin(), body.end()));
+                              std::string(resp.begin(), resp.end()));
       if (status == Status::kCorrupt) {
         if (opts.corrupt_retryable) {
           // PUT: our request was mangled in flight; resend it.
@@ -126,16 +127,16 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
         }
       }
       if (opts.checksummed && status == Status::kOk) {
-        if (body.size() < 4)
+        if (resp.size() < 4)
           throw ProtocolError("response missing its checksum");
-        std::uint32_t declared = read_le32(body);
-        body.erase(body.begin(), body.begin() + 4);
-        if (util::crc32(body) != declared) {
+        std::uint32_t declared = read_le32(resp);
+        resp.erase(resp.begin(), resp.begin() + 4);
+        if (util::crc32(resp) != declared) {
           wire_corruptions_total_->inc();
           throw WireCorruption{};
         }
       }
-      return {status, std::move(body)};
+      return {status, std::move(resp)};
     } catch (const TimeoutError& e) {
       timeouts_total_->inc();
       last_failure = e.what();
@@ -163,12 +164,14 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
 }
 
 std::pair<Status, std::vector<std::uint8_t>> Client::call_once(
-    Op op, const std::vector<std::uint8_t>& payload) {
+    Op op, std::span<const std::uint8_t> header,
+    std::span<const std::uint8_t> body) {
   std::uint8_t op_raw = static_cast<std::uint8_t>(op);
-  std::uint32_t len = static_cast<std::uint32_t>(payload.size());
+  std::uint32_t len = static_cast<std::uint32_t>(header.size() + body.size());
   conn_.send_all(&op_raw, 1);
   conn_.send_all(&len, 4);
-  if (len) conn_.send_all(payload.data(), len);
+  conn_.send_all(header.data(), header.size());
+  conn_.send_all(body.data(), body.size());
 
   std::uint8_t status_raw;
   if (!conn_.recv_all(&status_raw, 1))
@@ -176,25 +179,27 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call_once(
   std::uint32_t rlen;
   if (!conn_.recv_all(&rlen, 4))
     throw TransportError("server closed mid-response");
-  // Check the length prefix against the frame cap *before* sizing the body
-  // buffer: a garbage length must not drive an unbounded allocation.
+  // Check the length prefix against the frame cap *before* sizing the
+  // response buffer: a garbage length must not drive an unbounded allocation.
   if (rlen > kMaxFrameBytes) throw ProtocolError("malformed response length");
   std::optional<Status> status = parse_status(status_raw);
   if (!status) throw ProtocolError("unknown response status");
-  std::vector<std::uint8_t> body(rlen);
-  if (rlen && !conn_.recv_all(body.data(), rlen))
+  std::vector<std::uint8_t> resp(rlen);
+  if (rlen && !conn_.recv_all(resp.data(), rlen))
     throw TransportError("truncated response");
-  return {*status, std::move(body)};
+  return {*status, std::move(resp)};
 }
 
 void Client::ping() { call(Op::kPing, {}); }
 
-void Client::put(const BlockKey& key, std::span<const std::uint8_t> bytes) {
+std::uint32_t Client::put(const BlockKey& key,
+                          std::span<const std::uint8_t> bytes) {
+  const std::uint32_t crc = util::crc32(bytes);
   Writer w;
   w.key(key);
-  w.u32(util::crc32(bytes));
-  w.bytes(bytes);
-  call(Op::kPut, w.data(), {.corrupt_retryable = true});
+  w.u32(crc);
+  call(Op::kPut, w.data(), {.corrupt_retryable = true}, bytes);
+  return crc;
 }
 
 std::optional<std::vector<std::uint8_t>> Client::get(const BlockKey& key) {

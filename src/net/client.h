@@ -72,7 +72,9 @@ class Client {
                   obs::MetricsRegistry* registry = nullptr);
 
   void ping();
-  void put(const BlockKey& key, std::span<const std::uint8_t> bytes);
+  /// Stores `bytes` as the block, sent straight from the caller's buffer;
+  /// returns the CRC-32 the request carried (the server stores it).
+  std::uint32_t put(const BlockKey& key, std::span<const std::uint8_t> bytes);
   /// nullopt when the server does not hold the block.
   std::optional<std::vector<std::uint8_t>> get(const BlockKey& key);
   std::optional<std::vector<std::uint8_t>> get_range(const BlockKey& key,
@@ -117,15 +119,18 @@ class Client {
     bool corrupt_returns = false;   // kCorrupt is a valid answer (VERIFY)
   };
   /// Runs one operation under the retry policy; see the header comment for
-  /// the full classification.
+  /// the full classification.  The request payload is `header` followed by
+  /// `body`, sent as they lie: a PUT's block is never copied into a frame.
   std::pair<Status, std::vector<std::uint8_t>> call(
-      Op op, const std::vector<std::uint8_t>& payload, CallOpts opts);
+      Op op, std::span<const std::uint8_t> header, CallOpts opts,
+      std::span<const std::uint8_t> body = {});
   std::pair<Status, std::vector<std::uint8_t>> call(
-      Op op, const std::vector<std::uint8_t>& payload) {
-    return call(op, payload, CallOpts{});
+      Op op, std::span<const std::uint8_t> header) {
+    return call(op, header, CallOpts{});
   }
   std::pair<Status, std::vector<std::uint8_t>> call_once(
-      Op op, const std::vector<std::uint8_t>& payload);
+      Op op, std::span<const std::uint8_t> header,
+      std::span<const std::uint8_t> body);
   /// Opens the connection if needed.  The connect attempt is bounded by the
   /// per-attempt io_timeout AND the remaining op deadline, whichever is
   /// tighter; throws DeadlineError when the deadline is already spent.

@@ -503,79 +503,6 @@ std::vector<std::vector<std::uint32_t>> CarouselStore::seed_placement(
   return placement;
 }
 
-std::size_t CarouselStore::put_file(std::uint32_t file_id,
-                                    std::span<const Byte> bytes) {
-  obs::ScopedTimer timer(*put_seconds_);
-  const std::size_t stripes = code_->stripes_for(bytes.size(), block_bytes_);
-  // Seed the placement table (the paper's i mod F rule wherever the
-  // domains permit); re-homing rewrites individual entries later.  Uploads
-  // run on leased connections and the manifest commits last, after every
-  // block is stored.
-  std::vector<std::vector<std::uint32_t>> placement = seed_placement(stripes);
-  // A reused file id is rejected, never overwritten: overwriting the
-  // manifest entry would strand the old stripes' blocks on their servers
-  // forever.  The inflight set extends the check to two puts racing the
-  // same id.  With a journal, the intent (the full placement) is durable
-  // before the first block byte leaves the coordinator, so a crash
-  // mid-upload leaves a replayable record of exactly which servers may
-  // hold orphans.
-  {
-    util::MutexLock mlock(meta_mu_);
-    {
-      util::MutexLock lock(mu_);
-      if (manifest_.contains(file_id) ||
-          !inflight_puts_.insert(file_id).second)
-        throw DuplicateFileError("put_file: file id " +
-                                 std::to_string(file_id) +
-                                 " already exists in the manifest");
-    }
-    if (meta_) {
-      try {
-        meta_->put_intent(file_id, bytes.size(),
-                          static_cast<std::uint32_t>(stripes), placement);
-      } catch (...) {
-        util::MutexLock lock(mu_);
-        inflight_puts_.erase(file_id);
-        throw;
-      }
-    }
-  }
-  put_bytes_->inc(bytes.size());
-  // One stripe at a time: each is encoded (encode_stripe) into one n-block
-  // scratch buffer and uploaded before the next is encoded.
-  const std::size_t n = code_->n();
-  std::size_t uploaded = 0;
-  try {
-    std::vector<Byte> scratch(n * block_bytes_);
-    std::vector<std::span<Byte>> blocks;
-    for (std::size_t i = 0; i < n; ++i)
-      blocks.emplace_back(scratch.data() + i * block_bytes_, block_bytes_);
-    std::vector<Byte> pad;
-    for (std::size_t s = 0; s < stripes; ++s) {
-      code_->encode_stripe(bytes, s, blocks, pad);
-      for (std::size_t i = 0; i < n; ++i) {
-        Lease c = lease(placement[s][i]);
-        c->put(key(file_id, static_cast<std::uint32_t>(s),
-                   static_cast<std::uint32_t>(i)),
-               blocks[i]);
-        ++uploaded;
-      }
-    }
-  } catch (...) {
-    // The put failed mid-upload: delete what already landed and journal
-    // the abandonment so nothing stays pending.  A journal error must not
-    // mask the upload's own.
-    try {
-      abort_put(file_id, placement, uploaded);
-    } catch (const Error&) {
-    }
-    throw;
-  }
-  commit_put(file_id, {bytes.size(), static_cast<std::uint32_t>(stripes),
-                       std::move(placement)});
-  return stripes;
-}
-
 void CarouselStore::commit_put(std::uint32_t file_id, FileInfo info) {
   // The commit record is durable before the manifest entry becomes
   // visible; a crash in between leaves a pending intent whose every block
@@ -588,15 +515,13 @@ void CarouselStore::commit_put(std::uint32_t file_id, FileInfo info) {
 }
 
 std::size_t CarouselStore::abort_put(
-    std::uint32_t file_id,
-    const std::vector<std::vector<std::uint32_t>>& placement,
-    std::size_t count) {
+    std::uint32_t file_id, std::span<const std::vector<std::uint32_t>> rows) {
   // The deletes run with no store lock held: each may wait out a full op
   // deadline on a sick server.
   std::size_t removed = 0;
-  for (std::size_t s = 0; s < placement.size() && count > 0; ++s)
-    for (std::size_t i = 0; i < placement[s].size() && count > 0; ++i, --count)
-      removed += remove_copy(placement[s][i],
+  for (std::size_t s = 0; s < rows.size(); ++s)
+    for (std::size_t i = 0; i < rows[s].size(); ++i)
+      removed += remove_copy(rows[s][i],
                              key(file_id, static_cast<std::uint32_t>(s),
                                  static_cast<std::uint32_t>(i)));
   util::MutexLock mlock(meta_mu_);
@@ -652,11 +577,14 @@ struct CarouselStore::Request {
     kProject,  // repair coefficients, one term list per output unit
     kBlock,    // the whole block (GET)
     kVerify,   // a health probe; no block bytes move
+    kPut,      // stores `body` as the block
   };
   Kind kind = kUnits;
   std::size_t block = 0;
   std::vector<std::size_t> positions{};  // kUnits
   Client::Projection terms{};            // kProject
+  std::span<const Byte> body{};          // kPut: borrowed, not copied
+  bool audit = false;                    // kPut: then VERIFY the stored CRC
 };
 
 // A slot's result: `block` (a hedge's stand-in may win) answered it from
@@ -686,12 +614,25 @@ class CarouselStore::Round {
         stripe_(stripe),
         deadline_(deadline),
         ids_(std::move(row)) {}
+  // A request may borrow its caller's bytes (a PUT's block), so no slot
+  // outlives the round, even one launched before an exception.
+  ~Round() {
+    for (auto& p : pending_)
+      if (p.valid()) p.wait();
+  }
+  Round(const Round&) = delete;
+  Round& operator=(const Round&) = delete;
 
   // Launches `req` into a fresh slot (its index in collect()'s result).
   void launch(Request req) {
     cells_.push_back(std::make_shared<SlotCell>());
     pending_.push_back(cells_.back()->result.get_future());
-    submit(std::move(req), cells_.back());
+    try {
+      submit(std::move(req), cells_.back());
+    } catch (...) {
+      pending_.pop_back();  // never queued: nothing for ~Round to wait on
+      throw;
+    }
   }
 
   // Races `req` against `slot`'s request; false when the slot resolved.
@@ -706,8 +647,10 @@ class CarouselStore::Round {
     return pending_[slot].wait_until(t) == std::future_status::ready;
   }
 
-  // Waits for every slot; rethrows a BadRequestError.
+  // Waits for every slot, then rethrows the first error in slot order: a
+  // BadRequestError, or any failed PUT.
   std::vector<Outcome> collect() {
+    for (auto& p : pending_) p.wait();
     std::vector<Outcome> out;
     for (auto& p : pending_) out.push_back(p.get());
     return out;
@@ -716,9 +659,10 @@ class CarouselStore::Round {
  private:
   // A healthy answer resolves the cell at once, a failed one only as the
   // last attempt out, so a quick failure never pre-empts a slow-but-healthy
-  // sibling.  BadRequestError (a frame *this* store malformed: a local bug
-  // that must not hide behind the race) resolves at once.  A loser lands on
-  // a resolved cell and is dropped: drained, never double-decoded.
+  // sibling.  An error resolves at once: BadRequestError (a frame *this*
+  // store malformed, a local bug that must not hide behind the race) or a
+  // PUT's failure.  A loser lands on a resolved cell and is dropped:
+  // drained, never double-decoded.
   struct SlotCell {
     util::Mutex mu{util::LockRank::kSlotCell};  // a leaf lock
     std::promise<Outcome> result;  // get_future() runs before sharing
@@ -743,7 +687,9 @@ class CarouselStore::Round {
   };
 
   // The task captures by value and reaches only the store, which outlives
-  // its pool: a hedge loser keeps running after its round returned.
+  // its pool: a hedge loser keeps running after its round returned.  A
+  // PUT's body is only a view, but PUTs are never hedged, and ~Round waits
+  // for the slot.
   void submit(Request req, std::shared_ptr<SlotCell> cell) {
     const std::size_t ub = st_->block_bytes_ / st_->code_->s();
     const bool extent =
@@ -769,13 +715,17 @@ class CarouselStore::Round {
       } catch (const BadRequestError&) {
         cell->resolve({}, std::current_exception());
       } catch (const Error&) {
-        cell->resolve(std::move(out), nullptr);  // an erasure, not an error
+        // An erasure, not an error, except a PUT's: nothing landed to plan on.
+        cell->resolve(std::move(out), req.kind == Request::kPut
+                                          ? std::current_exception()
+                                          : nullptr);
       }
     });
   }
 
   // The one place a stripe op reaches the wire (check_invariants rule 11).
   // False for an erasure: the block is missing, unhealthy or wrong-sized.
+  // A PUT that fails, or fails its audit, throws.
   static bool run(const CarouselStore& st, Server& srv, const BlockKey& bk,
                   const Request& req, bool extent, Outcome& out) {
     if (req.kind == Request::kVerify) {
@@ -786,6 +736,14 @@ class CarouselStore::Round {
     // bytes_received() read right after the op includes this connection's
     // bytes.
     Lease c(srv, st.policy_, st.registry_);
+    if (req.kind == Request::kPut) {
+      const std::uint32_t sent_crc = c->put(bk, req.body);
+      std::uint32_t stored_crc = 0;
+      if (req.audit && (c->verify(bk, &stored_crc) != BlockHealth::kOk ||
+                        stored_crc != sent_crc))
+        throw Error("repaired block failed its post-repair audit");
+      return true;
+    }
     const std::size_t ub = st.block_bytes_ / st.code_->s();
     std::size_t want = st.block_bytes_;
     std::optional<std::vector<Byte>> resp;
@@ -850,6 +808,79 @@ std::vector<BlockState> CarouselStore::probe_stripe(
   std::vector<BlockState> states(code_->n(), BlockState::kMissing);
   for (const Outcome& o : round.collect()) states[o.block] = o.state;
   return states;
+}
+
+std::size_t CarouselStore::put_file(std::uint32_t file_id,
+                                    std::span<const Byte> bytes) {
+  obs::ScopedTimer timer(*put_seconds_);
+  const std::size_t stripes = code_->stripes_for(bytes.size(), block_bytes_);
+  // Seed the placement table (the paper's i mod F rule wherever the
+  // domains permit); re-homing rewrites individual entries later.  The
+  // manifest commits last, after every block is stored.
+  std::vector<std::vector<std::uint32_t>> placement = seed_placement(stripes);
+  // A reused file id is rejected, never overwritten: overwriting the
+  // manifest entry would strand the old stripes' blocks on their servers
+  // forever.  The inflight set extends the check to two puts racing the
+  // same id.  With a journal, the intent (the full placement) is durable
+  // before the first block byte leaves the coordinator, so a crash
+  // mid-upload leaves a replayable record of exactly which servers may
+  // hold orphans.
+  {
+    util::MutexLock mlock(meta_mu_);
+    {
+      util::MutexLock lock(mu_);
+      if (manifest_.contains(file_id) ||
+          !inflight_puts_.insert(file_id).second)
+        throw DuplicateFileError("put_file: file id " +
+                                 std::to_string(file_id) +
+                                 " already exists in the manifest");
+    }
+    if (meta_) {
+      try {
+        meta_->put_intent(file_id, bytes.size(),
+                          static_cast<std::uint32_t>(stripes), placement);
+      } catch (...) {
+        util::MutexLock lock(mu_);
+        inflight_puts_.erase(file_id);
+        throw;
+      }
+    }
+  }
+  put_bytes_->inc(bytes.size());
+  // One stripe at a time: each is encoded (encode_stripe) into one n-block
+  // scratch buffer, and its n PUTs run as one executor round on the
+  // stripe's row; the next stripe is encoded once all n have answered.
+  const std::size_t n = code_->n();
+  std::size_t launched = 0;  // stripes whose PUT round has started
+  try {
+    std::vector<Byte> scratch(n * block_bytes_);
+    std::vector<std::span<Byte>> blocks;
+    for (std::size_t i = 0; i < n; ++i)
+      blocks.emplace_back(scratch.data() + i * block_bytes_, block_bytes_);
+    std::vector<Byte> pad;
+    for (std::size_t s = 0; s < stripes; ++s) {
+      code_->encode_stripe(bytes, s, blocks, pad);
+      Round round(*this, file_id, static_cast<std::uint32_t>(s), placement[s],
+                  std::chrono::steady_clock::time_point::max());
+      launched = s + 1;
+      for (std::size_t i = 0; i < n; ++i)
+        round.launch({.kind = Request::kPut, .block = i, .body = blocks[i]});
+      round.collect();  // rethrows the first failed PUT
+    }
+  } catch (...) {
+    // The put failed mid-upload: delete every block of every stripe
+    // launched (a PUT that failed or timed out may still have landed) and
+    // journal the abandonment so nothing stays pending.  A journal error
+    // must not mask the upload's own.
+    try {
+      abort_put(file_id, std::span(placement).first(launched));
+    } catch (const Error&) {
+    }
+    throw;
+  }
+  commit_put(file_id, {bytes.size(), static_cast<std::uint32_t>(stripes),
+                       std::move(placement)});
+  return stripes;
 }
 
 std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
@@ -1123,19 +1154,18 @@ std::uint64_t CarouselStore::repair_block_impl(
   std::vector<Byte> rebuilt(block_bytes_);
   code_->rebuild(index, *plan, inputs, rebuilt);
 
-  // Re-upload and audit: PUT carries the block's CRC end to end, and VERIFY
-  // confirms the server now holds a copy matching what we rebuilt.  The
-  // intended home goes first; if it is dead (or fails its audit), the block
-  // re-homes onto a placement-eligible candidate — the placement table only
-  // moves once a candidate passes the audit, so a failure here leaves the
-  // stripe exactly as it was (the block stays an erasure, never a silent
-  // partial write).  PUT and the audit share one lease so the VERIFY sees
-  // the same connection's view.
+  // Re-upload and audit: a one-slot PUT round whose request then VERIFYs
+  // the stored copy against the CRC the PUT sent, so the server now holds
+  // exactly what we rebuilt.  The intended home goes first; if it is dead
+  // (or fails its audit), the block re-homes onto a placement-eligible
+  // candidate — the placement table only moves once a candidate passes the
+  // audit, so a failure here leaves the stripe exactly as it was (the block
+  // stays an erasure, never a silent partial write).  PUT and the audit
+  // share one lease so the VERIFY sees the same connection's view.
   const std::size_t home = placement_of(file_id, stripe, index);
   std::vector<std::size_t> uploads{target.value_or(home)};
   for (std::size_t c : placement_candidates(file_id, stripe, index))
     if (c != uploads.front()) uploads.push_back(c);
-  const std::uint32_t want_crc = util::crc32(rebuilt);
   for (std::size_t t : uploads) {
     check_budget(deadline, budget_exhausted_, "repair_block");
     if (t != home && meta_) {
@@ -1147,13 +1177,17 @@ std::uint64_t CarouselStore::repair_block_impl(
                            static_cast<std::uint32_t>(t));
     }
     try {
-      Lease c = lease(t);
-      c->put(key(file_id, stripe, index), rebuilt);
-      std::uint32_t stored_crc = 0;
-      if (c->verify(key(file_id, stripe, index), &stored_crc) !=
-              BlockHealth::kOk ||
-          stored_crc != want_crc)
-        throw Error("repaired block failed its post-repair audit");
+      // The budget was checked above; the upload, like any client op
+      // already launched, runs to its own op deadline.
+      auto row = row_of(file_id, stripe);
+      row[index] = static_cast<std::uint32_t>(t);
+      Round round(*this, file_id, stripe, std::move(row),
+                  std::chrono::steady_clock::time_point::max());
+      round.launch({.kind = Request::kPut,
+                    .block = index,
+                    .body = rebuilt,
+                    .audit = true});
+      round.collect();  // rethrows a failed PUT or audit
     } catch (const BadRequestError&) {
       if (t != home) abort_rehome(file_id, stripe, index);
       throw;  // a malformed frame is a local bug on any target
@@ -1234,7 +1268,7 @@ CarouselStore::ReconcileReport CarouselStore::reconcile() {
       commit_put(file, std::move(rec));
       ++report.puts_adopted;
     } else {
-      report.orphans_deleted += abort_put(file, rec.placement, SIZE_MAX);
+      report.orphans_deleted += abort_put(file, rec.placement);
       ++report.puts_aborted;
     }
   }

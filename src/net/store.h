@@ -2,15 +2,19 @@
 //
 // Stripes files across a fleet of block servers with a Carousel code and
 // is the remote executor of the code's stripe plans (codes/carousel.h).
+// Every stripe op reaches the wire through one executor round: a stripe's
+// per-block requests, all at once on a store-owned thread pool.
 // read_file and repair_block are plan loops of one shape: plan over the
-// usable blocks, run what is not yet held all at once on a store-owned
-// thread pool, mark each failed block unusable, re-plan reusing the rest.
+// usable blocks, run what is not yet held as one round, mark each failed
+// block unusable, re-plan reusing the rest.
 //   - read: plan_read names the units — a GET_RANGE per data extent (all p
 //     at once when healthy), else an identity PROJECT (a §VII stand-in);
 //   - repair: n-1 VERIFYs at once, then plan_repair's d helpers run their
 //     phi-projections server-side (PROJECT), all at once, so only Fig. 7's
 //     d/(d-k+1) block sizes travel (k whole blocks when fewer than d are
-//     usable); the newcomer rebuilds and re-PUTs.
+//     usable); the newcomer rebuilds and re-PUTs in a one-slot round whose
+//     PUT is audited (VERIFY) on the same lease.
+// put_file PUTs each stripe's n blocks as one round on its placement row.
 // probe_stripe, one VERIFY round reporting each block's BlockState, is the
 // one stripe probe: sweeps, repairs and reconcile() all ask it.
 //
@@ -230,9 +234,11 @@ class CarouselStore {
   std::vector<BlockRef> blocks_on(std::size_t server_id) const EXCLUDES(mu_);
 
   /// Encodes and uploads one stripe at a time (one stripe of memory, not a
-  /// copy of the file); returns the stripe count and records the file in
-  /// the manifest (what the scrubber sweeps) together with its placement
-  /// table.  A failed upload deletes the blocks that landed and throws.
+  /// copy of the file), the stripe's n PUTs as one executor round; returns
+  /// the stripe count and records the file in the manifest (what the
+  /// scrubber sweeps) together with its placement table.  A failed PUT
+  /// throws once its round has drained, after every block of every stripe
+  /// launched so far is deleted.
   std::size_t put_file(std::uint32_t file_id,
                        std::span<const codes::Byte> bytes) EXCLUDES(mu_);
 
@@ -480,15 +486,14 @@ class CarouselStore {
   /// clears the in-flight mark.  A journal error propagates unpublished.
   void commit_put(std::uint32_t file_id, FileInfo info)
       EXCLUDES(meta_mu_, mu_);
-  /// Best-effort REMOVEs the first `count` blocks of `placement` in upload
-  /// order (stripe by stripe), skipping server ids the fleet does not
-  /// have, with no store lock held; then clears the in-flight mark and
-  /// journals the abort.  Returns how many copies were removed.  A journal
-  /// error propagates after the mark is cleared.
-  std::size_t abort_put(
-      std::uint32_t file_id,
-      const std::vector<std::vector<std::uint32_t>>& placement,
-      std::size_t count) EXCLUDES(meta_mu_, mu_);
+  /// Best-effort REMOVEs every block of `rows` (the placement rows of the
+  /// stripes whose upload started, from stripe 0), skipping server ids the
+  /// fleet does not have, with no store lock held; then clears the
+  /// in-flight mark and journals the abort.  Returns how many copies were
+  /// removed.  A journal error propagates after the mark is cleared.
+  std::size_t abort_put(std::uint32_t file_id,
+                        std::span<const std::vector<std::uint32_t>> rows)
+      EXCLUDES(meta_mu_, mu_);
   /// Best-effort REMOVE of one copy, with no store lock held: true when a
   /// copy was there to delete.  Skips server ids the fleet does not have;
   /// an unreachable server keeps its copy until a later pass.

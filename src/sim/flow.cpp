@@ -11,11 +11,11 @@ namespace {
 constexpr double kDoneEpsilon = 0.25;
 }  // namespace
 
-ResourceId FlowNetwork::add_resource(double capacity_bps, std::string name) {
+ResourceId FlowNetwork::add_resource(double capacity_bps) {
   if (capacity_bps <= 0)
     throw std::invalid_argument("resource capacity must be positive");
-  resources_.push_back({capacity_bps, std::move(name)});
-  return resources_.size() - 1;
+  capacity_.push_back(capacity_bps);
+  return capacity_.size() - 1;
 }
 
 FlowId FlowNetwork::start_flow(double bytes, std::vector<ResourceId> path,
@@ -23,7 +23,7 @@ FlowId FlowNetwork::start_flow(double bytes, std::vector<ResourceId> path,
   if (path.empty())
     throw std::invalid_argument("a flow needs at least one resource");
   for (ResourceId r : path)
-    if (r >= resources_.size())
+    if (r >= capacity_.size())
       throw std::invalid_argument("unknown resource in flow path");
   FlowId id = next_flow_id_++;
   if (bytes <= 0) {
@@ -56,22 +56,20 @@ void FlowNetwork::settle_progress() {
 void FlowNetwork::recompute_rates() {
   // Water-filling: repeatedly find the tightest resource (least fair share
   // among its unfrozen flows), freeze those flows at that share.
-  std::vector<double> residual(resources_.size());
-  for (std::size_t r = 0; r < resources_.size(); ++r)
-    residual[r] = resources_[r].capacity;
+  std::vector<double> residual = capacity_;
   std::vector<bool> frozen(flows_.size(), false);
   std::size_t remaining = flows_.size();
   for (auto& f : flows_) f.rate = 0;
 
   while (remaining > 0) {
     // Count unfrozen flows per resource.
-    std::vector<std::size_t> load(resources_.size(), 0);
+    std::vector<std::size_t> load(capacity_.size(), 0);
     for (std::size_t i = 0; i < flows_.size(); ++i)
       if (!frozen[i])
         for (ResourceId r : flows_[i].path) ++load[r];
     double best_share = std::numeric_limits<double>::infinity();
-    std::size_t best_r = resources_.size();
-    for (std::size_t r = 0; r < resources_.size(); ++r) {
+    std::size_t best_r = capacity_.size();
+    for (std::size_t r = 0; r < capacity_.size(); ++r) {
       if (load[r] == 0) continue;
       double share = residual[r] / static_cast<double>(load[r]);
       if (share < best_share) {
@@ -79,7 +77,7 @@ void FlowNetwork::recompute_rates() {
         best_r = r;
       }
     }
-    assert(best_r != resources_.size());
+    assert(best_r != capacity_.size());
     for (std::size_t i = 0; i < flows_.size(); ++i) {
       if (frozen[i]) continue;
       if (std::find(flows_[i].path.begin(), flows_[i].path.end(), best_r) ==

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -33,7 +32,7 @@ class FlowNetwork {
   explicit FlowNetwork(Simulation& sim) : sim_(sim) {}
 
   /// Adds a resource with the given capacity in bytes/second.
-  ResourceId add_resource(double capacity_bps, std::string name);
+  ResourceId add_resource(double capacity_bps);
 
   /// Begins moving `bytes` across `path` (at least one resource); `on_done`
   /// fires when the last byte lands, receiving the completion time.
@@ -44,15 +43,7 @@ class FlowNetwork {
   /// Current max-min rate of an in-flight flow (bytes/s); 0 if unknown id.
   double flow_rate(FlowId id) const;
 
-  const std::string& resource_name(ResourceId r) const {
-    return resources_[r].name;
-  }
-
  private:
-  struct Resource {
-    double capacity;
-    std::string name;
-  };
   struct Flow {
     FlowId id;
     double remaining;
@@ -67,7 +58,7 @@ class FlowNetwork {
   void on_completion_event(std::uint64_t epoch);
 
   Simulation& sim_;
-  std::vector<Resource> resources_;
+  std::vector<double> capacity_;  // bytes/second, by ResourceId
   std::vector<Flow> flows_;
   FlowId next_flow_id_ = 1;
   Time last_settle_ = 0;

@@ -959,6 +959,76 @@ TEST_F(StoreTest, ProbeStripeReportsEveryBlockState) {
   }
 }
 
+// put_file PUTs a stripe's n blocks as one round.  Every server stalls its
+// PUT answer by D, so a one-stripe put takes about D, where PUTting block
+// by block takes n D.
+TEST_F(StoreTest, PutRunsAStripeInOneRound) {
+  codes::Carousel code(12, 6, 10, 10);
+  const std::size_t block = code.s() * 16;
+  obs::MetricsRegistry reg;
+  CarouselStore store(code, ports_, block, StoreOptions{fast_policy(), &reg});
+  auto file = random_bytes(code.k() * block, 53);
+
+  const std::chrono::milliseconds stall(100);  // io_timeout is 250 ms
+  for (auto& s : servers_) {
+    auto plan = std::make_shared<FaultPlan>(29);
+    plan->add({.action = FaultAction::kDelay,
+               .op = Op::kPut,
+               .max_hits = 1000,
+               .delay_ms = static_cast<std::uint32_t>(stall.count())});
+    s->set_fault_plan(plan);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_EQ(store.put_file(45, file), 1u);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  for (auto& s : servers_) s->set_fault_plan(nullptr);
+
+  EXPECT_LT(elapsed, 2 * stall);
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.histograms
+                .at(obs::labeled("carousel_client_op_seconds", "op", "put"))
+                .count,
+            code.n());
+  EXPECT_EQ(store.read_file(45, file.size()), file);
+}
+
+// A failed PUT round drains before put_file deletes what landed.  Server 0
+// refuses its PUT at once while the other 11 store theirs and answer D
+// later: the put throws only after D, and no block of the file is left.
+TEST_F(StoreTest, FailedPutRoundDrainsBeforeAbort) {
+  codes::Carousel code(12, 6, 10, 10);
+  const std::size_t block = code.s() * 16;
+  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  const std::size_t stripes = 2;
+  auto file = random_bytes(stripes * code.k() * block, 54);
+
+  const std::chrono::milliseconds stall(100);  // io_timeout is 250 ms
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    FaultRule rule{.action = FaultAction::kDelay,
+                   .op = Op::kPut,
+                   .max_hits = 1000,
+                   .delay_ms = static_cast<std::uint32_t>(stall.count())};
+    if (i == 0) rule.action = FaultAction::kRefuse;
+    auto plan = std::make_shared<FaultPlan>(31);
+    plan->add(rule);
+    servers_[i]->set_fault_plan(plan);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(store.put_file(47, file), ServerError);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  for (auto& s : servers_) s->set_fault_plan(nullptr);
+
+  EXPECT_GE(elapsed, stall);
+  EXPECT_TRUE(store.files().empty());
+  for (std::uint16_t port : ports_) {
+    Client c(port);
+    for (std::uint32_t s = 0; s < stripes; ++s)
+      for (std::uint32_t i = 0; i < code.n(); ++i)
+        EXPECT_EQ(c.verify(BlockKey{47, s, i}), BlockHealth::kMissing)
+            << "port " << port << " stripe " << s << " block " << i;
+  }
+}
+
 TEST_F(StoreTest, ScrubberRetriesUnreachableServerAfterItReturns) {
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 128;
@@ -1183,6 +1253,53 @@ TEST_F(StoreTest, HedgedReadWinsOverStraggler) {
   std::this_thread::sleep_for(std::chrono::milliseconds(900));
   EXPECT_EQ(store.read_file(41, file.size()), file);
   EXPECT_EQ(client_count(reg, "wire_corruptions"), 0u);
+}
+
+TEST_F(StoreTest, HedgePolicyTogglesAtRuntime) {
+  // set_hedge_policy takes effect on the next read of a store that has just
+  // hedged: switched off, a straggler is waited out with no hedge; switched
+  // on again, the straggler is raced again.  The hedge counter moves inside
+  // read_file, so a loser still draining cannot blur it.
+  codes::Carousel code(12, 6, 10, 10);
+  const std::size_t block = code.s() * 256;
+  obs::MetricsRegistry reg;
+  StoreOptions o;
+  o.registry = &reg;
+  o.policy = fast_policy();
+  o.policy.io_timeout = std::chrono::milliseconds(2000);
+  o.hedge.enabled = true;
+  o.hedge.floor = std::chrono::milliseconds(5);
+  o.hedge.initial = std::chrono::milliseconds(20);
+  CarouselStore store(code, ports_, block, o);
+  auto file = random_bytes(code.k() * block, 63);
+  store.put_file(44, file);
+
+  // Data server 4 answers every range-GET 200 ms late.
+  constexpr auto kStall = std::chrono::milliseconds(200);
+  auto plan = std::make_shared<FaultPlan>(29);
+  plan->add({.action = FaultAction::kDelay,
+             .op = Op::kGetRange,
+             .max_hits = 1'000'000,
+             .delay_ms = static_cast<std::uint32_t>(kStall.count())});
+  servers_[4]->set_fault_plan(plan);
+  auto hedges = [&reg] {
+    return reg.snapshot().counters.at("carousel_store_hedged_reads_total");
+  };
+
+  EXPECT_EQ(store.read_file(44, file.size()), file);
+  const auto hedged = hedges();
+  EXPECT_GE(hedged, 1u);
+
+  store.set_hedge_policy(HedgePolicy{});
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(store.read_file(44, file.size()), file);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, kStall);
+  EXPECT_EQ(hedges(), hedged);
+
+  store.set_hedge_policy(o.hedge);
+  EXPECT_EQ(store.read_file(44, file.size()), file);
+  EXPECT_GT(hedges(), hedged);
+  servers_[4]->set_fault_plan(nullptr);
 }
 
 TEST_F(StoreTest, HedgeRacesNeverDoubleDecode) {

@@ -266,13 +266,24 @@ TEST(PropertyGrid, StoreReadFileMatchesSequentialOracle) {
     o.hedge.floor = std::chrono::milliseconds(5);
     o.hedge.initial = std::chrono::milliseconds(10);
     net::CarouselStore store(*e.code, fleet, e.block_bytes, o);
+    // A second store over the same fleet, hedging like `store` but with its
+    // own registry, makes the exact op counts below (a hedge loser of
+    // `store`'s reads can still be on the wire after its read_file
+    // returned).  Each count turns its hedging off at runtime, then on again.
+    // The file is not in its manifest, so it reads block i from server i,
+    // the seed home `store` puts it on and repairs it back to.
+    obs::MetricsRegistry counted_reg;
+    net::CarouselStore counted(
+        *e.code, fleet, e.block_bytes,
+        net::StoreOptions{.registry = &counted_reg, .hedge = o.hedge});
     const auto file = random_bytes(e.k * e.block_bytes, seed++);
     store.put_file(file_id, file);
     std::vector<std::uint8_t> blob(e.n * e.block_bytes);
     e.code->encode(file, test::split_spans(blob, e.n));
     const auto views = test::split_const_spans(blob, e.n);
-    auto client_ops = [&reg](const char* op) {
-      return reg.histogram(obs::labeled("carousel_client_op_seconds", "op", op))
+    auto client_ops = [&counted_reg](const char* op) {
+      return counted_reg
+          .histogram(obs::labeled("carousel_client_op_seconds", "op", op))
           .count();
     };
 
@@ -330,17 +341,17 @@ TEST(PropertyGrid, StoreReadFileMatchesSequentialOracle) {
       if (erasures <= e.n - e.p && erasures <= e.p) {
         // Unhedged, a stripe with e lost data slots and enough parity costs
         // p range-GETs (e of them find nothing) and e PROJECT stand-ins.
-        store.set_hedge_policy(net::HedgePolicy{});
+        counted.set_hedge_policy(net::HedgePolicy{});
         const auto gets = client_ops("get_range");
         const auto projects = client_ops("project");
-        EXPECT_EQ(store.read_file(file_id, file.size()), oracle);
+        EXPECT_EQ(counted.read_file(file_id, file.size()), oracle);
         EXPECT_EQ(client_ops("get_range") - gets, e.p)
             << erasures << " erasures of (" << e.n << "," << e.k << ","
             << e.d << "," << e.p << ")";
         EXPECT_EQ(client_ops("project") - projects, erasures)
             << erasures << " erasures of (" << e.n << "," << e.k << ","
             << e.d << "," << e.p << ")";
-        store.set_hedge_policy(o.hedge);
+        counted.set_hedge_policy(o.hedge);
       }
       // Restore for the next erasure count.  (Re-putting the same id is no
       // longer an option: put_file rejects duplicates with

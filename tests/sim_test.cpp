@@ -48,8 +48,8 @@ TEST(Simulation, RejectsPastEvents) {
 TEST(FlowNetwork, SingleFlowBottleneckedByNarrowestResource) {
   Simulation sim;
   FlowNetwork net(sim);
-  auto wide = net.add_resource(100.0, "wide");
-  auto narrow = net.add_resource(10.0, "narrow");
+  auto wide = net.add_resource(100.0);
+  auto narrow = net.add_resource(10.0);
   Time done = -1;
   net.start_flow(50.0, {wide, narrow}, [&](Time t) { done = t; });
   sim.run();
@@ -59,7 +59,7 @@ TEST(FlowNetwork, SingleFlowBottleneckedByNarrowestResource) {
 TEST(FlowNetwork, TwoFlowsShareFairly) {
   Simulation sim;
   FlowNetwork net(sim);
-  auto link = net.add_resource(10.0, "link");
+  auto link = net.add_resource(10.0);
   std::vector<Time> done;
   net.start_flow(50.0, {link}, [&](Time t) { done.push_back(t); });
   net.start_flow(50.0, {link}, [&](Time t) { done.push_back(t); });
@@ -73,7 +73,7 @@ TEST(FlowNetwork, TwoFlowsShareFairly) {
 TEST(FlowNetwork, ShortFlowFreesCapacityForLongFlow) {
   Simulation sim;
   FlowNetwork net(sim);
-  auto link = net.add_resource(10.0, "link");
+  auto link = net.add_resource(10.0);
   Time short_done = -1, long_done = -1;
   net.start_flow(10.0, {link}, [&](Time t) { short_done = t; });
   net.start_flow(90.0, {link}, [&](Time t) { long_done = t; });
@@ -87,8 +87,8 @@ TEST(FlowNetwork, ShortFlowFreesCapacityForLongFlow) {
 TEST(FlowNetwork, MaxMinUnevenPaths) {
   Simulation sim;
   FlowNetwork net(sim);
-  auto a = net.add_resource(10.0, "a");
-  auto b = net.add_resource(4.0, "b");
+  auto a = net.add_resource(10.0);
+  auto b = net.add_resource(4.0);
   // Flow 1 crosses a only; flow 2 crosses a and b.
   auto f1 = net.start_flow(1000.0, {a}, nullptr);
   auto f2 = net.start_flow(1000.0, {a, b}, nullptr);
@@ -101,7 +101,7 @@ TEST(FlowNetwork, MaxMinUnevenPaths) {
 TEST(FlowNetwork, LateArrivalSlowsExistingFlow) {
   Simulation sim;
   FlowNetwork net(sim);
-  auto link = net.add_resource(10.0, "link");
+  auto link = net.add_resource(10.0);
   Time first_done = -1;
   net.start_flow(100.0, {link}, [&](Time t) { first_done = t; });
   sim.at(5.0, [&] { net.start_flow(200.0, {link}, nullptr); });
@@ -113,7 +113,7 @@ TEST(FlowNetwork, LateArrivalSlowsExistingFlow) {
 TEST(FlowNetwork, ZeroByteFlowCompletesImmediately) {
   Simulation sim;
   FlowNetwork net(sim);
-  auto link = net.add_resource(10.0, "link");
+  auto link = net.add_resource(10.0);
   Time done = -1;
   net.start_flow(0.0, {link}, [&](Time t) { done = t; });
   sim.run();
@@ -123,7 +123,7 @@ TEST(FlowNetwork, ZeroByteFlowCompletesImmediately) {
 TEST(FlowNetwork, CompletionCallbackCanChainFlows) {
   Simulation sim;
   FlowNetwork net(sim);
-  auto link = net.add_resource(10.0, "link");
+  auto link = net.add_resource(10.0);
   Time second_done = -1;
   net.start_flow(20.0, {link}, [&](Time) {
     net.start_flow(30.0, {link}, [&](Time t) { second_done = t; });
@@ -135,8 +135,8 @@ TEST(FlowNetwork, CompletionCallbackCanChainFlows) {
 TEST(FlowNetwork, ValidatesInputs) {
   Simulation sim;
   FlowNetwork net(sim);
-  EXPECT_THROW(net.add_resource(0.0, "bad"), std::invalid_argument);
-  auto link = net.add_resource(1.0, "ok");
+  EXPECT_THROW(net.add_resource(0.0), std::invalid_argument);
+  auto link = net.add_resource(1.0);
   EXPECT_THROW(net.start_flow(1.0, {}, nullptr), std::invalid_argument);
   EXPECT_THROW(net.start_flow(1.0, {link + 7}, nullptr),
                std::invalid_argument);
@@ -148,10 +148,10 @@ TEST(FlowNetwork, ManyParallelFlowsAggregateCorrectly) {
   // link caps its flow at 3, total 30 > 25, so the client is the bottleneck.
   Simulation sim;
   FlowNetwork net(sim);
-  auto client = net.add_resource(25.0, "client");
+  auto client = net.add_resource(25.0);
   std::vector<Time> done(10, -1);
   for (int i = 0; i < 10; ++i) {
-    auto server = net.add_resource(3.0, "s" + std::to_string(i));
+    auto server = net.add_resource(3.0);
     net.start_flow(30.0, {server, client},
                    [&done, i](Time t) { done[i] = t; });
   }

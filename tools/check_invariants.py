@@ -98,11 +98,13 @@ Rules (see DESIGN.md "Correctness tooling"):
 
  11. one wire executor — every stripe op reaches block data through the
      store's remote executor (CarouselStore::Round in src/net/store.cpp):
-     each Client data fetch, `->get(`, `->get_range(` and `->project(`,
-     appears at most once in src/, and only in src/net/store.cpp, where the
-     executor dispatches it.  A second call site is a second way to fetch —
-     typically a serial per-helper loop that bypasses the executor's
-     concurrent rounds, first-wins slot cells and re-planning.
+     each Client data call, `->get(`, `->get_range(`, `->project(` and
+     `->put(`, appears at most once in src/, and only in src/net/store.cpp,
+     where the executor dispatches it (`persist_->put(` in the BlockServer
+     is a PersistentBlockStore call and does not match).  A second call
+     site is a second way to move stripe data — typically a serial
+     per-block loop that bypasses the executor's concurrent rounds,
+     first-wins slot cells and re-planning.
 
  12. one MDS codec — Carousel is the only MDS codec class: every
      `: public LinearCode` in src/ derives Carousel or the LRC baseline
@@ -493,9 +495,11 @@ def check_meta_journal_provenance(problems: list[str]) -> None:
 
 
 def check_one_wire_executor(problems: list[str]) -> None:
-    """Rule 11: each Client data fetch has one call site, the executor's."""
-    # A call with arguments: `->get()` on a smart pointer is not a fetch.
-    fetch = re.compile(r"->(get|get_range|project)\s*\((?!\s*\))")
+    """Rule 11: each Client data call has one call site, the executor's."""
+    # A call with arguments: `->get()` on a smart pointer is not a fetch;
+    # `persist_->put(` stores a block on a server's disk, not over a Client.
+    fetch = re.compile(
+        r"(?<!persist_)->(get|get_range|project|put)\s*\((?!\s*\))")
     executor = REPO / "src" / "net" / "store.cpp"
     seen: dict[str, str] = {}
     for path in src_files(".h", ".cpp"):
@@ -506,13 +510,13 @@ def check_one_wire_executor(problems: list[str]) -> None:
                 if path != executor:
                     problems.append(
                         f"{where}: Client {call} outside src/net/store.cpp "
-                        f"— stripe data is fetched only through the "
-                        f"store's remote executor")
+                        f"— stripe data moves only through the store's "
+                        f"remote executor")
                 elif call in seen:
                     problems.append(
                         f"{where}: second Client {call} call site (first at "
                         f"{seen[call]}) — run the request through the "
-                        f"executor's rounds instead of a second fetch path")
+                        f"executor's rounds instead of a second wire path")
                 else:
                     seen[call] = where
 
