@@ -18,20 +18,9 @@ const char* fault_name(FaultAction a) {
     case FaultAction::kDelay: return "delay";
     case FaultAction::kCorruptPayload: return "corrupt_payload";
     case FaultAction::kRefuse: return "refuse";
-    case FaultAction::kCrashBeforeFsync: return "crash_before_fsync";
-    case FaultAction::kCrashBeforeRename: return "crash_before_rename";
-    case FaultAction::kTornWrite: return "torn_write";
+    case FaultAction::kCrash: return "crash";
   }
   return "unknown";
-}
-
-CrashPoint crash_point_of(FaultAction a) {
-  switch (a) {
-    case FaultAction::kCrashBeforeFsync: return CrashPoint::kBeforeFsync;
-    case FaultAction::kCrashBeforeRename: return CrashPoint::kBeforeRename;
-    case FaultAction::kTornWrite: return CrashPoint::kTornWrite;
-    default: return CrashPoint::kNone;
-  }
 }
 
 void append_text(Writer& resp, const char* text) {
@@ -257,17 +246,23 @@ void BlockServer::serve(Session& session) {
           status = Status::kError;
           append_text(resp, "injected fault: refused");
         } else {
-          // A crash fault on a persistent PUT cuts the durable write at the
-          // injected point; elsewhere it degrades to drop-before-response.
-          CrashPoint crash = CrashPoint::kNone;
-          if (fault && *op == Op::kPut && persist_)
-            crash = crash_point_of(fault->action);
+          // A crash fault's cut kills the request before the in-memory
+          // update (RAM dies too), and the dead server never answers.
+          const bool armed =
+              fault && fault->action == FaultAction::kCrash && persist_;
+          if (armed) {
+            util::MutexLock lock(mu_);
+            persist_->syncer().arm(fault->crash);
+          }
+          bool crashed = false;
           const auto idx = static_cast<std::size_t>(*op);
           try {
             Reader req(payload);
             op_requests_[idx]->inc();
             obs::ScopedTimer timer(*op_seconds_[idx]);
-            handle(*op, req, resp, status, crash);
+            handle(*op, req, resp, status);
+          } catch (const durable::Crash&) {
+            crashed = true;
           } catch (const MalformedPayload& e) {
             status = Status::kBadRequest;
             bad_requests_->inc();
@@ -278,6 +273,11 @@ void BlockServer::serve(Session& session) {
             resp = Writer();
             append_text(resp, e.what());
           }
+          if (armed) {
+            util::MutexLock lock(mu_);
+            persist_->syncer().disarm();
+          }
+          if (crashed) return;
         }
       }
 
@@ -285,13 +285,9 @@ void BlockServer::serve(Session& session) {
         switch (fault->action) {
           case FaultAction::kDropBeforeResponse:
             return;  // Hangup severs the connection, response unsent
-          case FaultAction::kCrashBeforeFsync:
-          case FaultAction::kCrashBeforeRename:
-          case FaultAction::kTornWrite:
-            // The simulated crash already left its torn on-disk state (and,
-            // on a persistent PUT, skipped the in-memory update); the
-            // "dead" server never answers.
-            return;
+          case FaultAction::kCrash:
+            if (!persist_) return;
+            break;
           case FaultAction::kDelay:
             injected_sleep(fault->delay_ms);
             break;
@@ -345,8 +341,7 @@ const BlockServer::StoredBlock* BlockServer::servable_locked(
   return &it->second;
 }
 
-void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
-                         CrashPoint crash) {
+void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status) {
   switch (op) {
     case Op::kPing:
       return;
@@ -362,13 +357,9 @@ void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
         return;
       }
       util::MutexLock lock(mu_);
-      if (persist_) {
-        // Durability before acknowledgement: the block must survive a
-        // power cut the instant after the response is sent.  A simulated
-        // crash leaves the injected torn state on disk and skips the
-        // in-memory update — RAM would not have survived either.
-        if (!persist_->put(key, bytes, declared, crash)) return;
-      }
+      // Durability before acknowledgement: the block must survive a power
+      // cut the instant after the response is sent.
+      if (persist_) persist_->put(key, bytes, declared);
       quarantined_.erase(key);
       auto& block = blocks_[key];
       const double old_bytes = static_cast<double>(block.bytes.size());

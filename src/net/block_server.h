@@ -127,11 +127,8 @@ class BlockServer {
   void accept_loop() EXCLUDES(mu_);
   void reap_finished_locked() REQUIRES(mu_);
   void serve(Session& session) EXCLUDES(mu_);
-  /// `crash` is non-kNone only when a crash fault fired on a persistent
-  /// PUT; the handler then leaves that crash point's torn on-disk state and
-  /// skips the in-memory update (a real crash loses RAM too).
-  void handle(Op op, Reader& req, Writer& resp, Status& status,
-              CrashPoint crash) EXCLUDES(mu_);
+  void handle(Op op, Reader& req, Writer& resp, Status& status)
+      EXCLUDES(mu_);
   /// The one servability rule behind GET, GET_RANGE, PROJECT and VERIFY: a
   /// quarantined key answers kCorrupt with no body, an absent one
   /// kNotFound; otherwise `check` (when set) vets the request against the

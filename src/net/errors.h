@@ -107,14 +107,6 @@ struct MetaReplayError : Error {
   using Error::Error;
 };
 
-/// A simulated coordinator crash cut the metadata write path at an armed
-/// MetaCrashPoint (net/meta_log.h).  Test-only: the fault layer leaves the
-/// exact on-disk state a real crash at that point could, then throws this
-/// so the harness can destroy and reopen the store.
-struct MetaCrashError : Error {
-  using Error::Error;
-};
-
 }  // namespace carousel::net
 
 #endif  // CAROUSEL_NET_ERRORS_H

@@ -14,12 +14,12 @@
 // on the wire (end-to-end checksums must catch it), or the server refuses
 // the op outright (Status::kError).
 //
-// The crash actions extend that to durable-state faults: on a persistent
-// server they cut a PUT's write path at a chosen point (net/persistence.h
-// CrashPoint) and then sever the connection unanswered, leaving exactly the
-// on-disk state a power cut there would — what the restart-recovery tests
-// drive.  On an in-memory server (or a non-PUT op) they degrade to
-// kDropBeforeResponse semantics: the op executes, the client never hears.
+// kCrash extends that to durable-state faults: a persistent server runs the
+// request under its block store's crash injector (net/durable_file.h) with
+// the rule's plan.  A cut skips the in-memory update and severs the
+// connection unanswered, leaving the on-disk state a power cut there would;
+// a failed step answers kError.  On an in-memory server it degrades to
+// kDropBeforeResponse: the op executes, the client never hears.
 
 #ifndef CAROUSEL_NET_FAULT_H
 #define CAROUSEL_NET_FAULT_H
@@ -30,6 +30,7 @@
 #include <random>
 #include <vector>
 
+#include "net/durable_file.h"
 #include "net/protocol.h"
 #include "util/sync.h"
 
@@ -41,16 +42,11 @@ enum class FaultAction : std::uint8_t {
   kDelay,               // stall delay_ms before answering
   kCorruptPayload,      // flip one response-payload byte (at corrupt_offset)
   kRefuse,              // answer Status::kError without executing the op
-  // Simulated crashes on a persistent PUT (CrashPoint in net/persistence.h);
-  // each severs the connection unanswered and loses the in-memory copy:
-  kCrashBeforeFsync,    // die mid-write: partial temp file, nothing flushed
-  kCrashBeforeRename,   // die with the temp file flushed but never published
-  kTornWrite,           // publish a truncated payload under a full-length
-                        //   commit record, then die
+  kCrash,               // run the op under the block store's crash injector
 };
 
 /// Number of defined fault actions (for per-action instrument tables).
-inline constexpr std::size_t kFaultActionCount = 8;
+inline constexpr std::size_t kFaultActionCount = 6;
 
 struct FaultRule {
   FaultAction action = FaultAction::kRefuse;
@@ -67,6 +63,8 @@ struct FaultRule {
   std::uint32_t delay_ms = 0;
   /// kCorruptPayload: which payload byte to flip (mod payload size).
   std::uint32_t corrupt_offset = 0;
+  /// kCrash: the plan the block store's injector runs the op under.
+  durable::CrashPlan crash{};
 };
 
 /// Seeded, shareable fault schedule.  Thread-safe: concurrent server

@@ -1,13 +1,8 @@
 #include "net/meta_log.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <bit>
-#include <cerrno>
 #include <chrono>
 #include <sstream>
-#include <system_error>
 #include <utility>
 
 #include "net/errors.h"
@@ -300,12 +295,12 @@ MetaLog::MetaLog(fs::path dir, std::uint32_t config_crc, Options options)
   fs::create_directories(dir_);
   appends_ = &metric("appends_total");
   snapshots_ = &metric("snapshots_total");
+  snapshot_failures_ = &metric("snapshot_failures_total");
   replay_records_ = &metric("replay_records_total");
   torn_tails_ = &metric("torn_tails_total");
   replay_seconds_ = &registry_->histogram(metric_name("replay_seconds"));
 
   replay(config_crc);
-  open_journal(/*truncate=*/false);
   if (lsn_ == 0) {
     // Fresh directory: the journal's first record pins the configuration
     // this metadata belongs to.
@@ -315,35 +310,18 @@ MetaLog::MetaLog(fs::path dir, std::uint32_t config_crc, Options options)
   }
 }
 
-MetaLog::~MetaLog() {
-  if (journal_fd_ >= 0) ::close(journal_fd_);
-}
-
-void MetaLog::open_journal(bool truncate) {
-  if (journal_fd_ >= 0) {
-    ::close(journal_fd_);
-    journal_fd_ = -1;
-  }
-  const fs::path p = dir_ / "journal";
-  const int flags =
-      O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC | (truncate ? O_TRUNC : 0);
-  journal_fd_ = ::open(p.c_str(), flags, 0644);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (journal_fd_ < 0)
-    throw std::system_error(errno, std::generic_category(),
-                            "open journal " + p.string());
-}
-
 void MetaLog::load_snapshot(std::uint32_t config_crc) {
+  // A snapshot.tmp is a compaction cut short before its rename: never
+  // published, so moved aside like the block store's stale temps.
+  const fs::path tmp_p = dir_ / "snapshot.tmp";
+  if (fs::exists(tmp_p)) sync_.quarantine(tmp_p, quarantine_dir());
   const fs::path snap_p = dir_ / "snapshot";
   if (!fs::exists(snap_p)) return;
   auto bytes = durable::read_file(snap_p);
   const std::optional<ParsedSnapshot> snap =
       bytes ? parse_snapshot(*bytes) : std::nullopt;
   if (!snap) {
-    // The bytes are on stable storage already (only what a previous open
-    // published is moved), so a failed fsync here is not fatal.
-    sync_.quarantine(snap_p, quarantine_dir(),
-                     durable::OnSyncFailure::kIgnore);
+    sync_.quarantine(snap_p, quarantine_dir());
     throw MetaReplayError(
         "meta snapshot is corrupt (quarantined): " + snap_p.string() +
         " — the journal tail alone cannot rebuild the manifest");
@@ -381,15 +359,14 @@ void MetaLog::replay(std::uint32_t config_crc) {
           replay_records_->inc();
         });
     if (intact < bytes->size()) {
-      // Torn tail: everything from here on is untrusted.  Quarantine the
-      // fragment, truncate the journal at the last intact boundary.
+      // Torn tail: everything from here on is untrusted.  The fragment is
+      // durable in quarantine before the journal is truncated at the last
+      // intact boundary, so a crash in between never loses the evidence.
       replay_.torn_tail = true;
       replay_.torn_bytes = bytes->size() - intact;
-      durable::quarantine_bytes(quarantine_dir(), "journal.tail",
-                                std::span(*bytes).subspan(intact));
-      if (::truncate(journal_p.c_str(), static_cast<off_t>(intact)) != 0)
-        throw std::system_error(errno, std::generic_category(),
-                                "truncate journal " + journal_p.string());
+      sync_.quarantine_bytes(quarantine_dir(), "journal.tail",
+                             std::span(*bytes).subspan(intact));
+      sync_.truncate(journal_p, intact);
       torn_tails_->inc();
     }
   }
@@ -476,44 +453,15 @@ void MetaLog::apply_record(std::uint8_t kind,
 
 void MetaLog::append_record(std::uint8_t kind,
                             const std::vector<std::uint8_t>& payload) {
-  const std::uint64_t rec_lsn = lsn_ + 1;
+  // The LSN is spent even when the append fails: its bytes may still reach
+  // the journal, and replay skips a record whose LSN it has already seen.
+  const std::uint64_t rec_lsn = ++lsn_;
   const std::vector<std::uint8_t> bytes =
       serialize_record(kind, rec_lsn, payload);
-
-  MetaCrashPoint crash = MetaCrashPoint::kNone;
-  if (crash_point_ != MetaCrashPoint::kNone && crash_countdown_ > 0 &&
-      --crash_countdown_ == 0) {
-    crash = crash_point_;
-    crash_point_ = MetaCrashPoint::kNone;
-  }
-  if (crash == MetaCrashPoint::kBeforeFsync) {
-    // Died before the fsync: the record may never have reached the platter.
-    // Model the worst case — nothing written, mutation lost, never acked.
-    throw MetaCrashError(std::string("meta crash before fsync of ") +
-                         kind_name(kind));
-  }
   const fs::path journal_p = dir_ / "journal";
-  if (crash == MetaCrashPoint::kTornRecord) {
-    // Power died mid-append: half the record's bytes are durable.
-    durable::write_all(journal_fd_, std::span(bytes).first(bytes.size() / 2),
-                       journal_p);
-    sync_.sync_fd(journal_fd_, journal_p);
-    throw MetaCrashError(std::string("meta crash mid-append of ") +
-                         kind_name(kind));
-  }
-
-  durable::write_all(journal_fd_, bytes, journal_p);
-  sync_.sync_fd(journal_fd_, journal_p);
-
-  if (crash == MetaCrashPoint::kAfterAppend) {
-    // The record is durable but the process dies before publishing the
-    // mutation in memory (and before the caller could ack it).
-    throw MetaCrashError(std::string("meta crash after durable append of ") +
-                         kind_name(kind));
-  }
-
+  sync_.append(journal_p, bytes);
+  sync_.sync_file(journal_p);
   apply_record(kind, payload);
-  lsn_ = rec_lsn;
   appends_->inc();
 
   // The journal reset inside write_snapshot() appends its own config
@@ -528,20 +476,25 @@ void MetaLog::write_snapshot() {
   since_snapshot_ = 0;
   const fs::path snap_p = dir_ / "snapshot";
   const fs::path tmp_p = dir_ / "snapshot.tmp";
-  durable::write_file(tmp_p, serialize_state(state_, config_crc_, lsn_));
-  sync_.publish(tmp_p, snap_p);
-  // Best effort, unlike the block store: a failed directory fsync is not
-  // reported.
-  sync_.sync_dir(dir_, durable::OnSyncFailure::kIgnore);
-  snapshots_->inc();
-
-  // Reset the journal: everything up to lsn_ is folded into the snapshot.
-  // A crash before this truncate is harmless — replay skips records whose
-  // lsn is covered by the snapshot.
-  open_journal(/*truncate=*/true);
-  Writer w;
-  w.u32(config_crc_);
-  append_record(kRecConfig, w.data());
+  try {
+    sync_.write(tmp_p, serialize_state(state_, config_crc_, lsn_));
+    sync_.publish(tmp_p, snap_p);
+    sync_.sync_dir(dir_);
+    snapshots_->inc();
+    // Reset the journal: the durable snapshot holds everything up to lsn_,
+    // and replay skips the records it covers if the truncate is lost.
+    sync_.truncate(dir_ / "journal", 0);
+    Writer w;
+    w.u32(config_crc_);
+    append_record(kRecConfig, w.data());
+  } catch (const durable::Crash&) {
+    throw;
+  } catch (const std::exception&) {
+    // The triggering record is durable and applied, so its append succeeds.
+    // A failure left the journal whole or the snapshot durable; the next
+    // compaction retries.
+    snapshot_failures_->inc();
+  }
   compacting_ = false;
 }
 
@@ -606,11 +559,6 @@ void MetaLog::set_hedge(const HedgePolicy& hedge) {
   Writer w;
   encode(w, hedge);
   append_record(kRecHedge, w.data());
-}
-
-void MetaLog::arm_crash(MetaCrashPoint point, std::uint64_t countdown) {
-  crash_point_ = point;
-  crash_countdown_ = point == MetaCrashPoint::kNone ? 0 : countdown;
 }
 
 // --- Read-only inspection --------------------------------------------------

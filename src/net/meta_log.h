@@ -25,13 +25,12 @@
 // Replay on open loads the snapshot (if any), then the journal tail,
 // skipping records already folded into the snapshot (LSN filter — this is
 // what makes a crash between snapshot-rename and journal-reset harmless).
-// A torn tail is truncated at the last intact record boundary and the torn
-// bytes are quarantined; a corrupt snapshot is quarantined and the open
-// fails loudly with MetaReplayError, never silently with an empty manifest.
-//
-// MetaCrashPoint lets tests cut the append path at the interesting places
-// (record lost before fsync, record durable but unpublished, record torn
-// mid-write); each leaves exactly the on-disk state a real crash could.
+// A torn tail is durable in quarantine before the journal is truncated at
+// the last intact record boundary; a stale snapshot.tmp is quarantined; a
+// corrupt snapshot is quarantined and the open fails loudly with
+// MetaReplayError, never silently with an empty manifest.  A failed
+// compaction keeps the journal whole and fails no append.  Every step runs
+// through the log's durable::Syncer, whose injector tests arm.
 //
 // The class is not thread-safe: CarouselStore serializes every call under
 // its meta_mu_ (LockRank::kMetaLog), which also pins WAL order == in-memory
@@ -70,24 +69,7 @@ struct HedgePolicy {
   std::chrono::milliseconds initial{50};
   /// Must be > 0: a zero-sample quantile is undefined.
   std::uint64_t min_samples = 32;
-};
-
-/// Where a simulated coordinator crash cuts the journal append path.  Armed
-/// per-append via MetaLog::arm_crash; firing throws MetaCrashError.
-enum class MetaCrashPoint : std::uint8_t {
-  kNone = 0,
-  /// The record never reached stable storage: nothing is written.  Models
-  /// the worst outcome of dying before the fsync — the whole record is lost
-  /// and replay never sees the mutation (which was never acked).
-  kBeforeFsync,
-  /// The record is fully written and fsynced, but the process dies before
-  /// the in-memory state is published (and before the caller could ack).
-  /// Replay sees the record; an intent left this way drives reconciliation.
-  kAfterAppend,
-  /// Half the record's bytes hit the platter, then power died.  Replay must
-  /// truncate the torn tail at the previous record boundary and quarantine
-  /// the fragment.
-  kTornRecord,
+  friend bool operator==(const HedgePolicy&, const HedgePolicy&) = default;
 };
 
 class MetaLog {
@@ -111,6 +93,7 @@ class MetaLog {
     std::uint32_t stripes = 0;
     /// placement[stripe][index] = server id, exactly the store's table.
     std::vector<std::vector<std::uint32_t>> placement;
+    friend bool operator==(const FileRecord&, const FileRecord&) = default;
   };
 
   /// A rehome whose target copy may or may not exist on disk yet.
@@ -127,6 +110,7 @@ class MetaLog {
     std::uint16_t port = 0;
     std::uint64_t domain = 0;
     bool labeled = false;
+    friend bool operator==(const SpareServer&, const SpareServer&) = default;
   };
 
   /// The authoritative metadata state the journal describes.  MetaLog
@@ -138,6 +122,7 @@ class MetaLog {
     std::vector<RehomeIntent> pending_rehomes;
     std::vector<SpareServer> spares;
     std::optional<HedgePolicy> hedge;
+    friend bool operator==(const State&, const State&) = default;
   };
 
   /// Outcome of the replay an open performs.
@@ -160,7 +145,6 @@ class MetaLog {
   /// shaped store.
   MetaLog(std::filesystem::path dir, std::uint32_t config_crc,
           Options options);
-  ~MetaLog();
   MetaLog(const MetaLog&) = delete;
   MetaLog& operator=(const MetaLog&) = delete;
 
@@ -196,9 +180,8 @@ class MetaLog {
   void add_server(std::uint16_t port, std::uint64_t domain, bool labeled);
   void set_hedge(const HedgePolicy& hedge);
 
-  /// Arms a one-shot crash: the `countdown`-th append from now (1 = the
-  /// next) cuts the write path at `point` and throws MetaCrashError.
-  void arm_crash(MetaCrashPoint point, std::uint64_t countdown = 1);
+  /// The journal's and snapshot's steps (tests arm its injector).
+  durable::Syncer& syncer() { return sync_; }
 
   /// The mint point for every carousel_meta_* instrument name (rule 10:
   /// the prefix literal exists once, in meta_log.cpp).  CarouselStore's
@@ -218,7 +201,6 @@ class MetaLog {
   void apply_record(std::uint8_t kind,
                     const std::vector<std::uint8_t>& payload);
   void write_snapshot();
-  void open_journal(bool truncate);
   std::string metric_name(const char* suffix) const;
 
   std::filesystem::path dir_;
@@ -229,10 +211,6 @@ class MetaLog {
   std::uint64_t lsn_ = 0;
   std::size_t since_snapshot_ = 0;
   bool compacting_ = false;
-  int journal_fd_ = -1;
-
-  MetaCrashPoint crash_point_ = MetaCrashPoint::kNone;
-  std::uint64_t crash_countdown_ = 0;
 
   obs::MetricsRegistry* registry_ = nullptr;
   // Journal, snapshot and quarantine fsyncs, charged to
@@ -240,6 +218,7 @@ class MetaLog {
   durable::Syncer sync_;
   obs::Counter* appends_ = nullptr;
   obs::Counter* snapshots_ = nullptr;
+  obs::Counter* snapshot_failures_ = nullptr;
   obs::Counter* replay_records_ = nullptr;
   obs::Counter* torn_tails_ = nullptr;
   obs::Histogram* replay_seconds_ = nullptr;

@@ -118,40 +118,21 @@ PersistentBlockStore::PersistentBlockStore(fs::path dir, Options options)
 
 bool PersistentBlockStore::put(const BlockKey& key,
                                std::span<const std::uint8_t> bytes,
-                               std::uint32_t crc, CrashPoint crash) {
+                               std::uint32_t crc) {
   const std::string stem = stem_of(key);
   const fs::path blk = dir_ / (stem + ".blk");
   const fs::path meta = dir_ / (stem + ".meta");
   const fs::path blk_tmp = dir_ / (stem + ".blk.tmp");
   const fs::path meta_tmp = dir_ / (stem + ".meta.tmp");
 
-  if (crash == CrashPoint::kBeforeFsync) {
-    // Power died mid-write: half the payload reached the page cache, no
-    // flush, no publication.  Only a stale temp file survives.
-    durable::write_file(blk_tmp, bytes.first(bytes.size() / 2));
-    return false;
-  }
-  if (crash == CrashPoint::kBeforeRename) {
-    // The payload is durable in the temp file but was never published; the
-    // block as named never changed.  Recovery discards the temp.
-    durable::write_file(blk_tmp, bytes);
-    sync_.sync_file(blk_tmp);
-    return false;
-  }
-
   // Payload first, commit record second: a crash between the two leaves an
   // orphaned payload (quarantined, not trusted), never a record that
-  // promises bytes which were lost.  A torn write publishes a truncated
-  // payload together with a full-length commit record — what a disk that
-  // acknowledged unwritten sectors leaves behind.  Recovery must catch the
-  // length mismatch and quarantine.
-  const bool torn = crash == CrashPoint::kTornWrite;
-  durable::write_file(blk_tmp, torn ? bytes.first(bytes.size() / 2) : bytes);
+  // promises bytes which were lost.
+  sync_.write(blk_tmp, bytes);
   sync_.publish(blk_tmp, blk);
-  durable::write_file(meta_tmp, serialize_meta(key, bytes.size(), crc));
+  sync_.write(meta_tmp, serialize_meta(key, bytes.size(), crc));
   sync_.publish(meta_tmp, meta);
   sync_.sync_dir(dir_);
-  if (torn) return false;
   commits_->inc();
   bytes_written_->inc(bytes.size());
   return true;
@@ -159,12 +140,11 @@ bool PersistentBlockStore::put(const BlockKey& key,
 
 bool PersistentBlockStore::erase(const BlockKey& key) {
   const std::string stem = stem_of(key);
-  std::error_code ec;
   // Commit record first: an erase interrupted between the two unlinks
   // leaves an orphaned payload, which recovery quarantines — never a
   // record claiming a block that is half-deleted.
-  const bool had_meta = fs::remove(dir_ / (stem + ".meta"), ec);
-  const bool had_blk = fs::remove(dir_ / (stem + ".blk"), ec);
+  const bool had_meta = sync_.unlink(dir_ / (stem + ".meta"));
+  const bool had_blk = sync_.unlink(dir_ / (stem + ".blk"));
   if (had_meta || had_blk) sync_.sync_dir(dir_);
   return had_meta || had_blk;
 }

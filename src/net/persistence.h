@@ -7,12 +7,12 @@
 //   <stem>.meta   a fixed-size commit record: magic, key, payload length,
 //                 payload CRC-32, and a CRC-32 of the record itself
 //
-// Every write is published crash-atomically through net/durable_file.h:
-// bytes go to a `.tmp` file, which is fsynced and then renamed over the
-// final name, and the directory entry is fsynced last.  The `.meta` record
-// is written after its payload, so a block only counts as committed once an
-// intact record names an intact payload — every prefix of the write
-// sequence is a state the recovery scan classifies deterministically
+// Every file is published through the store's durable::Syncer
+// (net/durable_file.h), whose crash injector can cut after any step: bytes
+// go to a `.tmp` file, which is fsynced and renamed over the final name,
+// and the directory is fsynced last.  The `.meta` record follows its
+// payload, so a block counts as committed only once an intact record names
+// an intact payload — whatever a cut leaves, the recovery scan classifies
 // (DESIGN.md "Durability & crash consistency").
 //
 // recover() replays that classification over a directory as found after a
@@ -22,11 +22,8 @@
 // reported so the owning BlockServer answers kCorrupt for them until the
 // scrubber re-uploads a rebuilt copy at the code's optimal repair traffic.
 //
-// CrashPoint lets the fault layer cut the PUT write path at the three
-// interesting places (mid-write, flushed-but-unpublished, torn-but-
-// committed); each leaves exactly the on-disk state a real power cut at
-// that point could.  The class itself is not thread-safe — the BlockServer
-// serializes calls under its block-map mutex.
+// The class is not thread-safe — the BlockServer serializes calls under its
+// block-map mutex.
 
 #ifndef CAROUSEL_NET_PERSISTENCE_H
 #define CAROUSEL_NET_PERSISTENCE_H
@@ -43,22 +40,6 @@
 #include "obs/metrics.h"
 
 namespace carousel::net {
-
-/// Where a simulated crash cuts the PUT write path.  The FaultPlan crash
-/// actions (net/fault.h) map onto these one-for-one.
-enum class CrashPoint : std::uint8_t {
-  kNone = 0,
-  /// Crash mid-write: a partial payload sits in the temp file, nothing was
-  /// flushed or published.  Recovery sees a stale temp.
-  kBeforeFsync,
-  /// Crash after the temp file was flushed but before the rename published
-  /// it.  Indistinguishable from kBeforeFsync to recovery: a stale temp.
-  kBeforeRename,
-  /// Torn write: a truncated payload is published together with a
-  /// full-length commit record — the state a lying disk cache leaves.
-  /// Recovery must quarantine the pair and report the key as damaged.
-  kTornWrite,
-};
 
 /// Outcome of one recovery scan.  `quarantined_files` counts files moved
 /// into quarantine/; the per-cause counters classify why (one damaged block
@@ -109,15 +90,15 @@ class PersistentBlockStore {
   RecoveryReport recover(std::vector<RecoveredBlock>* out = nullptr);
 
   /// Crash-atomic write of one block (temp file -> fsync -> rename, payload
-  /// before commit record).  Returns true when the block committed; false
-  /// when `crash` cut the sequence first, leaving that crash point's on-disk
-  /// state behind.  Throws on real I/O failure.
+  /// before commit record).  Returns true once the block committed; an I/O
+  /// failure or an injected crash throws.
   bool put(const BlockKey& key, std::span<const std::uint8_t> bytes,
-           std::uint32_t crc, CrashPoint crash = CrashPoint::kNone);
+           std::uint32_t crc);
 
   /// Removes a block's files, commit record first (so an interrupted erase
   /// leaves an orphaned payload, never a record naming nothing).  Returns
-  /// false when no file for the key existed.
+  /// false when no file for the key existed; an unlink that fails for any
+  /// other reason throws, and the block stays.
   bool erase(const BlockKey& key);
 
   /// Test hook: flips one payload byte on disk at `offset` (mod payload
@@ -131,6 +112,9 @@ class PersistentBlockStore {
   /// graceful drain needs: after it returns, everything acknowledged is on
   /// stable storage.  No-op when Options::fsync is off.
   void flush() const { sync_.sync_dir(dir_); }
+
+  /// The steps of put, erase and recover; tests and kCrash arm it.
+  durable::Syncer& syncer() { return sync_; }
 
   const std::filesystem::path& dir() const { return dir_; }
   std::filesystem::path quarantine_dir() const { return dir_ / "quarantine"; }

@@ -1218,10 +1218,9 @@ MetaLog::ReplayReport CarouselStore::meta_replay_report() const {
   return meta_ ? meta_->replay_report() : MetaLog::ReplayReport{};
 }
 
-void CarouselStore::set_meta_crash_point(MetaCrashPoint point,
-                                         std::uint64_t countdown) {
+void CarouselStore::set_meta_crash_point(const durable::CrashPlan& plan) {
   util::MutexLock mlock(meta_mu_);
-  if (meta_) meta_->arm_crash(point, countdown);
+  if (meta_) meta_->syncer().arm(plan);
 }
 
 CarouselStore::ReconcileReport CarouselStore::reconcile() {

@@ -341,11 +341,9 @@ class CarouselStore {
   /// an in-memory store).
   MetaLog::ReplayReport meta_replay_report() const;
 
-  /// Test hook: arms a one-shot simulated coordinator crash on the
-  /// `countdown`-th journal append from now (1 = the next).  No-op for
-  /// in-memory stores.
-  void set_meta_crash_point(MetaCrashPoint point, std::uint64_t countdown = 1)
-      EXCLUDES(mu_);
+  /// Test hook: arms the journal's crash injector for the calling thread's
+  /// steps (append c is steps 2c-1, 2c).  No-op for in-memory stores.
+  void set_meta_crash_point(const durable::CrashPlan& plan) EXCLUDES(mu_);
 
  private:
   /// One server plus its client pool.  Server objects are heap-allocated

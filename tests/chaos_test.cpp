@@ -311,13 +311,19 @@ class ChaosHarness {
           if (!down_.contains(i)) up.push_back(i);
         if (up.empty()) return;
         const std::size_t id = up[e.a % up.size()];
-        static constexpr FaultAction kCrashes[] = {
-            FaultAction::kCrashBeforeFsync, FaultAction::kCrashBeforeRename,
-            FaultAction::kTornWrite};
+        // One of every cut of a PUT's 7 durable steps: after step 0..7,
+        // renames kept or undone, the payload (step 1) or record (step 4)
+        // write torn at or before the cut.
+        static constexpr std::uint32_t kTears[] = {0, 1, 4};
+        const std::uint32_t cut = e.b % 8;
+        const std::uint32_t tear = kTears[e.b / 8 % 3];
         auto plan = std::make_shared<FaultPlan>(e.b);
         FaultRule rule;
         rule.op = Op::kPut;
-        rule.action = kCrashes[e.b % 3];
+        rule.action = FaultAction::kCrash;
+        rule.crash = {.cut_after = cut,
+                      .tear = tear <= cut ? tear : 0,
+                      .undo_renames = e.b / 24 % 2 == 1};
         rule.max_hits = 1;  // the client's automatic retry must then land
         plan->add(rule);
         servers_[id]->set_fault_plan(plan);
@@ -326,17 +332,18 @@ class ChaosHarness {
         return;
       }
       case ChaosKind::kCoordCrash: {
-        // The coordinator itself dies mid-mutation: arm a one-shot crash
-        // point inside the metadata journal (countdown 1 = the PUT's intent
-        // append, 2 = its commit append), drive a PUT into it, then rebuild
-        // the store from the journal alone and reconcile.  The crashed PUT
-        // is never acked (put_new_file swallows the error) so read_check
-        // demands nothing of it — but every file acked *before* the crash
-        // must read back bit-exact through the rebuilt coordinator.
-        static constexpr MetaCrashPoint kPoints[] = {
-            MetaCrashPoint::kBeforeFsync, MetaCrashPoint::kAfterAppend,
-            MetaCrashPoint::kTornRecord};
-        store_->set_meta_crash_point(kPoints[e.a % 3], 1 + e.b % 2);
+        // The coordinator itself dies mid-mutation: arm the metadata
+        // journal's crash injector with one of every cut of the PUT's
+        // intent append (steps 1-2) and commit append (steps 3-4), a write
+        // torn or not, drive a PUT into it, then rebuild the store from the
+        // journal alone and reconcile.  The crashed PUT is never acked
+        // (put_new_file swallows the error) so read_check demands nothing
+        // of it — but every file acked *before* the crash must read back
+        // bit-exact through the rebuilt coordinator.
+        const std::uint32_t cut = e.a % 5;
+        const bool torn = e.b % 2 == 1 && cut % 2 == 1;  // a write step
+        store_->set_meta_crash_point(
+            {.cut_after = cut, .tear = torn ? cut : 0});
         put_new_file(1 + e.c % 2);
         rebuild_coordinator();  // always: also disarms an untripped point
         return;
@@ -1190,91 +1197,96 @@ TEST(Chaos, CoordinatorCrashAtEveryPointRecoversBitExact) {
     reference[fid] = std::move(data);
   }
 
-  static constexpr MetaCrashPoint kPoints[] = {MetaCrashPoint::kBeforeFsync,
-                                               MetaCrashPoint::kAfterAppend,
-                                               MetaCrashPoint::kTornRecord};
+  // Every cut of a mutation's two journal appends: after each of the
+  // intent's steps 1-2 (step 0: before it) and the commit's steps 3-4, and
+  // each append's write torn.  `commit` marks a cut inside the commit.
+  struct JournalCut {
+    durable::CrashPlan plan;
+    bool commit;
+  };
+  std::vector<JournalCut> cuts;
+  for (std::uint32_t n = 0; n <= 4; ++n)
+    cuts.push_back({{.cut_after = n}, n >= 3});
+  for (std::uint32_t t : {1u, 3u})
+    cuts.push_back({{.cut_after = t, .tear = t}, t >= 3});
 
   // --- Matrix 1: kill the coordinator mid-put_file. ---
-  // A put appends twice: intent (countdown 1, before any block is
-  // uploaded) and commit (countdown 2, after every block landed).
-  for (const MetaCrashPoint point : kPoints) {
-    for (const std::uint64_t countdown : {1, 2}) {
-      SCOPED_TRACE("put crash point " +
-                   std::to_string(static_cast<int>(point)) + " countdown " +
-                   std::to_string(countdown));
-      const std::uint32_t fid = next_fid++;
-      auto data = random_bytes(code.k() * block - 7, 9100 + fid);
-      store->set_meta_crash_point(point, countdown);
-      EXPECT_THROW(store->put_file(fid, data), MetaCrashError);
+  // A put appends twice: intent (before any block is uploaded) and commit
+  // (after every block landed).
+  for (const JournalCut& cut : cuts) {
+    SCOPED_TRACE("put cut after step " +
+                 std::to_string(*cut.plan.cut_after) + " tear " +
+                 std::to_string(cut.plan.tear));
+    const std::uint32_t fid = next_fid++;
+    auto data = random_bytes(code.k() * block - 7, 9100 + fid);
+    store->set_meta_crash_point(cut.plan);
+    EXPECT_THROW(store->put_file(fid, data), durable::Crash);
 
-      store.reset();  // the crash: the old coordinator is gone
-      store = make_store();
-      if (point == MetaCrashPoint::kTornRecord) {
-        EXPECT_TRUE(store->meta_replay_report().torn_tail)
-            << "a torn tail must be detected, quarantined, and truncated";
-      }
-      store->reconcile();
-
-      if (countdown == 2) {
-        // Every block landed before the crash, so recovery must converge
-        // on "committed": directly when the commit record was durable,
-        // by adopting the fully-landed intent otherwise.
-        ASSERT_TRUE(store->files().contains(fid))
-            << "a fully-uploaded put was lost by recovery";
-        EXPECT_EQ(store->read_file(fid, data.size()), data);
-        reference[fid] = std::move(data);  // now part of the acked world
-      } else {
-        // The crash predates any upload: recovery must not resurrect it.
-        EXPECT_FALSE(store->files().contains(fid))
-            << "recovery invented a file whose data never landed";
-      }
-      for (const auto& [f, d] : reference)
-        EXPECT_EQ(store->read_file(f, d.size()), d)
-            << "acked file " << f << " lost across a coordinator crash";
-      check_rack_cap(*store);
+    store.reset();  // the crash: the old coordinator is gone
+    store = make_store();
+    if (cut.plan.tear != 0) {
+      EXPECT_TRUE(store->meta_replay_report().torn_tail)
+          << "a torn tail must be detected, quarantined, and truncated";
     }
+    store->reconcile();
+
+    if (cut.commit) {
+      // Every block landed before the crash, so recovery must converge
+      // on "committed": directly when the commit record was durable,
+      // by adopting the fully-landed intent otherwise.
+      ASSERT_TRUE(store->files().contains(fid))
+          << "a fully-uploaded put was lost by recovery";
+      EXPECT_EQ(store->read_file(fid, data.size()), data);
+      reference[fid] = std::move(data);  // now part of the acked world
+    } else {
+      // The crash predates any upload: recovery must not resurrect it.
+      EXPECT_FALSE(store->files().contains(fid))
+          << "recovery invented a file whose data never landed";
+    }
+    for (const auto& [f, d] : reference)
+      EXPECT_EQ(store->read_file(f, d.size()), d)
+          << "acked file " << f << " lost across a coordinator crash";
+    check_rack_cap(*store);
   }
 
   // --- Matrix 2: kill the coordinator mid-rehome. ---
   // Kill one base server; each repair_block of a block homed there drives
-  // the rehome path (intent at countdown 1, commit at countdown 2 — the
-  // failed upload to the dead home itself appends nothing).
+  // the rehome path (intent, then commit — the failed upload to the dead
+  // home itself appends nothing).
   const std::size_t victim = 7;
   servers[victim].reset();
   const test::ClosedPort held(ports[victim]);  // dead for good
-  for (const MetaCrashPoint point : kPoints) {
-    for (const std::uint64_t countdown : {1, 2}) {
-      SCOPED_TRACE("rehome crash point " +
-                   std::to_string(static_cast<int>(point)) + " countdown " +
-                   std::to_string(countdown));
-      const auto stranded = store->blocks_on(victim);
-      ASSERT_FALSE(stranded.empty())
-          << "matrix consumed every block homed on the victim";
-      const auto [fid, s, i] = std::tuple{
-          stranded.front().file, stranded.front().stripe,
-          stranded.front().index};
-      store->set_meta_crash_point(point, countdown);
-      EXPECT_THROW(store->repair_block(fid, s, i), MetaCrashError);
+  for (const JournalCut& cut : cuts) {
+    SCOPED_TRACE("rehome cut after step " +
+                 std::to_string(*cut.plan.cut_after) + " tear " +
+                 std::to_string(cut.plan.tear));
+    const auto stranded = store->blocks_on(victim);
+    ASSERT_FALSE(stranded.empty())
+        << "matrix consumed every block homed on the victim";
+    const auto [fid, s, i] = std::tuple{
+        stranded.front().file, stranded.front().stripe,
+        stranded.front().index};
+    store->set_meta_crash_point(cut.plan);
+    EXPECT_THROW(store->repair_block(fid, s, i), durable::Crash);
 
-      store.reset();
-      store = make_store();
-      store->reconcile();
+    store.reset();
+    store = make_store();
+    store->reconcile();
 
-      if (countdown == 2) {
-        // The reconstructed block reached its new home before the crash:
-        // recovery must keep the move (the old home is dead).
-        EXPECT_NE(store->placement_of(fid, s, i), victim)
-            << "a completed rehome was rolled back by recovery";
-      } else {
-        // Intent-only crash: the placement still names the dead home; a
-        // later sweep heals it for real.
-        EXPECT_EQ(store->placement_of(fid, s, i), victim);
-      }
-      for (const auto& [f, d] : reference)
-        EXPECT_EQ(store->read_file(f, d.size()), d)
-            << "acked file " << f << " lost across a mid-rehome crash";
-      check_rack_cap(*store);
+    if (cut.commit) {
+      // The reconstructed block reached its new home before the crash:
+      // recovery must keep the move (the old home is dead).
+      EXPECT_NE(store->placement_of(fid, s, i), victim)
+          << "a completed rehome was rolled back by recovery";
+    } else {
+      // Intent-only crash: the placement still names the dead home; a
+      // later sweep heals it for real.
+      EXPECT_EQ(store->placement_of(fid, s, i), victim);
     }
+    for (const auto& [f, d] : reference)
+      EXPECT_EQ(store->read_file(f, d.size()), d)
+          << "acked file " << f << " lost across a mid-rehome crash";
+    check_rack_cap(*store);
   }
 
   // Epilogue: a plain scrubber sweep heals everything still stranded on

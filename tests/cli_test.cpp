@@ -203,9 +203,10 @@ TEST_F(CliTest, RecoverCommandScansAndQuarantines) {
     auto torn = test::random_bytes(512, 4);
     ASSERT_TRUE(store.put(cnet::BlockKey{1, 0, 0}, good,
                           carousel::util::crc32(good)));
-    ASSERT_FALSE(store.put(cnet::BlockKey{1, 0, 1}, torn,
-                           carousel::util::crc32(torn),
-                           cnet::CrashPoint::kTornWrite));
+    store.syncer().arm({.cut_after = 7, .tear = 1});
+    ASSERT_THROW(store.put(cnet::BlockKey{1, 0, 1}, torn,
+                           carousel::util::crc32(torn)),
+                 cnet::durable::Crash);
   }
   std::string report = recover_store(store_dir);
   EXPECT_NE(report.find("recovered 1 intact block(s)"), std::string::npos);

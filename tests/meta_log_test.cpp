@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -230,29 +232,29 @@ TEST_F(MetaLogTest, TornFinalRecordTruncatedAtEveryByteBoundary) {
 
 TEST_F(MetaLogTest, CrashPointsLeaveExactlyTheStateARealCrashWould) {
   const auto rec = sample_file();
-  // kBeforeFsync: the record never reached the platter — replay must not
-  // see the intent at all.
+  // Cut after the append's write (step 1): the record never reached the
+  // platter — replay must not see the intent at all.
   {
     {
       MetaLog log(dir_, kConfig, opts());
-      log.arm_crash(MetaCrashPoint::kBeforeFsync);
+      log.syncer().arm({.cut_after = 1});
       EXPECT_THROW(
           log.put_intent(5, rec.file_bytes, rec.stripes, rec.placement),
-          MetaCrashError);
+          durable::Crash);
     }
     MetaLog log(dir_, kConfig, opts());
     EXPECT_TRUE(log.state().pending_puts.empty());
     EXPECT_FALSE(log.replay_report().torn_tail);
   }
-  // kAfterAppend: the record is durable but was never applied in memory —
-  // replay must recover the pending intent.
+  // Cut after its fsync (step 2): the record is durable but was never
+  // applied in memory — replay must recover the pending intent.
   {
     {
       MetaLog log(dir_, kConfig, opts());
-      log.arm_crash(MetaCrashPoint::kAfterAppend);
+      log.syncer().arm({.cut_after = 2});
       EXPECT_THROW(
           log.put_intent(5, rec.file_bytes, rec.stripes, rec.placement),
-          MetaCrashError);
+          durable::Crash);
       // The crash fired before apply: this instance never saw the intent.
       EXPECT_TRUE(log.state().pending_puts.empty());
     }
@@ -260,17 +262,17 @@ TEST_F(MetaLogTest, CrashPointsLeaveExactlyTheStateARealCrashWould) {
     ASSERT_EQ(log.state().pending_puts.size(), 1u);
     EXPECT_EQ(log.state().pending_puts.at(5).placement, rec.placement);
   }
-  // kTornRecord: half the bytes are durable — replay quarantines the
-  // fragment and recovers the pre-append state.
+  // Its write torn, then dead: half the bytes are durable — replay
+  // quarantines the fragment and recovers the pre-append state.
   {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     {
       MetaLog log(dir_, kConfig, opts());
-      log.arm_crash(MetaCrashPoint::kTornRecord);
+      log.syncer().arm({.cut_after = 1, .tear = 1});
       EXPECT_THROW(
           log.put_intent(5, rec.file_bytes, rec.stripes, rec.placement),
-          MetaCrashError);
+          durable::Crash);
     }
     MetaLog log(dir_, kConfig, opts());
     EXPECT_TRUE(log.state().pending_puts.empty());
@@ -285,10 +287,10 @@ TEST_F(MetaLogTest, SecondTornTailQuarantinesBesideTheFirst) {
   const auto rec = sample_file();
   {
     MetaLog log(dir_, kConfig, opts());
-    log.arm_crash(MetaCrashPoint::kTornRecord);
+    log.syncer().arm({.cut_after = 1, .tear = 1});
     EXPECT_THROW(
         log.put_intent(5, rec.file_bytes, rec.stripes, rec.placement),
-        MetaCrashError);
+        durable::Crash);
   }
   std::uint64_t first = 0;
   {
@@ -296,8 +298,8 @@ TEST_F(MetaLogTest, SecondTornTailQuarantinesBesideTheFirst) {
     ASSERT_TRUE(log.replay_report().torn_tail);
     first = log.replay_report().torn_bytes;
     log.put_intent(5, rec.file_bytes, rec.stripes, rec.placement);
-    log.arm_crash(MetaCrashPoint::kTornRecord);
-    EXPECT_THROW(log.put_commit(5), MetaCrashError);
+    log.syncer().arm({.cut_after = 1, .tear = 1});
+    EXPECT_THROW(log.put_commit(5), durable::Crash);
   }
   MetaLog log(dir_, kConfig, opts());
   ASSERT_TRUE(log.replay_report().torn_tail);
@@ -313,16 +315,239 @@ TEST_F(MetaLogTest, CountdownArmsALaterAppend) {
   const auto rec = sample_file();
   {
     MetaLog log(dir_, kConfig, opts());
-    // Countdown 2: the intent (append #1) lands durably, the commit
-    // (append #2) is lost before its fsync — the classic crash-mid-put.
-    log.arm_crash(MetaCrashPoint::kBeforeFsync, 2);
+    // Cut after step 3: the intent (append 1, steps 1-2) lands durably,
+    // the commit (append 2) is lost before its fsync (step 4) — the classic
+    // crash-mid-put.
+    log.syncer().arm({.cut_after = 3});
     log.put_intent(8, rec.file_bytes, rec.stripes, rec.placement);
-    EXPECT_THROW(log.put_commit(8), MetaCrashError);
+    EXPECT_THROW(log.put_commit(8), durable::Crash);
   }
   MetaLog log(dir_, kConfig, opts());
   EXPECT_TRUE(log.state().manifest.empty());
   ASSERT_EQ(log.state().pending_puts.size(), 1u);
   EXPECT_TRUE(log.state().pending_puts.contains(8));
+}
+
+// Every crash plan of a journal op with `steps` steps whose writes are
+// `writes`: a cut after each N in 0..steps, with renames kept and undone,
+// and each write torn, then dead.  (A write torn and then fsynced on, by a
+// disk that lied, would publish a torn snapshot, which the open refuses
+// loudly by design.)
+std::vector<durable::CrashPlan> every_cut(
+    std::uint32_t steps, const std::vector<std::uint32_t>& writes) {
+  std::vector<durable::CrashPlan> plans;
+  for (const bool undo : {false, true}) {
+    for (std::uint32_t n = 0; n <= steps; ++n)
+      plans.push_back({.cut_after = n, .undo_renames = undo});
+    for (const std::uint32_t t : writes)
+      plans.push_back({.cut_after = t, .tear = t, .undo_renames = undo});
+  }
+  return plans;
+}
+
+std::string describe(const durable::CrashPlan& plan) {
+  return "cut after " + std::to_string(*plan.cut_after) + ", tear " +
+         std::to_string(plan.tear) +
+         (plan.undo_renames ? ", renames undone" : ", renames kept");
+}
+
+bool quarantine_holds(const fs::path& dir,
+                      const std::vector<std::uint8_t>& bytes) {
+  const fs::path q = dir / "quarantine";
+  if (!fs::exists(q)) return false;
+  for (const auto& e : fs::directory_iterator(q))
+    if (read_bytes(e.path()) == bytes) return true;
+  return false;
+}
+
+// A put intent and commit, a rehome intent and commit, and an append that
+// compacts (its write and fsync, then the snapshot's write, fsync, rename
+// and directory fsync, the journal truncate, and the config record's write
+// and fsync), cut at every step.  A reopen must replay the state before or
+// after the op, leave no snapshot.tmp, and hold every torn fragment or
+// stale temp the crash left in quarantine/ byte for byte.
+TEST_F(MetaLogTest, EveryCutOfEveryJournalOpReplaysBeforeOrAfter) {
+  const auto rec = sample_file();
+  using Script = std::function<void(MetaLog&)>;
+  auto intent = [&rec](std::uint32_t f) -> Script {
+    return [&rec, f](MetaLog& l) {
+      l.put_intent(f, rec.file_bytes, rec.stripes, rec.placement);
+    };
+  };
+  auto commit = [](std::uint32_t f) -> Script {
+    return [f](MetaLog& l) { l.put_commit(f); };
+  };
+  auto all = [](std::vector<Script> steps) -> Script {
+    return [steps](MetaLog& l) {
+      for (const Script& s : steps) s(l);
+    };
+  };
+  const Script rehome_intent = [](MetaLog& l) { l.rehome_intent(5, 1, 2, 3); };
+  const Script rehome_commit = [](MetaLog& l) { l.rehome_commit(5, 1, 2, 3); };
+  struct JournalOp {
+    const char* name;
+    std::size_t snapshot_every;
+    Script setup;
+    Script op;
+    std::uint32_t steps;
+    std::vector<std::uint32_t> writes;
+  };
+  // Compacting every 3 appends, the config record, intent 5 and commit 5
+  // compact once in the setup, so the op's snapshot replaces an older one.
+  const JournalOp ops[] = {
+      {"put intent", 64, all({}), intent(5), 2, {1}},
+      {"put commit", 64, intent(5), commit(5), 2, {1}},
+      {"rehome intent", 64, all({intent(5), commit(5)}), rehome_intent, 2,
+       {1}},
+      {"rehome commit", 64, all({intent(5), commit(5), rehome_intent}),
+       rehome_commit, 2, {1}},
+      {"compacting append", 3,
+       all({intent(5), commit(5), intent(6), commit(6)}), intent(7), 9,
+       {1, 3, 8}},
+  };
+  int cases = 0;
+  for (const JournalOp& op : ops) {
+    MetaLog::State before;
+    MetaLog::State after;
+    {
+      MetaLog log(dir_ / ("reference" + std::to_string(cases)), kConfig,
+                  opts(true, op.snapshot_every));
+      op.setup(log);
+      before = log.state();
+      op.op(log);
+      after = log.state();
+    }
+    for (const durable::CrashPlan& plan : every_cut(op.steps, op.writes)) {
+      SCOPED_TRACE(std::string(op.name) + ": " + describe(plan));
+      const fs::path d = dir_ / ("case" + std::to_string(cases++));
+      {
+        MetaLog log(d, kConfig, opts(true, op.snapshot_every));
+        op.setup(log);
+        log.syncer().arm(plan);
+        EXPECT_THROW(op.op(log), durable::Crash);
+      }
+      const auto journal = read_bytes(d / "journal");
+      const bool had_tmp = fs::exists(d / "snapshot.tmp");
+      const auto tmp = read_bytes(d / "snapshot.tmp");
+      MetaLog::State replayed;
+      {
+        MetaLog log(d, kConfig, opts(true, op.snapshot_every));
+        replayed = log.state();
+        EXPECT_TRUE(replayed == before || replayed == after);
+        EXPECT_FALSE(fs::exists(d / "snapshot.tmp"));
+        if (had_tmp) {
+          EXPECT_TRUE(quarantine_holds(d, tmp));
+        }
+        const auto torn = log.replay_report().torn_bytes;
+        if (log.replay_report().torn_tail) {
+          EXPECT_TRUE(quarantine_holds(
+              d, std::vector<std::uint8_t>(journal.end() - torn,
+                                           journal.end())));
+        }
+      }
+      MetaLog again(d, kConfig, opts(true, op.snapshot_every));
+      EXPECT_FALSE(again.replay_report().torn_tail);
+      EXPECT_TRUE(again.state() == replayed);
+    }
+  }
+  EXPECT_EQ(cases, 4 * 2 * (3 + 1) + 2 * (10 + 3));
+}
+
+// The steps of an open that finds a torn tail, then one append: the
+// fragment's write (1), fsync (2) and directory fsync (3) in quarantine/,
+// the journal truncate (4), the append's write (5) and fsync (6).  After
+// every cut the fragment is in quarantine/ or still in the journal.
+TEST_F(MetaLogTest, TornTailReachesQuarantineBeforeTheJournalShrinks) {
+  const auto rec = sample_file();
+  int cases = 0;
+  for (const durable::CrashPlan& plan : every_cut(6, {1, 5})) {
+    SCOPED_TRACE(describe(plan));
+    const fs::path d = dir_ / ("case" + std::to_string(cases++));
+    std::size_t boundary = 0;
+    {
+      MetaLog log(d, kConfig, opts());
+      log.put_intent(5, rec.file_bytes, rec.stripes, rec.placement);
+      boundary = fs::file_size(d / "journal");
+      log.syncer().arm({.cut_after = 1, .tear = 1});
+      EXPECT_THROW(log.put_commit(5), durable::Crash);
+    }
+    const auto journal = read_bytes(d / "journal");
+    ASSERT_GT(journal.size(), boundary);
+    const std::vector<std::uint8_t> fragment(journal.begin() + boundary,
+                                             journal.end());
+    durable::Syncer::arm_next(plan);
+    EXPECT_THROW(
+        {
+          MetaLog log(d, kConfig, opts());
+          log.put_intent(6, rec.file_bytes, rec.stripes, rec.placement);
+        },
+        durable::Crash);
+    const auto now = read_bytes(d / "journal");
+    const bool in_journal =
+        now.size() >= journal.size() &&
+        std::equal(fragment.begin(), fragment.end(), now.begin() + boundary);
+    EXPECT_TRUE(in_journal || quarantine_holds(d, fragment));
+    MetaLog log(d, kConfig, opts());
+    EXPECT_TRUE(quarantine_holds(d, fragment));
+    EXPECT_TRUE(log.state().pending_puts.contains(5));
+  }
+  EXPECT_EQ(cases, 2 * (7 + 2));
+}
+
+// A compaction step that fails (each of the 7 in turn) neither fails the
+// append that triggered it nor lets the journal shrink before the
+// snapshot's rename is durable: the next append's fsync is then cut with
+// renames undone, and the reopen still replays every durable record.
+TEST_F(MetaLogTest, FailedCompactionKeepsItsAppendAndTheJournal) {
+  const auto rec = sample_file();
+  auto script = [&rec](MetaLog& log) {
+    for (std::uint32_t f : {5u, 6u}) {
+      log.put_intent(f, rec.file_bytes, rec.stripes, rec.placement);
+      log.put_commit(f);
+    }
+  };
+  MetaLog::State committed;  // the script, then intent 7 and commit 7
+  {
+    MetaLog log(dir_ / "reference", kConfig, opts(true, 3));
+    script(log);
+    log.put_intent(7, rec.file_bytes, rec.stripes, rec.placement);
+    log.put_commit(7);
+    committed = log.state();
+  }
+  // Compacting every 3 appends, intent 7 compacts: its write (1) and fsync
+  // (2), then the compaction's steps 3..9.
+  for (std::uint32_t fail = 3; fail <= 9; ++fail) {
+    SCOPED_TRACE("fail step " + std::to_string(fail));
+    const fs::path d = dir_ / ("fail" + std::to_string(fail));
+    obs::MetricsRegistry reg;
+    MetaLog::Options o = opts(true, 3);
+    o.registry = &reg;
+    const obs::Counter& snapshots =
+        reg.counter("carousel_meta_snapshots_total");
+    const obs::Counter& failures =
+        reg.counter("carousel_meta_snapshot_failures_total");
+    {
+      MetaLog log(d, kConfig, o);
+      script(log);
+      log.syncer().arm(
+          {.cut_after = fail + 2, .fail = fail, .undo_renames = true});
+      log.put_intent(7, rec.file_bytes, rec.stripes, rec.placement);
+      EXPECT_TRUE(log.state().pending_puts.contains(7));
+      EXPECT_EQ(failures.value(), 1u);
+      EXPECT_THROW(log.put_commit(7), durable::Crash);
+    }
+    MetaLog log(d, kConfig, o);
+    EXPECT_TRUE(log.state() == committed);
+    const std::uint64_t snapshots_before = snapshots.value();
+    for (std::uint32_t f : {8u, 9u}) {
+      log.put_intent(f, rec.file_bytes, rec.stripes, rec.placement);
+      log.put_commit(f);
+    }
+    EXPECT_EQ(snapshots.value(), snapshots_before + 1);
+    EXPECT_EQ(failures.value(), 1u);
+    MetaLog again(d, kConfig, o);
+    EXPECT_TRUE(again.state() == log.state());
+  }
 }
 
 TEST_F(MetaLogTest, ConfigFingerprintMismatchRefusesReplay) {
@@ -550,11 +775,11 @@ TEST_F(MetaStoreTest, CrashBetweenUploadAndCommitReconcilesByAdoption) {
   const auto file = random_bytes(code_.k() * block, 99);
   {
     CarouselStore store(code_, ports_, block, meta_options());
-    // Append #1 is the put intent, append #2 the commit: the commit record
-    // never reaches the platter, but every block was uploaded — the
-    // acked-data-is-on-disk crash.
-    store.set_meta_crash_point(MetaCrashPoint::kBeforeFsync, 2);
-    EXPECT_THROW(store.put_file(3, file), MetaCrashError);
+    // Append 1 (steps 1-2) is the put intent, append 2 (steps 3-4) the
+    // commit: the commit record never reaches the platter, but every block
+    // was uploaded — the acked-data-is-on-disk crash.
+    store.set_meta_crash_point({.cut_after = 3});
+    EXPECT_THROW(store.put_file(3, file), durable::Crash);
     EXPECT_TRUE(store.files().empty());  // never published in memory
   }
   CarouselStore store(code_, ports_, block, meta_options());
@@ -576,8 +801,8 @@ TEST_F(MetaStoreTest, DurableCommitNeedsNoReconciliation) {
   const auto file = random_bytes(code_.k() * block, 98);
   {
     CarouselStore store(code_, ports_, block, meta_options());
-    store.set_meta_crash_point(MetaCrashPoint::kAfterAppend, 2);
-    EXPECT_THROW(store.put_file(3, file), MetaCrashError);
+    store.set_meta_crash_point({.cut_after = 4});
+    EXPECT_THROW(store.put_file(3, file), durable::Crash);
     EXPECT_TRUE(store.files().empty());  // crash preceded the publish
   }
   CarouselStore store(code_, ports_, block, meta_options());
@@ -595,9 +820,9 @@ TEST_F(MetaStoreTest, CrashMidUploadReconcilesByDeletion) {
     // Lose the SECOND put's commit before its fsync, then kill a block so
     // the recovered intent cannot verify completely: reconciliation must
     // delete the orphans and keep the bystander intact.
-    store.set_meta_crash_point(MetaCrashPoint::kBeforeFsync, 2);
+    store.set_meta_crash_point({.cut_after = 3});
     EXPECT_THROW(store.put_file(2, random_bytes(code_.k() * block, 56)),
-                 MetaCrashError);
+                 durable::Crash);
   }
   {
     // Remove one of file 2's landed blocks out-of-band.
@@ -627,9 +852,9 @@ TEST_F(MetaStoreTest, ReconcileDeletesOrphansWithoutBlockingMutations) {
   {
     CarouselStore store(code_, ports_, block, meta_options());
     store.put_file(1, random_bytes(code_.k() * block, 57));
-    store.set_meta_crash_point(MetaCrashPoint::kBeforeFsync, 2);
+    store.set_meta_crash_point({.cut_after = 3});
     EXPECT_THROW(store.put_file(2, random_bytes(code_.k() * block, 58)),
-                 MetaCrashError);
+                 durable::Crash);
   }
   {
     Client c(ports_[0]);

@@ -1,21 +1,25 @@
 // Crash-consistency tests: real directories, real fsyncs, real restarts.
 //
 // Each test builds an on-disk state — through the crash-atomic write path,
-// through injected crash points, or by vandalising files directly — then
-// proves the recovery scan classifies it exactly as DESIGN.md "Durability &
-// crash consistency" promises: intact blocks reload, everything else is
-// quarantined (moved, never deleted) and reported so the scrubber heals it
-// at the code's optimal repair traffic.  "Crash" here is destroy-and-
-// reconstruct on the same directory: the BlockServer object dies with all
-// its RAM state, the directory is all that survives — the same contract a
-// SIGKILL leaves, minus the fork/exec plumbing.
+// through the durable layer's crash injector, or by vandalising files
+// directly — then proves the recovery scan classifies it exactly as
+// DESIGN.md "Durability & crash consistency" promises: intact blocks
+// reload, everything else is quarantined (moved, never deleted) and
+// reported so the scrubber heals it at the code's optimal repair traffic.
+// "Crash" here is destroy-and-reconstruct on the same directory: the
+// BlockServer object dies with all its RAM state, the directory is all that
+// survives — the same contract a SIGKILL leaves, minus the fork/exec
+// plumbing.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -145,10 +149,11 @@ TEST_F(PersistenceTest, CrashPointsLeaveExactlyTheirTornState) {
   const std::uint32_t crc = util::crc32(bytes);
 
   {
-    // Crash mid-write: only a stale (partial) temp file survives; the block
-    // as named was never touched.
+    // Crash mid-write (step 1 torn, then dead): only a stale (partial) temp
+    // file survives; the block as named was never touched.
     PersistentBlockStore store(dir_ / "before_fsync");
-    EXPECT_FALSE(store.put(key, bytes, crc, CrashPoint::kBeforeFsync));
+    store.syncer().arm({.cut_after = 1, .tear = 1});
+    EXPECT_THROW(store.put(key, bytes, crc), durable::Crash);
     PersistentBlockStore again(dir_ / "before_fsync");
     RecoveryReport rec = again.recover();
     EXPECT_EQ(rec.stale_temps, 1u);
@@ -157,20 +162,23 @@ TEST_F(PersistenceTest, CrashPointsLeaveExactlyTheirTornState) {
     EXPECT_TRUE(rec.damaged.empty());  // nothing committed, nothing damaged
   }
   {
-    // Crash after the flush, before the rename: same classification — a
-    // temp file is uncommitted by construction.
+    // Crash after the flush (step 2), before the rename: same
+    // classification — a temp file is uncommitted by construction.
     PersistentBlockStore store(dir_ / "before_rename");
-    EXPECT_FALSE(store.put(key, bytes, crc, CrashPoint::kBeforeRename));
+    store.syncer().arm({.cut_after = 2});
+    EXPECT_THROW(store.put(key, bytes, crc), durable::Crash);
     PersistentBlockStore again(dir_ / "before_rename");
     RecoveryReport rec = again.recover();
     EXPECT_EQ(rec.stale_temps, 1u);
     EXPECT_EQ(rec.recovered, 0u);
   }
   {
-    // Torn write: truncated payload under a full-length commit record.  The
-    // pair is quarantined and the key reported damaged.
+    // Torn write: step 1 lands half, every later step "succeeds", so a
+    // truncated payload is published under a full-length commit record.
+    // The pair is quarantined and the key reported damaged.
     PersistentBlockStore store(dir_ / "torn");
-    EXPECT_FALSE(store.put(key, bytes, crc, CrashPoint::kTornWrite));
+    store.syncer().arm({.cut_after = 7, .tear = 1});
+    EXPECT_THROW(store.put(key, bytes, crc), durable::Crash);
     std::vector<PersistentBlockStore::RecoveredBlock> out;
     PersistentBlockStore again(dir_ / "torn");
     RecoveryReport rec = again.recover(&out);
@@ -296,8 +304,8 @@ TEST_F(PersistenceTest, QuarantinedKeyAnswersCorruptUntilRePut) {
   auto bytes = random_bytes(2048, 10);
   {
     PersistentBlockStore store(dir_);
-    ASSERT_FALSE(
-        store.put(key, bytes, util::crc32(bytes), CrashPoint::kTornWrite));
+    store.syncer().arm({.cut_after = 7, .tear = 1});
+    ASSERT_THROW(store.put(key, bytes, util::crc32(bytes)), durable::Crash);
   }
   BlockServer server(0, dir_);
   ASSERT_EQ(server.recovery_report().damaged.size(), 1u);
@@ -351,7 +359,9 @@ TEST_F(PersistenceTest, CrashFaultInjectionEndToEnd) {
     client.put(intact, bytes);
 
     auto plan = std::make_shared<FaultPlan>(1);
-    plan->add({.action = FaultAction::kTornWrite, .op = Op::kPut});
+    plan->add({.action = FaultAction::kCrash,
+               .op = Op::kPut,
+               .crash = {.cut_after = 7, .tear = 1}});
     server.set_fault_plan(plan);
     // The "dying" server severs the connection unanswered; a one-shot
     // client surfaces that as a transport failure (a retry would just
@@ -371,6 +381,137 @@ TEST_F(PersistenceTest, CrashFaultInjectionEndToEnd) {
   Client client(port, fast_policy());
   EXPECT_EQ(*client.get(intact), bytes);
   EXPECT_EQ(client.verify(torn), BlockHealth::kCorrupt);
+}
+
+// Every crash plan of an op with `steps` durable steps whose writes are
+// `writes`: a cut after each N in 0..steps, with renames kept and undone,
+// and each write torn at every cut from its own step on (a torn write
+// before the cut is a disk that acknowledged unwritten sectors).
+std::vector<durable::CrashPlan> every_cut(std::uint32_t steps,
+                                          std::vector<std::uint32_t> writes) {
+  std::vector<durable::CrashPlan> plans;
+  for (const bool undo : {false, true})
+    for (std::uint32_t n = 0; n <= steps; ++n) {
+      plans.push_back({.cut_after = n, .undo_renames = undo});
+      for (const std::uint32_t t : writes)
+        if (t <= n)
+          plans.push_back({.cut_after = n, .tear = t, .undo_renames = undo});
+    }
+  return plans;
+}
+
+std::string describe(const durable::CrashPlan& plan) {
+  return "cut after " + std::to_string(*plan.cut_after) + ", tear " +
+         std::to_string(plan.tear) +
+         (plan.undo_renames ? ", renames undone" : ", renames kept");
+}
+
+// A PUT (payload write/fsync/rename, record write/fsync/rename, directory
+// fsync) and an erase (two unlinks, directory fsync), cut at every step.
+// After each cut a recovery scan must find the key as its old bytes, its
+// new bytes, damaged (kCorrupt) or absent (kMissing) — never other bytes —
+// the bystander intact, no temp file, every file it did not load in
+// quarantine/ byte for byte, and nothing left for a second scan.
+TEST_F(PersistenceTest, EveryCutOfEveryBlockOpRecoversToOldOrNew) {
+  const BlockKey key{7, 0, 3};
+  const BlockKey bystander{7, 0, 4};
+  const auto old_bytes = random_bytes(1000, 40);
+  const auto new_bytes = random_bytes(1500, 41);
+  const auto other = random_bytes(700, 42);
+  using Bytes = std::vector<std::uint8_t>;
+  struct BlockOp {
+    const char* name;
+    std::optional<Bytes> before;  // the key's committed bytes
+    std::optional<Bytes> after;   // nullopt: the op erases it
+    std::uint32_t steps;
+    std::vector<std::uint32_t> writes;
+  };
+  const BlockOp ops[] = {
+      {"fresh put", std::nullopt, new_bytes, 7, {1, 4}},
+      {"overwriting put", old_bytes, new_bytes, 7, {1, 4}},
+      {"erase", old_bytes, std::nullopt, 3, {}},
+  };
+  int cases = 0;
+  for (const BlockOp& op : ops) {
+    for (const durable::CrashPlan& plan : every_cut(op.steps, op.writes)) {
+      SCOPED_TRACE(std::string(op.name) + ": " + describe(plan));
+      const fs::path d = dir_ / ("case" + std::to_string(cases++));
+      {
+        PersistentBlockStore store(d);
+        ASSERT_TRUE(store.put(bystander, other, util::crc32(other)));
+        if (op.before) {
+          ASSERT_TRUE(store.put(key, *op.before, util::crc32(*op.before)));
+        }
+        store.syncer().arm(plan);
+        if (op.after) {
+          EXPECT_THROW(store.put(key, *op.after, util::crc32(*op.after)),
+                       durable::Crash);
+        } else {
+          EXPECT_THROW(store.erase(key), durable::Crash);
+        }
+      }
+      std::map<std::string, Bytes> files;  // the crash state, pre-scan
+      for (const auto& e : fs::directory_iterator(d))
+        if (e.is_regular_file())
+          files[e.path().filename().string()] = *durable::read_file(e.path());
+
+      std::vector<PersistentBlockStore::RecoveredBlock> out;
+      PersistentBlockStore again(d);
+      const RecoveryReport rec = again.recover(&out);
+      bool bystander_ok = false;
+      for (const auto& b : out) {
+        if (b.key == bystander) bystander_ok = b.bytes == other;
+        if (b.key == key) {
+          EXPECT_TRUE(b.bytes == op.before || b.bytes == op.after)
+              << "the key recovered as bytes it never held";
+        }
+      }
+      EXPECT_TRUE(bystander_ok);
+      std::vector<Bytes> quarantined;
+      if (fs::exists(again.quarantine_dir()))
+        for (const auto& e : fs::directory_iterator(again.quarantine_dir()))
+          quarantined.push_back(*durable::read_file(e.path()));
+      for (const auto& [name, bytes] : files) {
+        if (!fs::exists(d / name)) {
+          EXPECT_NE(std::find(quarantined.begin(), quarantined.end(), bytes),
+                    quarantined.end())
+              << name << " left the directory without reaching quarantine/";
+        }
+      }
+      for (const auto& e : fs::directory_iterator(d))
+        EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+      EXPECT_EQ(PersistentBlockStore(d).recover().quarantined_files, 0u);
+    }
+  }
+  EXPECT_EQ(cases, 2 * 2 * (8 + 7 + 4) + 2 * 4);
+}
+
+// erase() reads only a missing file as absent: a commit-record unlink that
+// fails must answer the DELETE with kError and keep the block, in memory
+// and on disk.
+TEST_F(PersistenceTest, FailedUnlinkAnswersErrorAndKeepsTheBlock) {
+  const BlockKey key{21, 0, 0};
+  const auto bytes = random_bytes(2048, 43);
+  std::uint16_t port = 0;
+  {
+    BlockServer server(0, dir_);
+    port = server.port();
+    Client client(port, fast_policy());
+    client.put(key, bytes);
+    auto plan = std::make_shared<FaultPlan>(3);
+    plan->add({.action = FaultAction::kCrash,
+               .op = Op::kDelete,
+               .crash = {.fail = 1}});  // step 1: unlink of the .meta
+    server.set_fault_plan(plan);
+    EXPECT_THROW(client.remove(key), ServerError);
+    EXPECT_EQ(plan->injected(), 1u);
+    EXPECT_EQ(*client.get(key), bytes);
+  }
+  BlockServer revived(port, dir_);
+  EXPECT_EQ(revived.recovery_report().recovered, 1u);
+  EXPECT_EQ(revived.recovery_report().quarantined_files, 0u);
+  Client client(port, fast_policy());
+  EXPECT_EQ(*client.get(key), bytes);
 }
 
 TEST_F(PersistenceTest, PersistMetricsFlowThroughServerRegistry) {
@@ -440,7 +581,9 @@ TEST_F(PersistenceTest, KillAndRestartWithTornWriteHealsAtOptimalTraffic) {
   // block (5,1,4) — tears, taking the previously-good copy with it.
   const BlockKey victim_key{5, 1, 4};
   auto plan = std::make_shared<FaultPlan>(2);
-  plan->add({.action = FaultAction::kTornWrite, .op = Op::kPut});
+  plan->add({.action = FaultAction::kCrash,
+             .op = Op::kPut,
+             .crash = {.cut_after = 7, .tear = 1}});
   servers[4]->set_fault_plan(plan);
   Client writer(ports[4], one_shot());
   EXPECT_THROW(writer.put(victim_key, random_bytes(block, 78)),

@@ -22,15 +22,19 @@ Rules (see DESIGN.md "Correctness tooling"):
      CMakeLists.txt is documented in README.md, so no build knob ships
      undocumented.
 
-  4. one durable-file layer, fsync before rename — every rename and fsync
-     in src/ lives in the durable-file module (src/net/durable_file.*): a
-     `rename(` or `::fsync(` anywhere else in src/ is an error, so the
-     block store, the metadata journal and carouselctl all publish through
-     it.  Inside the module, every rename must be preceded, within a few
-     lines, by a sync_file() of the file being renamed.  A rename without
-     the flush can publish a block file or metadata snapshot whose bytes
-     never reached stable storage — the exact torn-write window the
-     crash-recovery tests exist to close.
+  4. one durable-file layer, fsync before rename — every rename, fsync,
+     unlink and truncate in src/ lives in the durable-file module
+     (src/net/durable_file.*): a `rename(`, `::fsync(`, `fs::remove(` (or
+     `std::filesystem::remove(`), `::unlink(`, `::truncate(` or `O_TRUNC`
+     anywhere else in src/ is an error, so every durable step of the block
+     store and the metadata journal is one the module's crash injector can
+     cut, and carouselctl writes through it too.  (corrupt_at_rest's
+     `pwrite` is the at-rest-rot test hook, not a durable step.)  Inside
+     the module, every rename must be preceded, within a few lines, by a
+     sync_file() of the file being renamed.  A rename without the flush can
+     publish a block file or metadata snapshot whose bytes never reached
+     stable storage — the exact torn-write window the crash-recovery tests
+     exist to close.
 
   5. metric subsystem registry — the <subsystem> segment of every
      registered metric name must come from the known-subsystem list below.
@@ -281,9 +285,11 @@ def code_lines(path: Path) -> list[str]:
 
 
 def check_fsync_before_rename(problems: list[str]) -> None:
-    """Rule 4: renames and fsyncs live in the durable module, flush first."""
+    """Rule 4: file mutations live in the durable module, flush first."""
     rename = re.compile(r"\brename\s*\(")
-    fsync = re.compile(r"::fsync\s*\(")
+    mutation = re.compile(
+        r"\brename\s*\(|::fsync\s*\(|\b(?:fs|std::filesystem)::remove\s*\("
+        r"|::unlink\s*\(|::truncate\s*\(|\bO_TRUNC\b")
     flush = re.compile(r"\bsync_file\s*\(")
     window = 8  # lines above the rename that must contain the flush
     module = REPO / "src" / "net"
@@ -295,11 +301,11 @@ def check_fsync_before_rename(problems: list[str]) -> None:
         for i, line in enumerate(code):
             where = f"{path.relative_to(REPO)}:{i + 1}"
             if not in_module:
-                if rename.search(line) or fsync.search(line):
+                if mutation.search(line):
                     problems.append(
-                        f"{where}: rename/fsync outside "
-                        f"src/net/durable_file.* — publish and sync through "
-                        f"the durable-file module")
+                        f"{where}: rename/fsync/unlink/truncate outside "
+                        f"src/net/durable_file.* — take durable steps "
+                        f"through the durable-file module")
                 continue
             if not rename.search(line):
                 continue

@@ -11,11 +11,13 @@
 #      churn, malformed frames, torn-write recovery, re-homing races,
 #      background-loop shutdown — where lifetime bugs hide);
 #   4. the net + observability + property + cluster + repair-scheduler +
-#      util + metadata-journal tests under ThreadSanitizer (registry
-#      instruments and client byte counts are read while other threads
-#      mutate them; the parallel read fan-out, hedge races, concurrent
-#      read_file overlap, the concurrent-stop() regressions of the
-#      background loops and reconcile() beside add_server live here),
+#      util + metadata-journal + crash-persistence tests under
+#      ThreadSanitizer (registry instruments and client byte counts are
+#      read while other threads mutate them; the parallel read fan-out,
+#      hedge races, concurrent read_file overlap, the concurrent-stop()
+#      regressions of the background loops, reconcile() beside add_server
+#      and the crash fault arming the block store's injector from a
+#      session thread live here),
 #      plus a short chaos schedule under TSan — the foreground hedged
 #      reader races kills, restarts and heals — and the whole-rack-down
 #      acceptance scenario under TSan (a 3-rack fleet loses a full failure
@@ -77,7 +79,8 @@ cmake --build build-asan -j --target net_test obs_test protocol_test \
 
 cmake -B build-tsan -S . -DCAROUSEL_SANITIZE=thread
 cmake --build build-tsan -j --target net_test obs_test property_test \
-  chaos_test cluster_test repair_scheduler_test util_test meta_log_test
+  chaos_test cluster_test repair_scheduler_test util_test meta_log_test \
+  persistence_test
 ./build-tsan/tests/net_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/property_test
@@ -85,6 +88,7 @@ cmake --build build-tsan -j --target net_test obs_test property_test \
 ./build-tsan/tests/repair_scheduler_test
 ./build-tsan/tests/util_test
 ./build-tsan/tests/meta_log_test
+./build-tsan/tests/persistence_test
 CAROUSEL_CHAOS_SEED=20260805 CAROUSEL_CHAOS_EVENTS=60 \
   ./build-tsan/tests/chaos_test \
   --gtest_filter='Chaos.SeededFaultScheduleKeepsEveryInvariant'
