@@ -303,10 +303,14 @@ MetaLog::MetaLog(fs::path dir, std::uint32_t config_crc, Options options)
   replay(config_crc);
   if (lsn_ == 0) {
     // Fresh directory: the journal's first record pins the configuration
-    // this metadata belongs to.
+    // this metadata belongs to.  Its append created the journal, and only a
+    // directory fsync makes a creation durable: without it a power cut
+    // before the first compaction could lose the journal and every record
+    // acknowledged in it.
     Writer w;
     w.u32(config_crc_);
     append_record(kRecConfig, w.data());
+    sync_.sync_dir(dir_);
   }
 }
 

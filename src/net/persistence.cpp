@@ -116,7 +116,7 @@ PersistentBlockStore::PersistentBlockStore(fs::path dir, Options options)
   recovery_seconds_ = &reg.histogram("carousel_persist_recovery_seconds");
 }
 
-bool PersistentBlockStore::put(const BlockKey& key,
+void PersistentBlockStore::put(const BlockKey& key,
                                std::span<const std::uint8_t> bytes,
                                std::uint32_t crc) {
   const std::string stem = stem_of(key);
@@ -135,7 +135,6 @@ bool PersistentBlockStore::put(const BlockKey& key,
   sync_.sync_dir(dir_);
   commits_->inc();
   bytes_written_->inc(bytes.size());
-  return true;
 }
 
 bool PersistentBlockStore::erase(const BlockKey& key) {

@@ -90,9 +90,9 @@ class PersistentBlockStore {
   RecoveryReport recover(std::vector<RecoveredBlock>* out = nullptr);
 
   /// Crash-atomic write of one block (temp file -> fsync -> rename, payload
-  /// before commit record).  Returns true once the block committed; an I/O
+  /// before commit record).  Returns once the block committed; an I/O
   /// failure or an injected crash throws.
-  bool put(const BlockKey& key, std::span<const std::uint8_t> bytes,
+  void put(const BlockKey& key, std::span<const std::uint8_t> bytes,
            std::uint32_t crc);
 
   /// Removes a block's files, commit record first (so an interrupted erase

@@ -57,37 +57,6 @@ std::uint32_t meta_config_fingerprint(const codes::Carousel& code,
 
 }  // namespace
 
-CarouselStore::Lease::Lease(Server& server, const RetryPolicy& policy,
-                            obs::MetricsRegistry* registry)
-    : server_(&server) {
-  {
-    util::MutexLock lock(server.pool_mu);
-    if (!server.idle.empty()) {
-      client_ = std::move(server.idle.back());
-      server.idle.pop_back();
-    }
-  }
-  if (!client_)
-    client_ = std::make_unique<Client>(server.port, policy, registry);
-}
-
-CarouselStore::Lease::~Lease() {
-  // Cap the pool so a burst of hedges does not pin file descriptors forever;
-  // an over-cap client folds its byte count into the server's retired total
-  // so bytes_received() stays exact.
-  static constexpr std::size_t kMaxIdleClients = 8;
-  std::unique_ptr<Client> discard;
-  {
-    util::MutexLock lock(server_->pool_mu);
-    if (server_->idle.size() < kMaxIdleClients) {
-      server_->idle.push_back(std::move(client_));
-    } else {
-      server_->retired_bytes += client_->bytes_received();
-      discard = std::move(client_);  // socket closes outside the lock
-    }
-  }
-}
-
 CarouselStore::CarouselStore(const codes::Carousel& code,
                              const std::vector<std::uint16_t>& ports,
                              std::size_t block_bytes, StoreOptions options)
@@ -238,10 +207,6 @@ void check_budget(std::chrono::steady_clock::time_point deadline,
 CarouselStore::Server& CarouselStore::server_at(std::size_t server_id) const {
   util::MutexLock lock(mu_);
   return *servers_[server_id];
-}
-
-CarouselStore::Lease CarouselStore::lease(std::size_t server_id) const {
-  return Lease(server_at(server_id), policy_, registry_);
 }
 
 std::size_t CarouselStore::add_server(std::uint16_t port) {
@@ -503,72 +468,6 @@ std::vector<std::vector<std::uint32_t>> CarouselStore::seed_placement(
   return placement;
 }
 
-void CarouselStore::commit_put(std::uint32_t file_id, FileInfo info) {
-  // The commit record is durable before the manifest entry becomes
-  // visible; a crash in between leaves a pending intent whose every block
-  // verifies, which reconcile() adopts.
-  util::MutexLock mlock(meta_mu_);
-  if (meta_) meta_->put_commit(file_id);
-  util::MutexLock lock(mu_);
-  inflight_puts_.erase(file_id);
-  manifest_[file_id] = std::move(info);
-}
-
-std::size_t CarouselStore::abort_put(
-    std::uint32_t file_id, std::span<const std::vector<std::uint32_t>> rows) {
-  // The deletes run with no store lock held: each may wait out a full op
-  // deadline on a sick server.
-  std::size_t removed = 0;
-  for (std::size_t s = 0; s < rows.size(); ++s)
-    for (std::size_t i = 0; i < rows[s].size(); ++i)
-      removed += remove_copy(rows[s][i],
-                             key(file_id, static_cast<std::uint32_t>(s),
-                                 static_cast<std::uint32_t>(i)));
-  util::MutexLock mlock(meta_mu_);
-  {
-    util::MutexLock lock(mu_);
-    inflight_puts_.erase(file_id);
-  }
-  if (meta_) meta_->put_abort(file_id);
-  return removed;
-}
-
-bool CarouselStore::remove_copy(std::size_t server_id,
-                                const BlockKey& block_key) {
-  if (server_id >= server_count()) return false;
-  try {
-    Lease c = lease(server_id);
-    return c->remove(block_key);
-  } catch (const Error&) {
-    return false;  // unreachable: the copy stays until a later pass
-  }
-}
-
-bool CarouselStore::commit_rehome(std::uint32_t file_id, std::uint32_t stripe,
-                                  std::uint32_t index, std::size_t target) {
-  // meta_mu_ spans the re-check, the WAL commit and the in-memory flip;
-  // every placement mutation holds it across its own window, so the check
-  // cannot be invalidated between the append and the flip even though mu_
-  // is released around the (local) journal fsync.
-  util::MutexLock mlock(meta_mu_);
-  {
-    util::MutexLock lock(mu_);
-    if (!domain_fits_locked(target, file_id, stripe, index)) return false;
-  }
-  if (meta_)
-    meta_->rehome_commit(file_id, stripe, index,
-                         static_cast<std::uint32_t>(target));
-  util::MutexLock lock(mu_);
-  set_placement_locked(file_id, stripe, index, target);
-  return true;
-}
-
-void CarouselStore::abort_rehome(std::uint32_t file_id, std::uint32_t stripe,
-                                 std::uint32_t index) {
-  util::MutexLock mlock(meta_mu_);
-  if (meta_) meta_->rehome_abort(file_id, stripe, index);
-}
-
 // One per-block request of an executor round.
 struct CarouselStore::Request {
   enum Kind {
@@ -578,6 +477,7 @@ struct CarouselStore::Request {
     kBlock,    // the whole block (GET)
     kVerify,   // a health probe; no block bytes move
     kPut,      // stores `body` as the block
+    kRemove,   // deletes the block (DELETE)
   };
   Kind kind = kUnits;
   std::size_t block = 0;
@@ -585,27 +485,31 @@ struct CarouselStore::Request {
   Client::Projection terms{};            // kProject
   std::span<const Byte> body{};          // kPut: borrowed, not copied
   bool audit = false;                    // kPut: then VERIFY the stored CRC
+  std::optional<std::size_t> server{};   // unset: `block`'s home in the row
 };
 
 // A slot's result: `block` (a hedge's stand-in may win) answered it from
-// `server`, its home in the round's snapshot; not `ok` means an erasure.
+// `server`; not `ok` means an erasure, a REMOVE that found no copy, or an
+// audit that found the stored copy wrong.
 struct CarouselStore::Outcome {
   std::size_t block = 0;
   std::size_t server = 0;
   std::vector<std::size_t> positions;  // kUnits: the units `bytes` holds
   std::vector<Byte> bytes;
   bool ok = false;
-  BlockState state = BlockState::kUnreachable;  // kVerify: the verdict
+  BlockState state = BlockState::kUnreachable;  // kVerify, audited kPut
 };
 
-// The remote executor (DESIGN.md §10): one round of a stripe op's
-// per-block requests, all in flight at once on the store pool against one
-// placement snapshot, each resolving its own first-wins slot cell.
+// The remote executor (DESIGN.md §10) and the one place the store calls a
+// Client: one round of a stripe op's per-block requests, all in flight at
+// once on the store pool against one placement snapshot, each resolving its
+// own first-wins slot cell.
 class CarouselStore::Round {
  public:
-  // Runs against `row`, a placement snapshot (block -> server id).  A
-  // snapshot of the manifest may go stale mid-round (a concurrent re-home):
-  // that block surfaces as an erasure and the caller re-plans around it.
+  // Runs against `row`, a placement snapshot (block -> server id) for the
+  // requests that name no server.  A snapshot of the manifest may go stale
+  // mid-round (a concurrent re-home): that block surfaces as an erasure and
+  // the caller re-plans around it.
   Round(CarouselStore& store, std::uint32_t file, std::uint32_t stripe,
         std::vector<std::uint32_t> row,
         std::chrono::steady_clock::time_point deadline)
@@ -701,7 +605,7 @@ class CarouselStore::Round {
     if (req.kind == Request::kUnits && !extent)
       for (std::size_t pos : req.positions)  // identity terms
         req.terms.push_back({{static_cast<std::uint32_t>(pos), Byte{1}}});
-    const std::size_t id = ids_[req.block];
+    const std::size_t id = req.server ? *req.server : ids_[req.block];
     Outcome out{req.block, id, req.positions, {}, false};
     const BlockKey bk{file_, stripe_, static_cast<std::uint32_t>(req.block)};
     st_->pool_->submit([st = st_, srv = &st_->server_at(id), bk, extent, cell,
@@ -715,7 +619,8 @@ class CarouselStore::Round {
       } catch (const BadRequestError&) {
         cell->resolve({}, std::current_exception());
       } catch (const Error&) {
-        // An erasure, not an error, except a PUT's: nothing landed to plan on.
+        // An erasure, not an error, except a PUT's (its audit's included):
+        // nothing known to have landed to plan on.
         cell->resolve(std::move(out), req.kind == Request::kPut
                                           ? std::current_exception()
                                           : nullptr);
@@ -723,26 +628,78 @@ class CarouselStore::Round {
     });
   }
 
-  // The one place a stripe op reaches the wire (check_invariants rule 11).
-  // False for an erasure: the block is missing, unhealthy or wrong-sized.
-  // A PUT that fails, or fails its audit, throws.
+  // Exclusive use of one connection to a server for one request.  A
+  // Client is a single framed TCP stream and is not safe for interleaved
+  // requests, so every request takes a pooled client (or opens a fresh one
+  // when all are busy) — that is what lets two reads, or a hedge loser
+  // still draining its response, talk to the same server concurrently.
+  // The client returns to the pool only after its blocking call finished,
+  // so a pooled connection is never mid-frame.
+  class Lease {
+   public:
+    Lease(Server& server, const CarouselStore& st) : server_(&server) {
+      {
+        util::MutexLock lock(server.pool_mu);
+        if (!server.idle.empty()) {
+          client_ = std::move(server.idle.back());
+          server.idle.pop_back();
+        }
+      }
+      if (!client_)
+        client_ =
+            std::make_unique<Client>(server.port, st.policy_, st.registry_);
+    }
+    // Caps the pool so a burst of hedges does not pin file descriptors
+    // forever; an over-cap client folds its byte count into the server's
+    // retired total so bytes_received() stays exact.
+    ~Lease() {
+      static constexpr std::size_t kMaxIdleClients = 8;
+      std::unique_ptr<Client> discard;  // its socket closes after the unlock
+      util::MutexLock lock(server_->pool_mu);
+      if (server_->idle.size() < kMaxIdleClients) {
+        server_->idle.push_back(std::move(client_));
+      } else {
+        server_->retired_bytes += client_->bytes_received();
+        discard = std::move(client_);
+      }
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Client* operator->() { return client_.get(); }
+
+   private:
+    Server* server_;
+    std::unique_ptr<Client> client_;
+  };
+
+  // The one place the store reaches the wire (check_invariants rule 11).
+  // False for an erasure: the block is missing, unhealthy or wrong-sized, a
+  // REMOVE found no copy, or an audit found the stored copy wrong.  A PUT
+  // that fails throws, and so does its audit when the VERIFY gets no
+  // answer: the caller cannot tell whether the block landed.
   static bool run(const CarouselStore& st, Server& srv, const BlockKey& bk,
                   const Request& req, bool extent, Outcome& out) {
-    if (req.kind == Request::kVerify) {
-      out.state = st.probe(srv, bk);
-      return out.state == BlockState::kOk;
-    }
     // The lease returns to the pool before the cell resolves, so
     // bytes_received() read right after the op includes this connection's
     // bytes.
-    Lease c(srv, st.policy_, st.registry_);
+    Lease c(srv, st);
+    if (req.kind == Request::kRemove) return c->remove(bk);
+    std::optional<std::uint32_t> sent_crc;
     if (req.kind == Request::kPut) {
-      const std::uint32_t sent_crc = c->put(bk, req.body);
+      sent_crc = c->put(bk, req.body);
+      if (!req.audit) return true;
+    }
+    if (req.kind == Request::kVerify || req.kind == Request::kPut) {
+      // A probe, or a PUT's audit on the PUT's own lease: a stored CRC
+      // other than the one the PUT sent reads kCorrupt.
       std::uint32_t stored_crc = 0;
-      if (req.audit && (c->verify(bk, &stored_crc) != BlockHealth::kOk ||
-                        stored_crc != sent_crc))
-        throw Error("repaired block failed its post-repair audit");
-      return true;
+      const BlockHealth health = c->verify(bk, &stored_crc);
+      const bool wrong = sent_crc && stored_crc != *sent_crc;
+      out.state = health == BlockHealth::kMissing ? BlockState::kMissing
+                  : health == BlockHealth::kCorrupt || wrong
+                      ? BlockState::kCorrupt
+                      : BlockState::kOk;
+      return out.state == BlockState::kOk;
     }
     const std::size_t ub = st.block_bytes_ / st.code_->s();
     std::size_t want = st.block_bytes_;
@@ -775,21 +732,73 @@ class CarouselStore::Round {
   std::vector<std::future<Outcome>> pending_;
 };
 
-BlockState CarouselStore::probe(Server& server,
-                                const BlockKey& block_key) const {
-  try {
-    Lease c(server, policy_, registry_);
-    switch (c->verify(block_key)) {
-      case BlockHealth::kOk:
-        return BlockState::kOk;
-      case BlockHealth::kMissing:
-        return BlockState::kMissing;
-      case BlockHealth::kCorrupt:
-        return BlockState::kCorrupt;
-    }
-  } catch (const Error&) {
+void CarouselStore::commit_put(std::uint32_t file_id, FileInfo info) {
+  // The commit record is durable before the manifest entry becomes
+  // visible; a crash in between leaves a pending intent whose every block
+  // verifies, which reconcile() adopts.
+  util::MutexLock mlock(meta_mu_);
+  if (meta_) meta_->put_commit(file_id);
+  util::MutexLock lock(mu_);
+  inflight_puts_.erase(file_id);
+  manifest_[file_id] = std::move(info);
+}
+
+std::size_t CarouselStore::abort_put(
+    std::uint32_t file_id, std::span<const std::vector<std::uint32_t>> rows) {
+  // One REMOVE round per stripe, with no store lock held: a sick server
+  // costs the abort one op deadline per stripe, not one per block.  A
+  // replayed row may name a server id the fleet does not have (the fleet
+  // only grows, so one count serves every row); such a copy is skipped.
+  std::size_t removed = 0;
+  const std::size_t fleet = server_count();
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    Round round(*this, file_id, static_cast<std::uint32_t>(s), rows[s],
+                std::chrono::steady_clock::time_point::max());
+    for (std::size_t i = 0; i < rows[s].size(); ++i)
+      if (rows[s][i] < fleet) round.launch({Request::kRemove, i});
+    for (const Outcome& o : round.collect()) removed += o.ok;
   }
-  return BlockState::kUnreachable;
+  util::MutexLock mlock(meta_mu_);
+  {
+    util::MutexLock lock(mu_);
+    inflight_puts_.erase(file_id);
+  }
+  if (meta_) meta_->put_abort(file_id);
+  return removed;
+}
+
+bool CarouselStore::commit_rehome(std::uint32_t file_id, std::uint32_t stripe,
+                                  std::uint32_t index, std::size_t target) {
+  // meta_mu_ spans the re-check, the WAL commit and the in-memory flip;
+  // every placement mutation holds it across its own window, so the check
+  // cannot be invalidated between the append and the flip even though mu_
+  // is released around the (local) journal fsync.
+  util::MutexLock mlock(meta_mu_);
+  {
+    util::MutexLock lock(mu_);
+    if (!domain_fits_locked(target, file_id, stripe, index)) return false;
+  }
+  if (meta_)
+    meta_->rehome_commit(file_id, stripe, index,
+                         static_cast<std::uint32_t>(target));
+  util::MutexLock lock(mu_);
+  set_placement_locked(file_id, stripe, index, target);
+  return true;
+}
+
+void CarouselStore::abort_rehome(std::uint32_t file_id, std::uint32_t stripe,
+                                 std::uint32_t index) {
+  util::MutexLock mlock(meta_mu_);
+  if (meta_) meta_->rehome_abort(file_id, stripe, index);
+}
+
+CarouselStore::Outcome CarouselStore::run_one(std::uint32_t file_id,
+                                              std::uint32_t stripe,
+                                              Request req) {
+  Round round(*this, file_id, stripe, row_of(file_id, stripe),
+              std::chrono::steady_clock::time_point::max());
+  round.launch(std::move(req));
+  return std::move(round.collect().front());
 }
 
 std::vector<BlockState> CarouselStore::probe_stripe(std::uint32_t file_id,
@@ -1018,15 +1027,13 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
 
 bool CarouselStore::drop_block(std::uint32_t file_id, std::uint32_t stripe,
                                std::uint32_t index) {
-  Lease c = lease(placement_of(file_id, stripe, index));
-  return c->remove(key(file_id, stripe, index));
+  return run_one(file_id, stripe, {Request::kRemove, index}).ok;
 }
 
 BlockState CarouselStore::verify_block(std::uint32_t file_id,
                                        std::uint32_t stripe,
                                        std::uint32_t index) {
-  return probe(server_at(placement_of(file_id, stripe, index)),
-               key(file_id, stripe, index));
+  return run_one(file_id, stripe, {Request::kVerify, index}).state;
 }
 
 std::uint64_t CarouselStore::repair_block(std::uint32_t file_id,
@@ -1154,14 +1161,15 @@ std::uint64_t CarouselStore::repair_block_impl(
   std::vector<Byte> rebuilt(block_bytes_);
   code_->rebuild(index, *plan, inputs, rebuilt);
 
-  // Re-upload and audit: a one-slot PUT round whose request then VERIFYs
-  // the stored copy against the CRC the PUT sent, so the server now holds
-  // exactly what we rebuilt.  The intended home goes first; if it is dead
-  // (or fails its audit), the block re-homes onto a placement-eligible
-  // candidate — the placement table only moves once a candidate passes the
-  // audit, so a failure here leaves the stripe exactly as it was (the block
-  // stays an erasure, never a silent partial write).  PUT and the audit
-  // share one lease so the VERIFY sees the same connection's view.
+  // Re-upload and audit: a one-slot round of a PUT naming its target, whose
+  // request then VERIFYs the stored copy against the CRC the PUT sent, so
+  // the server now holds exactly what we rebuilt.  The intended home goes
+  // first; if it is dead (or fails its audit), the block re-homes onto a
+  // placement-eligible candidate — the placement table only moves once a
+  // candidate passes the audit, so a failure here leaves the stripe exactly
+  // as it was (the block stays an erasure, never a silent partial write).
+  // PUT and the audit share one lease so the VERIFY sees the same
+  // connection's view.
   const std::size_t home = placement_of(file_id, stripe, index);
   std::vector<std::size_t> uploads{target.value_or(home)};
   for (std::size_t c : placement_candidates(file_id, stripe, index))
@@ -1176,30 +1184,35 @@ std::uint64_t CarouselStore::repair_block_impl(
       meta_->rehome_intent(file_id, stripe, index,
                            static_cast<std::uint32_t>(t));
     }
+    bool audited = false;
     try {
       // The budget was checked above; the upload, like any client op
       // already launched, runs to its own op deadline.
-      auto row = row_of(file_id, stripe);
-      row[index] = static_cast<std::uint32_t>(t);
-      Round round(*this, file_id, stripe, std::move(row),
-                  std::chrono::steady_clock::time_point::max());
-      round.launch({.kind = Request::kPut,
-                    .block = index,
-                    .body = rebuilt,
-                    .audit = true});
-      round.collect();  // rethrows a failed PUT or audit
+      audited = run_one(file_id, stripe,
+                        {.kind = Request::kPut,
+                         .block = index,
+                         .body = rebuilt,
+                         .audit = true,
+                         .server = t})
+                    .ok;
     } catch (const BadRequestError&) {
       if (t != home) abort_rehome(file_id, stripe, index);
       throw;  // a malformed frame is a local bug on any target
     } catch (const Error&) {
+      // Nothing known to have landed, so no REMOVE: a dead target costs
+      // one op deadline, not two.
       if (t != home) abort_rehome(file_id, stripe, index);
-      continue;  // this home is dead or lying: try the next candidate
+      continue;  // try the next candidate
     }
+    if (t == home && !audited) continue;  // the home's copy is wrong
     // Commit the move with a re-check of the invariant: a concurrent heal
     // of a sibling block may have filled t's domain since the candidate
-    // walk.  Losing the race just moves on to the next candidate — the
-    // stray copy on t is garbage, not a placement.
-    if (t != home && !commit_rehome(file_id, stripe, index, t)) {
+    // walk.  A copy on t that failed its audit or lost that race is
+    // garbage, not a placement: it is deleted before the abort is
+    // journaled, and the next candidate is tried.
+    if (t != home && (!audited || !commit_rehome(file_id, stripe, index, t))) {
+      run_one(file_id, stripe,
+              {.kind = Request::kRemove, .block = index, .server = t});
       abort_rehome(file_id, stripe, index);
       continue;
     }
@@ -1237,16 +1250,11 @@ CarouselStore::ReconcileReport CarouselStore::reconcile() {
   report.pending_puts = puts.size();
   report.pending_rehomes = rehomes.size();
 
-  // Whether `sid` holds a healthy copy of (f, s, i).  Anything short of
-  // kOk keeps the conservative choice — a put is not adopted, a rehome not
+  // A copy is healthy only when its VERIFY answers kOk.  Anything short of
+  // it keeps the conservative choice — a put is not adopted, a rehome not
   // flipped: kUnreachable means "could not tell", and reconciliation does
   // not guess about bytes it cannot see; kMissing and kCorrupt are absent.
-  // Callers pass only registered server ids.
-  auto healthy = [this](std::size_t sid, std::uint32_t f, std::uint32_t s,
-                        std::uint32_t i) {
-    return probe(server_at(sid), key(f, s, i)) == BlockState::kOk;
-  };
-
+  //
   // A put is adopted only when its rows still pass the live placement
   // predicate (the fleet may have changed shape since the intent) and
   // every block verifies, one probe round per stripe of the unpublished
@@ -1282,21 +1290,30 @@ CarouselStore::ReconcileReport CarouselStore::reconcile() {
         current = it->second.placement[rh.stripe][rh.index];
     }
     // An unknown file (its put never committed), a no-op flip or a target
-    // that no longer exists only drops the intent.  Otherwise the move is
-    // adopted when it is complete (the target verifies), still necessary
-    // (the old home does not) and still legal; if not, the pre-crash
-    // placement stands and the stray target copy is deleted.
-    const bool real = current && rh.target != *current &&
-                      rh.target < server_count();
-    if (real && healthy(rh.target, rh.file, rh.stripe, rh.index) &&
-        !healthy(*current, rh.file, rh.stripe, rh.index) &&
-        commit_rehome(rh.file, rh.stripe, rh.index, rh.target)) {
-      ++report.rehomes_adopted;
-      continue;
-    }
-    if (real)
+    // that no longer exists only drops the intent.  Otherwise the target
+    // and the old home are probed as one round, and the move is adopted
+    // when it is complete (the target verifies), still necessary (the old
+    // home does not) and still legal; if not, the pre-crash placement
+    // stands and the stray target copy is deleted.
+    if (current && rh.target != *current && rh.target < server_count()) {
+      Round round(*this, rh.file, rh.stripe, {},
+                  std::chrono::steady_clock::time_point::max());
+      for (std::size_t sid : {rh.target, *current})
+        round.launch(
+            {.kind = Request::kVerify, .block = rh.index, .server = sid});
+      const std::vector<Outcome> copies = round.collect();
+      if (copies[0].ok && !copies[1].ok &&
+          commit_rehome(rh.file, rh.stripe, rh.index, rh.target)) {
+        ++report.rehomes_adopted;
+        continue;
+      }
       report.orphans_deleted +=
-          remove_copy(rh.target, key(rh.file, rh.stripe, rh.index));
+          run_one(rh.file, rh.stripe,
+                  {.kind = Request::kRemove,
+                   .block = rh.index,
+                   .server = rh.target})
+              .ok;
+    }
     abort_rehome(rh.file, rh.stripe, rh.index);
     ++report.rehomes_aborted;
   }

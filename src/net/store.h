@@ -2,8 +2,10 @@
 //
 // Stripes files across a fleet of block servers with a Carousel code and
 // is the remote executor of the code's stripe plans (codes/carousel.h).
-// Every stripe op reaches the wire through one executor round: a stripe's
-// per-block requests, all at once on a store-owned thread pool.
+// Every op reaches the wire through one executor round: a stripe's
+// per-block requests, all at once on a store-owned thread pool.  The round
+// is the one place the store calls a Client, and a request may name its own
+// server instead of its block's home in the round's placement row.
 // read_file and repair_block are plan loops of one shape: plan over the
 // usable blocks, run what is not yet held as one round, mark each failed
 // block unusable, re-plan reusing the rest.
@@ -14,9 +16,12 @@
 //     d/(d-k+1) block sizes travel (k whole blocks when fewer than d are
 //     usable); the newcomer rebuilds and re-PUTs in a one-slot round whose
 //     PUT is audited (VERIFY) on the same lease.
-// put_file PUTs each stripe's n blocks as one round on its placement row.
+// put_file PUTs each stripe's n blocks as one round on its placement row,
+// and a failed put REMOVEs what it launched, one round per stripe.
 // probe_stripe, one VERIFY round reporting each block's BlockState, is the
 // one stripe probe: sweeps, repairs and reconcile() all ask it.
+// reconcile() probes a recovered rehome's target and old home as one
+// round; drop_block and verify_block are one-slot rounds.
 //
 // Hedged reads: with StoreOptions::hedge enabled, a slot whose range-GET has
 // not answered within a latency budget (a quantile of the store's own
@@ -86,7 +91,8 @@
 // survivor), audits the rebuilt block (VERIFY + CRC compare) before
 // declaring success, and — when the re-upload target itself is dead —
 // retries onto a placement-eligible spare or throws RehomeError with the
-// stripe untouched.
+// stripe untouched.  A spare's copy that fails its audit, or whose move
+// loses a commit race, is deleted before the next candidate is tried.
 // StoreOptions::op_budget bounds a whole read_file/repair_block call across
 // every failover step (StoreDeadlineError), so a read limping across many
 // sick servers fails fast instead of multiplying per-op timeouts.
@@ -251,8 +257,9 @@ class CarouselStore {
   std::vector<codes::Byte> read_file(std::uint32_t file_id,
                                      std::size_t file_bytes) EXCLUDES(mu_);
 
-  /// Deletes one block replica on its server (failure injection).
-  /// Returns false if it was already gone.
+  /// Deletes one block replica on its server (failure injection), as a
+  /// one-slot REMOVE round.  Returns false if it was already gone, or when
+  /// its server does not answer.
   bool drop_block(std::uint32_t file_id, std::uint32_t stripe,
                   std::uint32_t index);
 
@@ -275,7 +282,8 @@ class CarouselStore {
   std::uint64_t rehome_block(std::uint32_t file_id, std::uint32_t stripe,
                              std::uint32_t index) EXCLUDES(mu_);
 
-  /// Audits one block without transferring it (no src/ caller: rule 14).
+  /// Audits one block without transferring it, as a one-slot VERIFY round
+  /// (no src/ caller: rule 14).
   BlockState verify_block(std::uint32_t file_id, std::uint32_t stripe,
                           std::uint32_t index);
 
@@ -361,36 +369,10 @@ class CarouselStore {
     std::uint64_t retired_bytes GUARDED_BY(pool_mu) = 0;
   };
 
-  /// Exclusive use of one connection to a server for one operation.  A
-  /// Client is a single framed TCP stream and is not safe for interleaved
-  /// requests, so every wire op takes a pooled client (or opens a fresh one
-  /// when all are busy) — that is what lets two reads, or a hedge loser
-  /// still draining its response, talk to the same server concurrently.
-  /// Release returns the client to the pool only after its blocking call
-  /// finished, so a pooled connection is never mid-frame.
-  class Lease {
-   public:
-    Lease(Server& server, const RetryPolicy& policy,
-          obs::MetricsRegistry* registry);
-    ~Lease();
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Client* operator->() { return client_.get(); }
-
-   private:
-    Server* server_;
-    std::unique_ptr<Client> client_;
-  };
-
   std::size_t add_server_locked(std::uint16_t port, std::size_t domain,
                                 bool labeled) REQUIRES(mu_);
   Server& server_at(std::size_t server_id) const
       EXCLUDES(mu_);  // takes mu_ briefly
-  Lease lease(std::size_t server_id) const EXCLUDES(mu_);
-  BlockKey key(std::uint32_t file, std::uint32_t stripe,
-               std::uint32_t index) const {
-    return BlockKey{file, stripe, index};
-  }
   /// The one mint point for every carousel_store_hedge* series
   /// (check_invariants rule 7).
   obs::Counter& hedge_metric(const char* suffix);
@@ -443,9 +425,10 @@ class CarouselStore {
   class Round;  // the remote executor (DESIGN.md §10), in store.cpp
   struct Request;
   struct Outcome;
-  /// The one VERIFY -> BlockState mapping (a transport failure is
-  /// kUnreachable).  Takes no store lock: executor pool tasks call it.
-  BlockState probe(Server& server, const BlockKey& block_key) const;
+  /// Runs `req` as a one-slot round on the stripe's current row, with no
+  /// deadline; a PUT's error propagates.
+  Outcome run_one(std::uint32_t file_id, std::uint32_t stripe, Request req)
+      EXCLUDES(mu_);
   /// probe_stripe on an explicit row of registered ids (reconcile probes
   /// unpublished ones): block `skip`, the one being rebuilt, reads kMissing
   /// unprobed, and a probe launched past `deadline` reads kUnreachable.
@@ -485,18 +468,14 @@ class CarouselStore {
   void commit_put(std::uint32_t file_id, FileInfo info)
       EXCLUDES(meta_mu_, mu_);
   /// Best-effort REMOVEs every block of `rows` (the placement rows of the
-  /// stripes whose upload started, from stripe 0), skipping server ids the
-  /// fleet does not have, with no store lock held; then clears the
-  /// in-flight mark and journals the abort.  Returns how many copies were
-  /// removed.  A journal error propagates after the mark is cleared.
+  /// stripes whose upload started, from stripe 0), one round per stripe,
+  /// skipping server ids the fleet does not have, with no store lock held;
+  /// then clears the in-flight mark and journals the abort.  Returns how
+  /// many copies were removed; an unreachable server keeps its copy.  A
+  /// journal error propagates after the mark is cleared.
   std::size_t abort_put(std::uint32_t file_id,
                         std::span<const std::vector<std::uint32_t>> rows)
       EXCLUDES(meta_mu_, mu_);
-  /// Best-effort REMOVE of one copy, with no store lock held: true when a
-  /// copy was there to delete.  Skips server ids the fleet does not have;
-  /// an unreachable server keeps its copy until a later pass.
-  bool remove_copy(std::size_t server_id, const BlockKey& block_key)
-      EXCLUDES(mu_);
   /// Re-checks that `target` still fits the block's row, then journals the
   /// commit and flips the placement, all under meta_mu_.  False, with
   /// nothing journaled, when a concurrent move filled target's domain.

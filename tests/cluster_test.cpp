@@ -480,6 +480,33 @@ TEST_F(ClusterTest, RehomeMovesBlockOntoSpareAtOptimalTraffic) {
   EXPECT_EQ(store.read_file(5, file.size()), file);
 }
 
+// A spare whose copy fails the re-upload audit does not keep it.  Spare A's
+// first VERIFY answer is flipped in flight, so the CRC it reports is not
+// the one the PUT sent: the rehome deletes A's copy, journals the abort and
+// lands on spare B.
+TEST_F(ClusterTest, FailedRehomeAuditLeavesNoStrayCopy) {
+  codes::Carousel code(12, 6, 10, 12);
+  const std::size_t block = code.s() * 64;
+  CarouselStore store(code, ports_, block, opts());
+  BlockServer spare_a;
+  BlockServer spare_b;
+  store.add_server(spare_a.port());
+  const std::size_t b_id = store.add_server(spare_b.port());
+  auto file = random_bytes(code.k() * block, 23);
+  store.put_file(6, file);
+
+  auto plan = std::make_shared<FaultPlan>(5);
+  plan->add({.action = FaultAction::kCorruptPayload, .op = Op::kVerify});
+  spare_a.set_fault_plan(plan);
+  kill(2);
+  EXPECT_EQ(store.rehome_block(6, 0, 2), std::uint64_t{2} * block);
+  EXPECT_EQ(plan->injected(), 1u);
+  EXPECT_EQ(store.placement_of(6, 0, 2), b_id);
+  EXPECT_EQ(spare_a.block_count(), 0u);
+  EXPECT_EQ(spare_b.block_count(), 1u);
+  EXPECT_EQ(store.read_file(6, file.size()), file);
+}
+
 TEST_F(ClusterTest, RehomeFailsTypedWhenNoCandidateExists) {
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 8;

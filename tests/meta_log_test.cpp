@@ -494,6 +494,43 @@ TEST_F(MetaLogTest, TornTailReachesQuarantineBeforeTheJournalShrinks) {
   EXPECT_EQ(cases, 2 * (7 + 2));
 }
 
+// The steps of a fresh open and its first intent: the config record's write
+// (1) and fsync (2), the directory fsync that makes the journal's creation
+// durable (3), and the intent's write (4) and fsync (5).  After every cut
+// the reopen replays the state before or after the intent, and once the
+// intent's fsync has returned, the state after: an acknowledged record is
+// never lost with the journal that held it.
+TEST_F(MetaLogTest, FreshJournalSurvivesEveryCutOfItsFirstAppend) {
+  const auto rec = sample_file();
+  MetaLog::State before;
+  MetaLog::State after;
+  {
+    MetaLog log(dir_ / "reference", kConfig, opts());
+    before = log.state();
+    log.put_intent(5, rec.file_bytes, rec.stripes, rec.placement);
+    after = log.state();
+  }
+  int cases = 0;
+  for (const durable::CrashPlan& plan : every_cut(5, {1, 4})) {
+    SCOPED_TRACE(describe(plan));
+    const fs::path d = dir_ / ("case" + std::to_string(cases++));
+    durable::Syncer::arm_next(plan);
+    EXPECT_THROW(
+        {
+          MetaLog log(d, kConfig, opts());
+          log.put_intent(5, rec.file_bytes, rec.stripes, rec.placement);
+        },
+        durable::Crash);
+    MetaLog log(d, kConfig, opts());
+    if (plan.cut_after.value_or(0) >= 5) {
+      EXPECT_TRUE(log.state() == after);
+    } else {
+      EXPECT_TRUE(log.state() == before || log.state() == after);
+    }
+  }
+  EXPECT_EQ(cases, 2 * (6 + 2));
+}
+
 // A compaction step that fails (each of the 7 in turn) neither fails the
 // append that triggered it nor lets the journal shrink before the
 // snapshot's rename is durable: the next append's fsync is then cut with
@@ -893,6 +930,53 @@ TEST_F(MetaStoreTest, ReconcileDeletesOrphansWithoutBlockingMutations) {
     for (std::uint32_t idx = 0; idx < code_.n(); ++idx)
       EXPECT_EQ(c.verify(BlockKey{2, 0, idx}), BlockHealth::kMissing);
   }
+}
+
+// reconcile() probes a recovered rehome's target and old home as one round.
+// The rehome's commit is cut before its fsync, the old home's copy is
+// dropped, and every server answers a VERIFY D late: the move is adopted
+// after about D, where probing the two copies one after the other takes 2 D.
+TEST_F(MetaStoreTest, ReconcileProbesARehomeInOneRound) {
+  const std::size_t block = code_.s() * 64;
+  const auto file = random_bytes(code_.k() * block, 59);
+  BlockServer spare;
+  std::size_t spare_id = 0;
+  std::size_t old_home = 0;
+  {
+    CarouselStore store(code_, ports_, block, meta_options());
+    spare_id = store.add_server(spare.port());
+    store.put_file(6, file);
+    old_home = store.placement_of(6, 0, 3);
+    // Append 1 (steps 1-2) is the rehome intent, append 2 (steps 3-4) the
+    // commit: the block lands on the spare, but its move is never durable.
+    store.set_meta_crash_point({.cut_after = 3});
+    EXPECT_THROW(store.rehome_block(6, 0, 3), durable::Crash);
+  }
+  ASSERT_EQ(spare.block_count(), 1u);
+  ASSERT_TRUE(Client(ports_[old_home]).remove(BlockKey{6, 0, 3}));
+
+  const std::chrono::milliseconds stall(150);  // io_timeout is 1 s
+  std::vector<BlockServer*> fleet{&spare};
+  for (auto& s : servers_) fleet.push_back(s.get());
+  for (BlockServer* s : fleet) {
+    auto plan = std::make_shared<FaultPlan>(41);
+    plan->add({.action = FaultAction::kDelay,
+               .op = Op::kVerify,
+               .max_hits = 1000,
+               .delay_ms = static_cast<std::uint32_t>(stall.count())});
+    s->set_fault_plan(plan);
+  }
+  CarouselStore store(code_, ports_, block, meta_options());
+  const auto start = std::chrono::steady_clock::now();
+  const auto report = store.reconcile();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  for (BlockServer* s : fleet) s->set_fault_plan(nullptr);
+
+  EXPECT_LT(elapsed, 3 * stall / 2);
+  EXPECT_EQ(report.pending_rehomes, 1u);
+  EXPECT_EQ(report.rehomes_adopted, 1u);
+  EXPECT_EQ(store.placement_of(6, 0, 3), spare_id);
+  EXPECT_EQ(store.read_file(6, file.size()), file);
 }
 
 TEST_F(MetaStoreTest, PutFailingMidStreamCleansUp) {

@@ -1029,6 +1029,43 @@ TEST_F(StoreTest, FailedPutRoundDrainsBeforeAbort) {
   }
 }
 
+// A failed put REMOVEs a stripe's blocks as one round.  Server 0 refuses
+// its PUT and every server answers a DELETE D late: the abort waits about
+// D, where REMOVEing block by block waits n D.
+TEST_F(StoreTest, AbortRemovesAStripeInOneRound) {
+  codes::Carousel code(12, 6, 10, 10);
+  const std::size_t block = code.s() * 16;
+  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  auto file = random_bytes(code.k() * block, 55);
+
+  const std::chrono::milliseconds stall(100);  // io_timeout is 250 ms
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    auto plan = std::make_shared<FaultPlan>(37);
+    if (i == 0)
+      plan->add({.action = FaultAction::kRefuse,
+                 .op = Op::kPut,
+                 .max_hits = 1000});
+    plan->add({.action = FaultAction::kDelay,
+               .op = Op::kDelete,
+               .max_hits = 1000,
+               .delay_ms = static_cast<std::uint32_t>(stall.count())});
+    servers_[i]->set_fault_plan(plan);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(store.put_file(49, file), ServerError);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  for (auto& s : servers_) s->set_fault_plan(nullptr);
+
+  EXPECT_LT(elapsed, 3 * stall);
+  EXPECT_TRUE(store.files().empty());
+  for (std::uint16_t port : ports_) {
+    Client c(port);
+    for (std::uint32_t i = 0; i < code.n(); ++i)
+      EXPECT_EQ(c.verify(BlockKey{49, 0, i}), BlockHealth::kMissing)
+          << "port " << port << " block " << i;
+  }
+}
+
 TEST_F(StoreTest, ScrubberRetriesUnreachableServerAfterItReturns) {
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 128;

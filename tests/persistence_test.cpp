@@ -195,7 +195,7 @@ TEST_F(PersistenceTest, RecoveryQuarantinesCrcMismatch) {
   const BlockKey key{5, 0, 2};
   auto bytes = random_bytes(512, 5);
   PersistentBlockStore store(dir_);
-  ASSERT_TRUE(store.put(key, bytes, util::crc32(bytes)));
+  ASSERT_NO_THROW(store.put(key, bytes, util::crc32(bytes)));
   ASSERT_TRUE(store.corrupt_at_rest(key, 100));
 
   PersistentBlockStore again(dir_);
@@ -217,7 +217,7 @@ TEST_F(PersistenceTest, RecorruptedBlockQuarantinesBesideTheFirstCopy) {
   for (std::size_t size : {512u, 256u}) {
     auto bytes = random_bytes(size, 15);
     PersistentBlockStore store(dir_);
-    ASSERT_TRUE(store.put(key, bytes, util::crc32(bytes)));
+    ASSERT_NO_THROW(store.put(key, bytes, util::crc32(bytes)));
     ASSERT_TRUE(store.corrupt_at_rest(key, 100));
     RecoveryReport rec = PersistentBlockStore(dir_).recover();
     EXPECT_EQ(rec.crc_mismatches, 1u);
@@ -237,7 +237,7 @@ TEST_F(PersistenceTest, RecoveryQuarantinesOrphanedCommitRecord) {
   const BlockKey key{6, 0, 0};
   auto bytes = random_bytes(64, 6);
   PersistentBlockStore store(dir_);
-  ASSERT_TRUE(store.put(key, bytes, util::crc32(bytes)));
+  ASSERT_NO_THROW(store.put(key, bytes, util::crc32(bytes)));
   fs::remove(dir_ / (PersistentBlockStore::stem_of(key) + ".blk"));
 
   RecoveryReport rec = PersistentBlockStore(dir_).recover();
@@ -253,7 +253,7 @@ TEST_F(PersistenceTest, RecoveryQuarantinesOrphanedPayload) {
   const BlockKey key{6, 1, 0};
   auto bytes = random_bytes(64, 7);
   PersistentBlockStore store(dir_);
-  ASSERT_TRUE(store.put(key, bytes, util::crc32(bytes)));
+  ASSERT_NO_THROW(store.put(key, bytes, util::crc32(bytes)));
   fs::remove(dir_ / (PersistentBlockStore::stem_of(key) + ".meta"));
 
   RecoveryReport rec = PersistentBlockStore(dir_).recover();
@@ -267,7 +267,7 @@ TEST_F(PersistenceTest, RecoveryQuarantinesDuplicateClaimsOnOneKey) {
   const BlockKey key{1, 0, 0};
   auto bytes = random_bytes(128, 8);
   PersistentBlockStore store(dir_);
-  ASSERT_TRUE(store.put(key, bytes, util::crc32(bytes)));
+  ASSERT_NO_THROW(store.put(key, bytes, util::crc32(bytes)));
   // A stray copy of the pair under another (valid) stem claims the same
   // key; the lexicographically first intact pair must win.
   fs::copy_file(dir_ / "b1_0_0.blk", dir_ / "b9_9_9.blk");
@@ -288,7 +288,7 @@ TEST_F(PersistenceTest, RecoveryQuarantinesZeroLengthTempFile) {
   const BlockKey key{4, 0, 0};
   auto bytes = random_bytes(128, 9);
   PersistentBlockStore store(dir_);
-  ASSERT_TRUE(store.put(key, bytes, util::crc32(bytes)));
+  ASSERT_NO_THROW(store.put(key, bytes, util::crc32(bytes)));
   { std::ofstream(dir_ / "b4_0_1.blk.tmp"); }  // crash before any write()
 
   std::vector<PersistentBlockStore::RecoveredBlock> out;
@@ -438,9 +438,9 @@ TEST_F(PersistenceTest, EveryCutOfEveryBlockOpRecoversToOldOrNew) {
       const fs::path d = dir_ / ("case" + std::to_string(cases++));
       {
         PersistentBlockStore store(d);
-        ASSERT_TRUE(store.put(bystander, other, util::crc32(other)));
+        ASSERT_NO_THROW(store.put(bystander, other, util::crc32(other)));
         if (op.before) {
-          ASSERT_TRUE(store.put(key, *op.before, util::crc32(*op.before)));
+          ASSERT_NO_THROW(store.put(key, *op.before, util::crc32(*op.before)));
         }
         store.syncer().arm(plan);
         if (op.after) {
@@ -547,7 +547,7 @@ TEST_F(PersistenceTest, FsyncOffKeepsTheWritePathShape) {
   const BlockKey key{40, 0, 0};
   auto bytes = random_bytes(256, 14);
   PersistentBlockStore store(dir_, opts);
-  ASSERT_TRUE(store.put(key, bytes, util::crc32(bytes)));
+  ASSERT_NO_THROW(store.put(key, bytes, util::crc32(bytes)));
   EXPECT_EQ(reg.snapshot().counters.at("carousel_persist_fsyncs_total"), 0u);
 
   std::vector<PersistentBlockStore::RecoveredBlock> out;

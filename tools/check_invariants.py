@@ -100,15 +100,18 @@ Rules (see DESIGN.md "Correctness tooling"):
      src/net/meta_log.{h,cpp}.  A record framed anywhere else could skip
      the fsync-before-publish ordering the crash-recovery story rests on.
 
- 11. one wire executor — every stripe op reaches block data through the
-     store's remote executor (CarouselStore::Round in src/net/store.cpp):
-     each Client data call, `->get(`, `->get_range(`, `->project(` and
-     `->put(`, appears at most once in src/, and only in src/net/store.cpp,
-     where the executor dispatches it (`persist_->put(` in the BlockServer
-     is a PersistentBlockStore call and does not match).  A second call
-     site is a second way to move stripe data — typically a serial
-     per-block loop that bypasses the executor's concurrent rounds,
-     first-wins slot cells and re-planning.
+ 11. one wire executor — every store op reaches a block through the
+     store's remote executor (CarouselStore::Round in src/net/store.cpp),
+     the one place the store calls a Client: each Client block call,
+     `->get(`, `->get_range(`, `->project(`, `->put(`, `->verify(` and
+     `->remove(`, appears at most once in src/, and only in
+     src/net/store.cpp, where the executor dispatches it (`persist_->put(`
+     in the BlockServer is a PersistentBlockStore call and does not
+     match).  A second call site is a second way to reach a block —
+     typically a serial per-block loop (a fetch, a probe, a delete) that
+     bypasses the executor's concurrent rounds, first-wins slot cells and
+     re-planning, and so waits one op deadline per block on a sick fleet
+     where a round waits one.
 
  12. one MDS codec — Carousel is the only MDS codec class: every
      `: public LinearCode` in src/ derives Carousel or the LRC baseline
@@ -501,11 +504,12 @@ def check_meta_journal_provenance(problems: list[str]) -> None:
 
 
 def check_one_wire_executor(problems: list[str]) -> None:
-    """Rule 11: each Client data call has one call site, the executor's."""
+    """Rule 11: each Client block call has one call site, the executor's."""
     # A call with arguments: `->get()` on a smart pointer is not a fetch;
     # `persist_->put(` stores a block on a server's disk, not over a Client.
     fetch = re.compile(
-        r"(?<!persist_)->(get|get_range|project|put)\s*\((?!\s*\))")
+        r"(?<!persist_)->(get|get_range|project|put|verify|remove)"
+        r"\s*\((?!\s*\))")
     executor = REPO / "src" / "net" / "store.cpp"
     seen: dict[str, str] = {}
     for path in src_files(".h", ".cpp"):
@@ -516,7 +520,7 @@ def check_one_wire_executor(problems: list[str]) -> None:
                 if path != executor:
                     problems.append(
                         f"{where}: Client {call} outside src/net/store.cpp "
-                        f"— stripe data moves only through the store's "
+                        f"— blocks are reached only through the store's "
                         f"remote executor")
                 elif call in seen:
                     problems.append(
