@@ -54,18 +54,7 @@ LinearCode::LinearCode(CodeParams params, std::size_t s, Matrix generator)
 void LinearCode::encode(std::span<const Byte> data,
                         std::span<const std::span<Byte>> blocks) const {
   if (blocks.size() != n()) throw std::invalid_argument("need n output blocks");
-  if (data.size() % message_units() != 0)
-    throw std::invalid_argument("data size must be a multiple of k*s");
-  const std::size_t ub = data.size() / message_units();
-  const std::size_t block_bytes = s_ * ub;
-  const auto& ins = instruments();
-  obs::ScopedTimer timer(*ins.encode_seconds);
-  for (std::size_t i = 0; i < n(); ++i) {
-    if (blocks[i].size() != block_bytes)
-      throw std::invalid_argument("block buffer has wrong size");
-    encode_block(i, data, blocks[i]);
-  }
-  ins.encode_bytes->inc(n() * block_bytes);
+  for (std::size_t i = 0; i < n(); ++i) encode_one(i, data, blocks[i]);
 }
 
 std::size_t LinearCode::stripes_for(std::size_t file_bytes,
@@ -78,21 +67,38 @@ std::size_t LinearCode::stripes_for(std::size_t file_bytes,
   return std::max<std::size_t>(1, (file_bytes + stripe_data - 1) / stripe_data);
 }
 
+std::span<const Byte> LinearCode::stripe_message(std::span<const Byte> file,
+                                                 std::size_t stripe,
+                                                 std::size_t block_bytes,
+                                                 std::vector<Byte>& pad) const {
+  const std::size_t stripe_data = k() * block_bytes;
+  std::span<const Byte> data =
+      file.subspan(std::min(file.size(), stripe * stripe_data));
+  if (data.size() >= stripe_data) return data.first(stripe_data);
+  pad.assign(stripe_data, 0);
+  std::copy(data.begin(), data.end(), pad.begin());
+  return pad;
+}
+
 void LinearCode::encode_stripe(std::span<const Byte> file, std::size_t stripe,
                                std::span<const std::span<Byte>> blocks,
                                std::vector<Byte>& pad) const {
-  const std::size_t stripe_data =
-      k() * (blocks.empty() ? 0 : blocks.front().size());
-  std::span<const Byte> data =
-      file.subspan(std::min(file.size(), stripe * stripe_data));
-  if (data.size() >= stripe_data) {
-    data = data.first(stripe_data);
-  } else {
-    pad.assign(stripe_data, 0);
-    std::copy(data.begin(), data.end(), pad.begin());
-    data = pad;
-  }
-  encode(data, blocks);
+  encode(stripe_message(file, stripe,
+                        blocks.empty() ? 0 : blocks.front().size(), pad),
+         blocks);
+}
+
+void LinearCode::encode_one(std::size_t id, std::span<const Byte> message,
+                            std::span<Byte> out) const {
+  if (id >= n()) throw std::invalid_argument("block id out of range");
+  if (message.size() % message_units() != 0)
+    throw std::invalid_argument("data size must be a multiple of k*s");
+  if (out.size() != message.size() / k())
+    throw std::invalid_argument("block buffer has wrong size");
+  const auto& ins = instruments();
+  obs::ScopedTimer timer(*ins.encode_seconds);
+  encode_block(id, message, out);
+  ins.encode_bytes->inc(out.size());
 }
 
 void LinearCode::encode_block(std::size_t id, std::span<const Byte> data,

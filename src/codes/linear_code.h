@@ -75,8 +75,9 @@ class LinearCode {
 
   /// Encodes a stripe: data holds k*s units back to back (k blocks' worth of
   /// original bytes); each of the n output spans receives one block of
-  /// data.size()/k bytes.  Zero coefficients are skipped and identity rows
-  /// become copies, so systematic/sparse generators encode at base-code cost.
+  /// data.size()/k bytes, one encode_one call each.  Zero coefficients are
+  /// skipped and identity rows become copies, so systematic/sparse
+  /// generators encode at base-code cost.
   void encode(std::span<const Byte> data,
               std::span<const std::span<Byte>> blocks) const;
 
@@ -87,14 +88,30 @@ class LinearCode {
   std::size_t stripes_for(std::size_t file_bytes,
                           std::size_t block_bytes) const;
 
+  /// The message of stripe `stripe` of `file`: its k*block_bytes bytes,
+  /// viewed straight in the caller's bytes; only a short last stripe is
+  /// copied, zero-padded, into `pad`, and then the view is of `pad`.
+  std::span<const Byte> stripe_message(std::span<const Byte> file,
+                                       std::size_t stripe,
+                                       std::size_t block_bytes,
+                                       std::vector<Byte>& pad) const;
+
   /// Encodes stripe `stripe` of `file` into the n `blocks` (one block size
-  /// each) straight from the caller's bytes; only a short last stripe is
-  /// copied, zero-padded, into `pad` first.
+  /// each): encode(stripe_message(...), blocks).
   void encode_stripe(std::span<const Byte> file, std::size_t stripe,
                      std::span<const std::span<Byte>> blocks,
                      std::vector<Byte>& pad) const;
 
-  /// Encodes only block `id` (used by reconstruction and by targeted tests).
+  /// Encodes block `id` of one stripe's `message` into `out`: the one
+  /// instrumented encode (one carousel_codec_encode_seconds sample and one
+  /// block of carousel_codec_encode_bytes_total per call).  Every block is
+  /// a function of the message alone, so a stripe's n calls may run on n
+  /// threads at once.
+  void encode_one(std::size_t id, std::span<const Byte> message,
+                  std::span<Byte> out) const;
+
+  /// Encodes only block `id`, uninstrumented (used by reconstruction and by
+  /// targeted tests).
   void encode_block(std::size_t id, std::span<const Byte> data,
                     std::span<Byte> out) const;
 

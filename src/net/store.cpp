@@ -476,7 +476,7 @@ struct CarouselStore::Request {
     kProject,  // repair coefficients, one term list per output unit
     kBlock,    // the whole block (GET)
     kVerify,   // a health probe; no block bytes move
-    kPut,      // stores `body` as the block
+    kPut,      // stores `body`, or block `block` of `message`, as the block
     kRemove,   // deletes the block (DELETE)
   };
   Kind kind = kUnits;
@@ -484,6 +484,8 @@ struct CarouselStore::Request {
   std::vector<std::size_t> positions{};  // kUnits
   Client::Projection terms{};            // kProject
   std::span<const Byte> body{};          // kPut: borrowed, not copied
+  std::span<const Byte> message{};       // kPut: else the stripe's message,
+  std::span<Byte> slice{};               //   encoded into `slice` first
   bool audit = false;                    // kPut: then VERIFY the stored CRC
   std::optional<std::size_t> server{};   // unset: `block`'s home in the row
 };
@@ -592,8 +594,8 @@ class CarouselStore::Round {
 
   // The task captures by value and reaches only the store, which outlives
   // its pool: a hedge loser keeps running after its round returned.  A
-  // PUT's body is only a view, but PUTs are never hedged, and ~Round waits
-  // for the slot.
+  // PUT's body, message and slice are only views, but PUTs are never
+  // hedged, and ~Round waits for the slot.
   void submit(Request req, std::shared_ptr<SlotCell> cell) {
     const std::size_t ub = st_->block_bytes_ / st_->code_->s();
     const bool extent =
@@ -624,6 +626,10 @@ class CarouselStore::Round {
         cell->resolve(std::move(out), req.kind == Request::kPut
                                           ? std::current_exception()
                                           : nullptr);
+      } catch (...) {
+        // A local fault, such as a PUT slot's encode: the slot's error,
+        // never the pool's, so collect() still returns.
+        cell->resolve({}, std::current_exception());
       }
     });
   }
@@ -679,6 +685,10 @@ class CarouselStore::Round {
   // answer: the caller cannot tell whether the block landed.
   static bool run(const CarouselStore& st, Server& srv, const BlockKey& bk,
                   const Request& req, bool extent, Outcome& out) {
+    // A PUT of the stripe's message encodes its own block, beside the
+    // other slots' encodes and uploads, before it takes a connection.
+    if (!req.message.empty())
+      st.code_->encode_one(req.block, req.message, req.slice);
     // The lease returns to the pool before the cell resolves, so
     // bytes_received() read right after the op includes this connection's
     // bytes.
@@ -686,7 +696,7 @@ class CarouselStore::Round {
     if (req.kind == Request::kRemove) return c->remove(bk);
     std::optional<std::uint32_t> sent_crc;
     if (req.kind == Request::kPut) {
-      sent_crc = c->put(bk, req.body);
+      sent_crc = c->put(bk, req.message.empty() ? req.body : req.slice);
       if (!req.audit) return true;
     }
     if (req.kind == Request::kVerify || req.kind == Request::kPut) {
@@ -856,34 +866,40 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
     }
   }
   put_bytes_->inc(bytes.size());
-  // One stripe at a time: each is encoded (encode_stripe) into one n-block
-  // scratch buffer, and its n PUTs run as one executor round on the
-  // stripe's row; the next stripe is encoded once all n have answered.
+  // One stripe at a time, as one executor round on the stripe's row: its n
+  // PUT slots each encode their block of the stripe's message (viewed in
+  // the caller's bytes; a short last stripe is padded) into their slice of
+  // one n-block scratch buffer, then PUT it.  The next stripe starts once
+  // all n have answered.
   const std::size_t n = code_->n();
   std::size_t launched = 0;  // stripes whose PUT round has started
   try {
     std::vector<Byte> scratch(n * block_bytes_);
-    std::vector<std::span<Byte>> blocks;
-    for (std::size_t i = 0; i < n; ++i)
-      blocks.emplace_back(scratch.data() + i * block_bytes_, block_bytes_);
     std::vector<Byte> pad;
     for (std::size_t s = 0; s < stripes; ++s) {
-      code_->encode_stripe(bytes, s, blocks, pad);
+      const std::span<const Byte> message =
+          code_->stripe_message(bytes, s, block_bytes_, pad);
       Round round(*this, file_id, static_cast<std::uint32_t>(s), placement[s],
                   std::chrono::steady_clock::time_point::max());
       launched = s + 1;
       for (std::size_t i = 0; i < n; ++i)
-        round.launch({.kind = Request::kPut, .block = i, .body = blocks[i]});
+        round.launch(
+            {.kind = Request::kPut,
+             .block = i,
+             .message = message,
+             .slice = std::span(scratch).subspan(i * block_bytes_,
+                                                 block_bytes_)});
       round.collect();  // rethrows the first failed PUT
     }
   } catch (...) {
     // The put failed mid-upload: delete every block of every stripe
     // launched (a PUT that failed or timed out may still have landed) and
-    // journal the abandonment so nothing stays pending.  A journal error
-    // must not mask the upload's own.
+    // journal the abandonment so nothing stays pending.  No failure of
+    // the abort masks the upload's own error; an abort record that did not
+    // land leaves the intent pending, for reconcile().
     try {
       abort_put(file_id, std::span(placement).first(launched));
-    } catch (const Error&) {
+    } catch (...) {
     }
     throw;
   }

@@ -17,7 +17,8 @@
 //     usable); the newcomer rebuilds and re-PUTs in a one-slot round whose
 //     PUT is audited (VERIFY) on the same lease.
 // put_file PUTs each stripe's n blocks as one round on its placement row,
-// and a failed put REMOVEs what it launched, one round per stripe.
+// each PUT slot encoding its own block of the stripe's message first, and a
+// failed put REMOVEs what it launched, one round per stripe.
 // probe_stripe, one VERIFY round reporting each block's BlockState, is the
 // one stripe probe: sweeps, repairs and reconcile() all ask it.
 // reconcile() probes a recovered rehome's target and old home as one
@@ -189,8 +190,9 @@ class CarouselStore {
   /// passes code.stripes_for's check and the fleet can honor the
   /// per-domain cap: distinct domains * (n-k) >= n, where an unlabeled
   /// server is its own domain.  Files are striped by code.stripes_for and
-  /// code.encode_stripe, as storage::ErasureFile is.  Block i of a stripe
-  /// goes to server i mod fleet size (one block per server when
+  /// code.stripe_message, as storage::ErasureFile's encode_stripe is, and
+  /// each block is encoded by code.encode_one in its PUT slot.  Block i of
+  /// a stripe goes to server i mod fleet size (one block per server when
   /// ports.size() >= n, the paper's placement) wherever the domains permit.
   CarouselStore(const codes::Carousel& code,
                 const std::vector<std::uint16_t>& ports,
@@ -239,12 +241,14 @@ class CarouselStore {
   /// Every block the placement table homes on `server_id`.
   std::vector<BlockRef> blocks_on(std::size_t server_id) const EXCLUDES(mu_);
 
-  /// Encodes and uploads one stripe at a time (one stripe of memory, not a
-  /// copy of the file), the stripe's n PUTs as one executor round; returns
-  /// the stripe count and records the file in the manifest (what the
-  /// scrubber sweeps) together with its placement table.  A failed PUT
-  /// throws once its round has drained, after every block of every stripe
-  /// launched so far is deleted.
+  /// Uploads one stripe at a time (one stripe of memory, not a copy of the
+  /// file), the stripe's n PUTs as one executor round whose slots each
+  /// encode their own block of the stripe's message, on the store pool, then
+  /// PUT it; returns the stripe count and records the file in the manifest
+  /// (what the scrubber sweeps) together with its placement table.  A
+  /// failed PUT (or encode) throws once its round has drained, after every
+  /// block of every stripe launched so far is deleted; no failure of that
+  /// clean-up replaces the upload's error.
   std::size_t put_file(std::uint32_t file_id,
                        std::span<const codes::Byte> bytes) EXCLUDES(mu_);
 

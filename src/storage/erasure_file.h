@@ -5,12 +5,12 @@
 //
 // A file is split into stripes of k * block_bytes original bytes (the last
 // stripe zero-padded), each stripe encoded into n blocks — the layout
-// LinearCode::stripes_for/encode_stripe define once for this type and the
-// networked store alike.  Blocks are kept block-major: block i of every
-// stripe back to back is block_file(i), the unit a server (or carouselctl's
-// block_<i>.bin) holds.  Because Carousel(n, k, k, k) is exactly the
-// systematic RS code, this one type covers both the paper's RS baseline and
-// every Carousel configuration.
+// LinearCode::stripes_for/stripe_message define once for this type (through
+// encode_stripe) and the networked store alike.  Blocks are kept
+// block-major: block i of every stripe back to back is block_file(i), the
+// unit a server (or carouselctl's block_<i>.bin) holds.  Because
+// Carousel(n, k, k, k) is exactly the systematic RS code, this one type
+// covers both the paper's RS baseline and every Carousel configuration.
 
 #ifndef CAROUSEL_STORAGE_ERASURE_FILE_H
 #define CAROUSEL_STORAGE_ERASURE_FILE_H

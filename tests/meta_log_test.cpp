@@ -1019,6 +1019,44 @@ TEST_F(MetaStoreTest, PutFailingMidStreamCleansUp) {
   EXPECT_EQ(store.read_file(5, file.size()), file);
 }
 
+// A failed abort record does not mask the upload's own error: put_file
+// throws the refused PUT's ServerError, the intent stays pending in the
+// journal, and a reopened store's reconcile() resolves it.
+TEST_F(MetaStoreTest, FailedAbortRecordKeepsTheUploadsError) {
+  // Twelve servers, so each one holds exactly one block per stripe.
+  for (int i = 0; i < 6; ++i) {
+    servers_.push_back(std::make_unique<BlockServer>());
+    ports_.push_back(servers_.back()->port());
+  }
+  const std::size_t block = code_.s() * 64;
+  const auto file = random_bytes(2 * code_.k() * block, 63);
+  auto plan = std::make_shared<FaultPlan>(3);
+  plan->add({.action = FaultAction::kRefuse, .op = Op::kPut, .max_hits = 1000});
+  servers_[4]->set_fault_plan(plan);
+  {
+    CarouselStore store(code_, ports_, block, meta_options());
+    // Steps 1-2 are the intent's write and fsync, step 3 the abort
+    // record's write.
+    store.set_meta_crash_point({.fail = 3});
+    EXPECT_THROW(store.put_file(5, file), ServerError);
+    EXPECT_TRUE(store.files().empty());
+  }
+  servers_[4]->set_fault_plan(nullptr);
+  CarouselStore store(code_, ports_, block, meta_options());
+  const auto report = store.reconcile();
+  EXPECT_EQ(report.pending_puts, 1u);
+  EXPECT_EQ(report.puts_aborted, 1u);
+  for (std::uint16_t port : ports_) {
+    Client c(port);
+    for (std::uint32_t s = 0; s < 2; ++s)
+      for (std::uint32_t idx = 0; idx < code_.n(); ++idx)
+        EXPECT_EQ(c.verify(BlockKey{5, s, idx}), BlockHealth::kMissing)
+            << "port " << port << " stripe " << s << " block " << idx;
+  }
+  EXPECT_EQ(store.put_file(5, file), 2u);
+  EXPECT_EQ(store.read_file(5, file.size()), file);
+}
+
 TEST_F(MetaStoreTest, ReplayReportIsExposed) {
   const std::size_t block = code_.s() * 64;
   {

@@ -10,7 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <future>
 #include <optional>
 #include <thread>
 
@@ -1063,6 +1065,72 @@ TEST_F(StoreTest, AbortRemovesAStripeInOneRound) {
     for (std::uint32_t i = 0; i < code.n(); ++i)
       EXPECT_EQ(c.verify(BlockKey{49, 0, i}), BlockHealth::kMissing)
           << "port " << port << " block " << i;
+  }
+}
+
+// put_file's PUT slots each encode their own block of the stripe's message.
+// On the Carousel, RS and MSR points, with a short, padded last stripe:
+// every stored block is encode_stripe's, the codec counts each stripe's n
+// blocks once, the file reads back, and two puts overlap a read on one
+// store.
+TEST_F(StoreTest, PutEncodesEachBlockInItsSlot) {
+  struct Point {
+    std::size_t d, p;
+  };
+  std::uint32_t next_id = 60;
+  for (const Point pt : {Point{10, 10}, Point{6, 6}, Point{10, 6}}) {
+    codes::Carousel code(12, 6, pt.d, pt.p);
+    SCOPED_TRACE(code.kind());
+    const std::size_t block = code.s() * 16;
+    CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+    const obs::Counter& encoded = obs::MetricsRegistry::global().counter(
+        obs::labeled("carousel_codec_encode_bytes_total", "code", code.kind()));
+    const std::size_t stripes = 3;
+    const auto file = random_bytes(5 * code.k() * block / 2, next_id);
+    const std::uint32_t id = next_id++;
+
+    const std::uint64_t before = encoded.value();
+    ASSERT_EQ(store.put_file(id, file), stripes);
+    EXPECT_EQ(encoded.value() - before, stripes * code.n() * block);
+
+    std::vector<Byte> scratch(code.n() * block);
+    std::vector<std::span<Byte>> blocks;
+    for (std::size_t i = 0; i < code.n(); ++i)
+      blocks.push_back(std::span(scratch).subspan(i * block, block));
+    std::vector<Byte> pad;
+    for (std::uint32_t s = 0; s < stripes; ++s) {
+      code.encode_stripe(file, s, blocks, pad);
+      for (std::uint32_t i = 0; i < code.n(); ++i) {
+        Client c(ports_[store.placement_of(id, s, i)]);
+        const auto got = c.get(BlockKey{id, s, i});
+        ASSERT_TRUE(got.has_value());
+        EXPECT_TRUE(std::ranges::equal(*got, blocks[i]))
+            << "stripe " << s << " block " << i;
+      }
+    }
+    EXPECT_EQ(store.read_file(id, file.size()), file);
+
+    // Two writers and a reader on one store, each on its own thread; their
+    // results (or exceptions) are checked on this one.
+    const auto a = random_bytes(2 * code.k() * block + 5, next_id);
+    const auto b = random_bytes(code.k() * block / 3, next_id + 1);
+    const std::uint32_t id_a = next_id++;
+    const std::uint32_t id_b = next_id++;
+    auto put_a = std::async(std::launch::async,
+                            [&] { return store.put_file(id_a, a); });
+    auto put_b = std::async(std::launch::async,
+                            [&] { return store.put_file(id_b, b); });
+    auto reads = std::async(std::launch::async, [&] {
+      int same = 0;
+      for (int r = 0; r < 3; ++r)
+        same += store.read_file(id, file.size()) == file;
+      return same;
+    });
+    EXPECT_EQ(put_a.get(), 3u);
+    EXPECT_EQ(put_b.get(), 1u);
+    EXPECT_EQ(reads.get(), 3);
+    EXPECT_EQ(store.read_file(id_a, a.size()), a);
+    EXPECT_EQ(store.read_file(id_b, b.size()), b);
   }
 }
 

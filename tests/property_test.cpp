@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -164,6 +165,32 @@ TEST(PropertyGrid, DataUnitsArePlacedVerbatim) {
     }
     // The p data extents tile the whole message, nothing missing or doubled.
     EXPECT_EQ(covered, e.code->message_units());
+  }
+}
+
+// §VIII-A: every block is a function of the message alone, so n threads
+// may each encode one block of the same stripe (as put_file's PUT slots
+// do).  The blocks equal encode's, and the codec counts n blocks' bytes.
+TEST(PropertyGrid, BlocksEncodeConcurrentlyAsOneStripe) {
+  std::uint32_t seed = 2500;
+  for (const auto& e : grid()) {
+    Stripe s = encode_stripe(e, seed++);
+    const obs::Counter& encoded = obs::MetricsRegistry::global().counter(
+        obs::labeled("carousel_codec_encode_bytes_total", "code",
+                     e.code->kind()));
+    const std::uint64_t before = encoded.value();
+    std::vector<std::uint8_t> blob(e.n * e.block_bytes);
+    std::vector<std::future<void>> blocks;
+    for (std::size_t i = 0; i < e.n; ++i)
+      blocks.push_back(std::async(std::launch::async, [&e, &s, &blob, i] {
+        e.code->encode_one(
+            i, s.data, std::span(blob).subspan(i * e.block_bytes,
+                                               e.block_bytes));
+      }));
+    for (auto& b : blocks) b.get();
+    EXPECT_EQ(blob, s.blob) << "(" << e.n << "," << e.k << "," << e.d << ","
+                            << e.p << ")";
+    EXPECT_EQ(encoded.value() - before, e.n * e.block_bytes);
   }
 }
 

@@ -143,15 +143,21 @@ Rules (see DESIGN.md "Correctness tooling"):
      stripe where one round does.
 
  15. one file layer — a file's stripes are counted, split, padded and
-     encoded only in src/codes/: outside it, src/ code makes no `.encode(`
-     or `->encode(` call (LinearCode::encode_stripe is how a file stripe is
-     encoded) and defines no `stripes_for(` (LinearCode::stripes_for is the
-     one stripe count and block-size check).  CarouselStore::put_file and
-     read_file, storage::ErasureFile and carouselctl all go through those
-     two.  A free function named encode (MetaLog's record framing,
+     encoded only in src/codes/: outside it, src/ code makes no `.encode(`,
+     `->encode(`, `encode_block(` or `encode_block_dense(` call and defines
+     no `stripes_for(` or `stripe_message(` (LinearCode::stripes_for is the
+     one stripe count and block-size check, LinearCode::stripe_message the
+     one split and pad).  storage::ErasureFile and carouselctl encode a
+     stripe with LinearCode::encode_stripe.  The store encodes only in its
+     PUT slots: `encode_one(` is called only inside CarouselStore::Round::
+     run (src/net/store.cpp), where each slot encodes its block of the
+     stripe_message put_file hands it, and src/net/ makes no
+     `encode_stripe(` call, so put_file has no encode step of its own.  A
+     free function named encode (MetaLog's record framing,
      `encode(w, ...)`) is not a call on a code and does not match.  A
      second stripe loop drifts from the first: its own padding, its own
-     empty-file rule, its own block-size check.
+     empty-file rule, its own block-size check; an uninstrumented block
+     encode drops out of carousel_codec_encode_*.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -596,27 +602,74 @@ def check_one_healer(problems: list[str]) -> None:
                     f"round) instead of block by block")
 
 
+def body_lines(lines: list[str], start: int) -> range:
+    """The line indices from `start` to the brace that closes the body the
+    line opens (the first `{` at or after it)."""
+    depth = 0
+    opened = False
+    for i in range(start, len(lines)):
+        for ch in lines[i]:
+            if ch == "{":
+                depth += 1
+                opened = True
+            elif ch == "}":
+                depth -= 1
+                if opened and depth == 0:
+                    return range(start, i + 1)
+    return range(start, len(lines))
+
+
 def check_one_file_layer(problems: list[str]) -> None:
-    """Rule 15: file stripes are counted and encoded only in src/codes/."""
-    encode = re.compile(r"(?:\.|->)encode\s*\(")
-    # A definition: out of line (`Type::stripes_for(` opening a line) or
-    # with its body on the line; declarations and calls are neither.
-    out_of_line = re.compile(r"^\S.*?\b\w+::stripes_for\s*\(")
-    inline = re.compile(r"(?<![.>\w])stripes_for\s*\(.*\{")
+    """Rule 15: file stripes are counted, split and encoded in src/codes/;
+    the store encodes only in Round::run's PUT slots."""
+    encode = re.compile(
+        r"(?:\.|->)encode\s*\(|(?<![:\w])encode_block(?:_dense)?\s*\(")
+    # A definition: out of line (`Type::name(` opening a line) or with its
+    # body on the line; declarations and calls are neither.
+    out_of_line = re.compile(r"^\S.*?\b\w+::(stripes_for|stripe_message)\s*\(")
+    inline = re.compile(r"(?<![.>\w])(stripes_for|stripe_message)\s*\(.*\{")
+    encode_one = re.compile(r"(?<![:\w])encode_one\s*\(")
+    encode_stripe = re.compile(r"(?<![:\w])encode_stripe\s*\(")
     codes = REPO / "src" / "codes"
+    net = REPO / "src" / "net"
+    executor = net / "store.cpp"
     for path in src_files(".h", ".cpp"):
         if path.parent == codes:
             continue
-        for i, line in enumerate(code_lines(path)):
+        lines = code_lines(path)
+        slot = range(0)  # Round::run's lines, where a PUT slot encodes
+        if path == executor:
+            round_at = next((i for i, line in enumerate(lines)
+                             if re.match(r"^class\s+CarouselStore::Round\b",
+                                         line)), None)
+            run_at = None if round_at is None else next(
+                (i for i in range(round_at, len(lines))
+                 if re.match(r"^\s+static\s+bool\s+run\s*\(", lines[i])),
+                None)
+            if run_at is not None:
+                slot = body_lines(lines, run_at)
+        for i, line in enumerate(lines):
             where = f"{path.relative_to(REPO)}:{i + 1}"
             if encode.search(line):
                 problems.append(
-                    f"{where}: encode() on a code outside src/codes/ — "
-                    f"encode a file's stripes with LinearCode::encode_stripe")
-            if out_of_line.match(line) or inline.search(line):
+                    f"{where}: encode on a code outside src/codes/ — encode "
+                    f"a file's stripe with LinearCode::encode_stripe, or a "
+                    f"PUT slot's block with encode_one in Round::run")
+            m = out_of_line.match(line) or inline.search(line)
+            if m:
                 problems.append(
-                    f"{where}: stripes_for() defined outside src/codes/ — "
-                    f"LinearCode::stripes_for is the one stripe count")
+                    f"{where}: {m.group(1)}() defined outside src/codes/ — "
+                    f"LinearCode::{m.group(1)} is the one stripe layout")
+            if encode_one.search(line) and i not in slot:
+                problems.append(
+                    f"{where}: encode_one() called outside "
+                    f"CarouselStore::Round::run — a block is encoded in its "
+                    f"PUT slot, beside the other slots' uploads")
+            if path.parent == net and encode_stripe.search(line):
+                problems.append(
+                    f"{where}: encode_stripe() called in src/net/ — hand the "
+                    f"round the stripe_message and let each PUT slot encode "
+                    f"its own block")
 
 
 def main() -> int:
